@@ -395,27 +395,40 @@ let scale_bench ~name ~subtasks ~gate () =
   end;
   let n_sub = Lla_scale.Kernel.n_subtasks kernel in
   let solve_tick_s = solve_s /. float_of_int iterations in
+  (* ns/subtask/iter = subtasks touched per tick x ns per touched
+     subtask: the dirty sets' sparsity times the cost of a visit *)
+  let touched () = (Lla_scale.Kernel.cumulative_touch kernel).Lla_scale.Kernel.subtasks_touched in
+  let print_split ~tick_s ~per_tick =
+    Printf.printf "               %.0f subtasks touched/tick x %.1f ns per touched subtask\n" per_tick
+      (tick_s *. 1e9 /. per_tick)
+  in
   Printf.printf
     "  solve        %8.2f s    %d ticks to feasible convergence (%.0f ticks/s)\n" solve_s
     iterations (1. /. solve_tick_s);
   Printf.printf "  transient    %8.2f ms/tick  (%.1f ns/subtask/iter)\n" (solve_tick_s *. 1e3)
     (solve_tick_s *. 1e9 /. float_of_int n_sub);
+  print_split ~tick_s:solve_tick_s ~per_tick:(float_of_int (touched ()) /. float_of_int iterations);
   (* Steady state: the incremental regime the dirty sets target. Best of
      several batches — single-batch wall clock jitters across the 20x
      gate on a noisy CI box. *)
-  let steady_tick_s = ref infinity in
+  let steady_tick_s = ref infinity and steady_touched = ref 0. in
   for _ = 1 to 5 do
     let reps = 200 in
+    let c0 = touched () in
     let t0 = Unix.gettimeofday () in
     Lla_scale.Kernel.run kernel ~iterations:reps;
     let per = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-    if per < !steady_tick_s then steady_tick_s := per
+    if per < !steady_tick_s then begin
+      steady_tick_s := per;
+      steady_touched := float_of_int (touched () - c0) /. float_of_int reps
+    end
   done;
   let steady_tick_s = !steady_tick_s in
   Printf.printf "  steady state %8.2f ms/tick  (%.1f ns/subtask/iter, %.0f ticks/s)\n"
     (steady_tick_s *. 1e3)
     (steady_tick_s *. 1e9 /. float_of_int n_sub)
     (1. /. steady_tick_s);
+  print_split ~tick_s:steady_tick_s ~per_tick:!steady_touched;
   (* Allocation per tick, by minor-words delta (the Gc probe itself
      allocates its boxed result, so subtract an empty probe). *)
   let probe iterations =
@@ -536,22 +549,37 @@ let scale_bench ~name ~subtasks ~gate () =
 
 let run_scale () =
   scale_bench ~name:"scale" ~subtasks:100_000 ~gate:false ();
-  (* Phase breakdown of the profiled kernel on the same scenario size —
-     the EXPERIMENTS walkthrough quotes this table. *)
+  (* Per-pass breakdown of a profiled kernel on the same scenario, over
+     the whole cold transient (the solve) and a steady stretch after it,
+     each with the entities it touched per tick. The EXPERIMENTS
+     walkthrough quotes these tables. *)
+  let module K = Lla_scale.Kernel in
   let workload =
     Lla_scale.Generator.generate ~params:(Lla_scale.Generator.sized ~subtasks:100_000 ()) ~seed:42
       ()
   in
   let obs = Lla_obs.create ~profile:(Lla_obs.Profile.create ()) () in
-  Lla_obs.Profile.set_enabled obs.Lla_obs.profile true;
+  let profile = obs.Lla_obs.profile in
+  Lla_obs.Profile.set_enabled profile true;
   let kernel =
-    match Lla_scale.Kernel.create ~obs ~config:Lla_scale.Kernel.scale_config workload with
-    | Ok k -> k
-    | Error e -> failwith e
+    match K.create ~obs ~config:K.scale_config workload with Ok k -> k | Error e -> failwith e
   in
-  Lla_scale.Kernel.run kernel ~iterations:50;
-  print_newline ();
-  print_string (Lla_obs.Profile.report obs.Lla_obs.profile)
+  let phase label run =
+    Lla_obs.Profile.reset profile;
+    let before = K.cumulative_touch kernel and tick0 = K.iteration kernel in
+    run ();
+    let after = K.cumulative_touch kernel in
+    let ticks = float_of_int (K.iteration kernel - tick0) in
+    let per_tick f = float_of_int (f after - f before) /. ticks in
+    Printf.printf "\n%s: %.0f ticks; touched per tick: %.0f subtasks, %.0f resources, %.0f paths\n"
+      label ticks
+      (per_tick (fun c -> c.K.subtasks_touched))
+      (per_tick (fun c -> c.K.resources_touched))
+      (per_tick (fun c -> c.K.paths_touched));
+    print_string (Lla_obs.Profile.report profile)
+  in
+  phase "transient (cold solve)" (fun () -> ignore (K.solve kernel ~max_iterations:10_000));
+  phase "steady" (fun () -> K.run kernel ~iterations:1000)
 
 let run_scale_smoke () = scale_bench ~name:"scale_smoke" ~subtasks:10_000 ~gate:true ()
 

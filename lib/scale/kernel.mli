@@ -2,8 +2,8 @@
 
     A compacted representation of the synchronous solver's iteration for
     planet-scale problems: per-subtask records are flattened into plain
-    [float array]s plus four CSR adjacencies (subtask→paths,
-    resource→subtasks, resource→paths, path→subtasks), and one tick —
+    [float array]s plus three CSR adjacencies (subtask→paths,
+    resource→paths, path→subtasks), and one tick —
     closed-form allocation, Eq. 8 resource prices, Eq. 9 path prices,
     adaptive step sizes — runs with {b zero allocation} (minor-words
     delta 0 when built without [?obs]; the property suite asserts this).
@@ -19,6 +19,15 @@
     to {!Lla.Solver} on any problem both accept; the suite checks
     element-wise agreement within 1e-9 on random scenarios. See DESIGN
     §11 for the full equivalence argument.
+
+    Internally subtasks are numbered {b resource-major}: by resource,
+    in ascending problem index within each resource, so a resource's
+    members are one contiguous range of every per-subtask array and the
+    resource pass walks memory sequentially. The numbering is invisible
+    at the API: every subtask index taken or array returned is in
+    problem order ([problem.subtasks]); resource and path ids are the
+    problem's own. The internal order changes no iterate bit (DESIGN
+    §11).
 
     Scope: the kernel requires the closed-form allocation structure —
     every task utility linear (constant slope) and every share function
@@ -54,7 +63,7 @@ val default_config : config
 val scale_config : config
 (** [default_config] with a {!Lla.Step_size.split} step policy
     (resource cap 1e9, path cap 64) and the movement tolerance widened
-    to 0.1. At 10^4+ subtasks the equilibrium prices of hot resources
+    to 1.0. At 10^4+ subtasks the equilibrium prices of hot resources
     sit orders of magnitude above the solver default's reach (they
     grow with the square of the per-resource fan-in), and geometric
     step escalation discovers that magnitude in logarithmically-many
@@ -63,11 +72,12 @@ val scale_config : config
     unbounded cap with Eq. 9 turns long price-discovery streaks into
     violent path-price oscillation. The moderate path cap still lets a
     deadline-tight path's price climb during those streaks, and the
-    wider tolerance (~1e-5 relative against the generator's O(1e4)
-    critical times) rides out the tiny limit cycle the capped steps
-    leave behind. Use for generated scale scenarios; the default
-    remains right for Table-1-sized problems and for element-wise
-    comparison against {!Lla.Solver}. *)
+    wider tolerance (~1e-4 relative against the generator's O(1e4)
+    latencies) rides out the small limit cycle the capped steps leave
+    behind, so {!solve} stops at a feasible snapshot of it. Use for
+    generated scale scenarios; the default remains right for
+    Table-1-sized problems and for element-wise comparison against
+    {!Lla.Solver}. *)
 
 type t
 
@@ -147,12 +157,16 @@ val publish_metrics : t -> at:float -> unit
     O(active tasks). *)
 
 val lat_array : t -> float array
-(** The live latency iterate, indexed like [problem.subtasks]. Exposed
-    for benchmarks and the equivalence suite; treat as read-only. *)
+(** A fresh copy of the latency iterate in problem order (indexed like
+    [problem.subtasks]); writing into it does not change the kernel.
+    O(subtasks) and allocating, so call it between ticks. *)
 
 val mu_array : t -> float array
+(** The live resource prices, indexed by problem resource; treat as
+    read-only. *)
 
 val lambda_array : t -> float array
+(** The live path prices, indexed by problem path; treat as read-only. *)
 
 type touch_stats = {
   subtasks_touched : int;

@@ -1,6 +1,7 @@
 (* Lla_scale: generator determinism / admission, kernel-vs-solver
-   equivalence, dirty-set sparsity, and the zero-allocation guarantee of
-   the kernel tick. *)
+   equivalence, dirty-set sparsity, the zero-allocation guarantee of the
+   kernel tick, problem order at the kernel's API boundary, and golden
+   bit-identity digests. *)
 
 open Lla_model
 module Generator = Lla_scale.Generator
@@ -286,6 +287,173 @@ let test_kernel_profiled_run () =
   Alcotest.(check int) "kernel.step timed per tick" 30 (count_of "kernel.step");
   Alcotest.(check int) "allocate timed per tick" 30 (count_of "allocate")
 
+(* ------------------------------------------------------------------ *)
+(* Problem order at the API boundary                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The kernel stores subtasks resource-major; every subtask index and
+   array crossing its API is in problem order. On a scenario whose
+   subtasks are not already grouped by resource, a slip in that mapping
+   moves a value to the wrong subtask. *)
+let test_kernel_problem_order () =
+  let w = Generator.generate ~params:(Generator.sized ~subtasks:300 ()) ~seed:5 () in
+  let k = kernel_exn w in
+  let problem = Kernel.problem k in
+  let subs = problem.Lla.Problem.subtasks in
+  let n = Array.length subs in
+  let grouped =
+    Array.for_all
+      (fun members ->
+        let m = Array.length members in
+        m = 0 || members.(m - 1) - members.(0) = m - 1)
+      problem.Lla.Problem.by_resource
+  in
+  Alcotest.(check bool) "scenario interleaves resources" false grouped;
+  let lo i = Float.max 1e-9 subs.(i).Lla.Problem.lat_lo in
+  let hi i =
+    let s = subs.(i) in
+    Float.max (lo i)
+      (Float.min s.Lla.Problem.stability
+         problem.Lla.Problem.tasks.(s.Lla.Problem.task).Lla.Problem.critical_time)
+  in
+  let same_bits x y = Int64.bits_of_float x = Int64.bits_of_float y in
+  let check ~what ~expect got =
+    Array.iteri
+      (fun j v ->
+        let want = expect j in
+        if not (same_bits v want) then
+          Alcotest.failf "%s: [%d] = %.17g, expected %.17g" what j v want)
+      got
+  in
+  (* one full tick re-solves every subtask, so every latency is inside
+     its bounds from here on *)
+  Kernel.run k ~iterations:20;
+  let moved = ref 0 in
+  for i = 0 to n - 1 do
+    if i mod 13 = 0 then begin
+      let before = Kernel.lat_array k in
+      let d = -0.5 *. (before.(i) -. lo i) in
+      Kernel.disturb_latency k i d;
+      let after = Kernel.lat_array k in
+      if not (same_bits after.(i) before.(i)) then incr moved;
+      check ~what:(Printf.sprintf "disturb_latency %d" i)
+        ~expect:(fun j -> if j = i then Float.max (lo i) (before.(i) +. d) else before.(j))
+        after
+    end
+  done;
+  if !moved = 0 then Alcotest.fail "no disturbance moved a latency";
+  (* enter_fallback: a distinct value per subtask, each clamped in place *)
+  let fallback =
+    Array.init n (fun i ->
+        match i mod 4 with
+        | 0 | 1 -> lo i +. ((hi i -. lo i) *. float_of_int (i + 1) /. float_of_int (n + 1))
+        | 2 -> hi i +. 1e3 +. float_of_int i
+        | _ -> nan)
+  in
+  Kernel.enter_fallback k ~lat:fallback ();
+  check ~what:"enter_fallback"
+    ~expect:(fun i ->
+      let v = fallback.(i) in
+      if not (Float.is_finite v) then hi i
+      else if v < lo i then lo i
+      else if v > hi i then hi i
+      else v)
+    (Kernel.lat_array k);
+  (* restore_iterate of the kernel's own copies is the identity *)
+  Kernel.run k ~iterations:10;
+  let lat = Kernel.lat_array k
+  and mu = Array.copy (Kernel.mu_array k)
+  and lambda = Array.copy (Kernel.lambda_array k) in
+  (match Kernel.restore_iterate k ~lat ~mu ~lambda with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "restore_iterate: %s" e);
+  check ~what:"restored lat" ~expect:(Array.get lat) (Kernel.lat_array k);
+  check ~what:"restored mu" ~expect:(Array.get mu) (Kernel.mu_array k);
+  check ~what:"restored lambda" ~expect:(Array.get lambda) (Kernel.lambda_array k);
+  (* retire_task pins exactly its own block's problem indices *)
+  let task = 3 in
+  let members = problem.Lla.Problem.tasks.(task).Lla.Problem.subtask_indices in
+  let before = Kernel.lat_array k in
+  Kernel.retire_task k task;
+  check ~what:"retire_task"
+    ~expect:(fun j -> if Array.mem j members then 1. else before.(j))
+    (Kernel.lat_array k);
+  (* lat_array hands out a copy *)
+  let a = Kernel.lat_array k in
+  let v = a.(0) in
+  a.(0) <- v +. 1.;
+  Alcotest.(check (float 0.)) "writing the copy leaves the kernel" v (Kernel.lat_array k).(0)
+
+(* ------------------------------------------------------------------ *)
+(* Golden bit-identity                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The kernel≡solver properties above allow 1e-9 slack, and the churn /
+   restore checks compare the kernel with itself. These two digests hold
+   the kernel to a fixed reference bit for bit: any change to its layout
+   or pass order that moves one iterate bit, tick count, touch count or
+   the utility changes the hex string. *)
+let golden_kernel () =
+  let w = Generator.generate ~params:(Generator.sized ~subtasks:10_000 ()) ~seed:42 () in
+  let k = kernel_exn ~config:Kernel.scale_config w in
+  if Kernel.solve k ~max_iterations:4_000 = None then Alcotest.fail "10k golden scenario: no solve";
+  Kernel.run k ~iterations:200;
+  k
+
+let kernel_digest k =
+  let b = Buffer.create (1 lsl 18) in
+  let float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  let int n = Buffer.add_int64_le b (Int64.of_int n) in
+  Array.iter float (Kernel.lat_array k);
+  Array.iter float (Kernel.mu_array k);
+  Array.iter float (Kernel.lambda_array k);
+  int (Kernel.iteration k);
+  int (Kernel.guard_events k);
+  let c = Kernel.cumulative_touch k in
+  int c.Kernel.subtasks_touched;
+  int c.Kernel.resources_touched;
+  int c.Kernel.paths_touched;
+  float (Kernel.utility k);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_solve () =
+  Alcotest.(check string)
+    "10k seed-42 digest after solve + 200 ticks" "cc748e740fb1665002ce5648270dd10f" (kernel_digest (golden_kernel ()))
+
+let test_golden_between_ticks () =
+  let k = golden_kernel () in
+  let lat = Array.copy (Kernel.lat_array k)
+  and mu = Array.copy (Kernel.mu_array k)
+  and lambda = Array.copy (Kernel.lambda_array k) in
+  Kernel.retire_task k 3;
+  Kernel.retire_task k 7;
+  Kernel.run k ~iterations:3;
+  Kernel.admit_task k 3;
+  Kernel.run k ~iterations:3;
+  Kernel.poison_price k 0 nan;
+  Kernel.poison_price k 5 nan;
+  Kernel.run k ~iterations:2;
+  Kernel.disturb_latency k 11 250.;
+  Kernel.disturb_latency k 4_000 (-1e9);
+  Kernel.run k ~iterations:2;
+  let fallback =
+    Array.mapi (fun i v -> v *. (1. +. (float_of_int (i mod 7) /. 10.))) (Kernel.lat_array k)
+  in
+  Kernel.enter_fallback k ~lat:fallback ();
+  Kernel.set_frozen k true;
+  Kernel.run k ~iterations:10;
+  Kernel.set_frozen k false;
+  Kernel.requeue_all k;
+  Kernel.run k ~iterations:5;
+  Kernel.crash_reset k;
+  (match Kernel.restore_iterate k ~lat ~mu ~lambda with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "restore_iterate: %s" e);
+  Kernel.run k ~iterations:50;
+  Alcotest.(check string)
+    "10k seed-42 digest after churn, poison, disturbance, fallback and restore" "0090c33964e3f5eff5d7431b0ab8af16"
+    (kernel_digest k)
+
 let () =
   Alcotest.run "scale"
     [
@@ -308,5 +476,11 @@ let () =
             test_kernel_solves_and_sparsifies;
           Alcotest.test_case "tick allocates zero minor words" `Quick test_kernel_tick_zero_alloc;
           Alcotest.test_case "profiled run times every tick" `Quick test_kernel_profiled_run;
+          Alcotest.test_case "API arrays stay in problem order" `Quick test_kernel_problem_order;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "digest after solve + 200 ticks" `Quick test_golden_solve;
+          Alcotest.test_case "digest after between-tick calls" `Quick test_golden_between_ticks;
         ] );
     ]
