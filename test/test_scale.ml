@@ -250,13 +250,18 @@ let test_kernel_solves_and_sparsifies () =
     Alcotest.failf "left feasibility during post-convergence ticks: %s"
       (String.concat "; " (Kernel.violations kernel))
 
-let test_kernel_tick_zero_alloc () =
-  let w = Generator.generate ~params:(Generator.sized ~subtasks:1_000 ()) ~seed:9 () in
+(* The shard count a kernel above the sharding threshold gets here. *)
+let two_shards = if Domain.recommended_domain_count () >= 2 then 2 else 1
+
+let zero_alloc ~subtasks ~seed ~shards () =
+  let w = Generator.generate ~params:(Generator.sized ~subtasks ()) ~seed () in
   let kernel = kernel_exn w in
+  Alcotest.(check int) "shards" shards (Kernel.shards kernel);
   Kernel.run kernel ~iterations:5 (* warm up: queues populated, caches filled *);
   (* [Gc.minor_words ()] itself allocates its boxed float result, so
      measure the delta of an empty probe and require the delta across N
-     ticks to be exactly the same. *)
+     ticks to be exactly the same. It counts the calling domain's
+     allocations; the helper domain allocates nothing by construction. *)
   let probe iterations =
     let before = Gc.minor_words () in
     Kernel.run kernel ~iterations;
@@ -266,6 +271,25 @@ let test_kernel_tick_zero_alloc () =
   let hundred = probe 100 in
   if hundred <> empty then
     Alcotest.failf "kernel tick allocates: %.0f minor words over 100 ticks" (hundred -. empty)
+
+let test_kernel_tick_zero_alloc = zero_alloc ~subtasks:1_000 ~seed:9 ~shards:1
+
+let test_sharded_tick_zero_alloc = zero_alloc ~subtasks:64_000 ~seed:42 ~shards:two_shards
+
+(* Two shards from 50 000 subtasks on a host with two cores or more, one
+   below: the 10^4 scale-smoke scenario and the soak's default 800
+   subtasks stay on one domain. *)
+let test_kernel_shards () =
+  let shards ?resources ~subtasks ~seed () =
+    let w = Generator.generate ~params:(Generator.sized ?resources ~subtasks ()) ~seed () in
+    Kernel.shards (kernel_exn ~config:Kernel.scale_config w)
+  in
+  Alcotest.(check int) "64k kernel" two_shards (shards ~subtasks:64_000 ~seed:42 ());
+  Alcotest.(check int) "10k scale-smoke kernel" 1 (shards ~subtasks:10_000 ~seed:42 ());
+  let soak = Lla_soak.Soak.default_config in
+  Alcotest.(check int) "soak default kernel" 1
+    (shards ?resources:soak.Lla_soak.Soak.resources ~subtasks:soak.Lla_soak.Soak.subtasks
+       ~seed:soak.Lla_soak.Soak.seed ())
 
 let test_kernel_profiled_run () =
   (* with obs attached, the per-phase totals must cover every tick *)
@@ -389,14 +413,17 @@ let test_kernel_problem_order () =
 (* ------------------------------------------------------------------ *)
 
 (* The kernel≡solver properties above allow 1e-9 slack, and the churn /
-   restore checks compare the kernel with itself. These two digests hold
-   the kernel to a fixed reference bit for bit: any change to its layout
-   or pass order that moves one iterate bit, tick count, touch count or
-   the utility changes the hex string. *)
-let golden_kernel () =
-  let w = Generator.generate ~params:(Generator.sized ~subtasks:10_000 ()) ~seed:42 () in
+   restore checks compare the kernel with itself. These digests hold
+   the kernel to a fixed reference bit for bit: any change to its layout,
+   pass order or sharding that moves one iterate bit, tick count, touch
+   count or the utility changes the hex string. The 64k scenario is
+   above the sharding threshold; its digests were recorded on the
+   one-shard kernel. *)
+let golden_kernel ?(subtasks = 10_000) () =
+  let w = Generator.generate ~params:(Generator.sized ~subtasks ()) ~seed:42 () in
   let k = kernel_exn ~config:Kernel.scale_config w in
-  if Kernel.solve k ~max_iterations:4_000 = None then Alcotest.fail "10k golden scenario: no solve";
+  if Kernel.solve k ~max_iterations:4_000 = None then
+    Alcotest.failf "%d-subtask golden scenario: no solve" subtasks;
   Kernel.run k ~iterations:200;
   k
 
@@ -420,8 +447,7 @@ let test_golden_solve () =
   Alcotest.(check string)
     "10k seed-42 digest after solve + 200 ticks" "cc748e740fb1665002ce5648270dd10f" (kernel_digest (golden_kernel ()))
 
-let test_golden_between_ticks () =
-  let k = golden_kernel () in
+let between_ticks ?(pause = 0.) k =
   let lat = Array.copy (Kernel.lat_array k)
   and mu = Array.copy (Kernel.mu_array k)
   and lambda = Array.copy (Kernel.lambda_array k) in
@@ -436,6 +462,7 @@ let test_golden_between_ticks () =
   Kernel.disturb_latency k 11 250.;
   Kernel.disturb_latency k 4_000 (-1e9);
   Kernel.run k ~iterations:2;
+  Unix.sleepf pause;
   let fallback =
     Array.mapi (fun i v -> v *. (1. +. (float_of_int (i mod 7) /. 10.))) (Kernel.lat_array k)
   in
@@ -449,9 +476,27 @@ let test_golden_between_ticks () =
   (match Kernel.restore_iterate k ~lat ~mu ~lambda with
   | Ok () -> ()
   | Error e -> Alcotest.failf "restore_iterate: %s" e);
-  Kernel.run k ~iterations:50;
+  Kernel.run k ~iterations:50
+
+let test_golden_between_ticks () =
+  let k = golden_kernel () in
+  between_ticks k;
   Alcotest.(check string)
     "10k seed-42 digest after churn, poison, disturbance, fallback and restore" "0090c33964e3f5eff5d7431b0ab8af16"
+    (kernel_digest k)
+
+let test_golden_sharded_solve () =
+  Alcotest.(check string)
+    "64k seed-42 digest after solve + 200 ticks" "3164473a5ca60f099ef483293b676348"
+    (kernel_digest (golden_kernel ~subtasks:64_000 ()))
+
+(* The pause outlasts the helper domain's idle limit (~70-80 ms), so the
+   ticks after it run both shards on the calling domain. *)
+let test_golden_sharded_between_ticks () =
+  let k = golden_kernel ~subtasks:64_000 () in
+  between_ticks ~pause:0.3 k;
+  Alcotest.(check string)
+    "64k seed-42 digest after churn, poison, disturbance, fallback and restore" "aed1977369b284a7c7a1c393eff71c30"
     (kernel_digest k)
 
 let () =
@@ -475,6 +520,9 @@ let () =
           Alcotest.test_case "solves and sparsifies at 2k subtasks" `Quick
             test_kernel_solves_and_sparsifies;
           Alcotest.test_case "tick allocates zero minor words" `Quick test_kernel_tick_zero_alloc;
+          Alcotest.test_case "64k sharded tick allocates zero minor words" `Quick
+            test_sharded_tick_zero_alloc;
+          Alcotest.test_case "shard count follows problem size" `Quick test_kernel_shards;
           Alcotest.test_case "profiled run times every tick" `Quick test_kernel_profiled_run;
           Alcotest.test_case "API arrays stay in problem order" `Quick test_kernel_problem_order;
         ] );
@@ -482,5 +530,8 @@ let () =
         [
           Alcotest.test_case "digest after solve + 200 ticks" `Quick test_golden_solve;
           Alcotest.test_case "digest after between-tick calls" `Quick test_golden_between_ticks;
+          Alcotest.test_case "64k digest after solve + 200 ticks" `Quick test_golden_sharded_solve;
+          Alcotest.test_case "64k digest after between-tick calls" `Quick
+            test_golden_sharded_between_ticks;
         ] );
     ]
