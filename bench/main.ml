@@ -401,8 +401,11 @@ let scale_bench ~name ~subtasks ~gate () =
      subtask: the dirty sets' sparsity times the cost of a visit *)
   let touched () = (Lla_scale.Kernel.cumulative_touch kernel).Lla_scale.Kernel.subtasks_touched in
   let print_split ~tick_s ~per_tick =
-    Printf.printf "               %.0f subtasks touched/tick x %.1f ns per touched subtask\n" per_tick
-      (tick_s *. 1e9 /. per_tick)
+    (* a tick at a fixpoint of the price passes touches no subtask *)
+    if per_tick > 0. then
+      Printf.printf "               %.0f subtasks touched/tick x %.1f ns per touched subtask\n"
+        per_tick (tick_s *. 1e9 /. per_tick)
+    else Printf.printf "               0 subtasks touched/tick\n"
   in
   Printf.printf
     "  solve        %8.2f s    %d ticks to feasible convergence (%.0f ticks/s)\n" solve_s

@@ -1,9 +1,14 @@
 module P = Lla.Problem
 
+type price_init =
+  | Cold
+  | Clearing
+
 type config = {
   step_policy : Lla.Step_size.policy;
   mu0 : float;
   lambda0 : float;
+  price_init : price_init;
   movement_tolerance : float;
   convergence_window : int;
   feasibility_tolerance : float;
@@ -14,6 +19,7 @@ let default_config =
     step_policy = Lla.Step_size.adaptive ~initial:1.0 ();
     mu0 = 1.0;
     lambda0 = 0.0;
+    price_init = Cold;
     movement_tolerance = 0.01;
     convergence_window = 50;
     feasibility_tolerance = 0.005;
@@ -33,19 +39,27 @@ let default_config =
    path's lambda to climb during the congestion streaks it rides on;
    the paper's default cap of 4 leaves it crawling additively forever).
 
-   The movement tolerance is the neighborhood-convergence knob. With
-   step-escalation caps, dual ascent on a scenario whose active
-   constraints have O(1e6) equilibrium prices does not reach a
-   fixpoint: it settles into a small periodic cycle around the optimum
-   (measured on the seeded 1e5-subtask scenario: period 10, movement
-   0.03-0.59 against latencies of O(1e4), worst transient constraint
-   excess ~5%, recurring fully-feasible ticks every period). [solve]
-   requires movement <= tolerance for a whole window AND Eq. 3/4
-   feasibility at the stopping tick, so a tolerance of 1.0 — above the
-   cycle amplitude, still ~1e-4 relative to the latency scale — makes
-   it terminate at a feasible snapshot of the terminal cycle: the
-   standard best-feasible-iterate readout for subgradient methods. The
-   feasibility tolerance itself stays at the default, so the returned
+   The clearing start (see [clear_prices] below) hands both families
+   those magnitudes up front, so the escalation has little left to
+   discover.
+
+   The movement tolerance is the neighborhood-convergence knob.
+   Movement is relative — the largest |change| / latency of a tick, in
+   Solver and Kernel alike — so a tolerance of 1.0 admits a tick that
+   doubles or halves a latency. From the cold start, dual ascent with
+   capped step escalation does not reach a fixpoint on a scenario whose
+   active constraints have O(1e6) equilibrium prices: it settles into a
+   small periodic cycle around the optimum (measured on the seeded
+   1e5-subtask scenario: period 10, movement 0.03-0.59, worst transient
+   constraint excess ~5%, recurring fully-feasible ticks every period).
+   [solve] requires movement <= tolerance for a whole window AND Eq. 3/4
+   feasibility at the stopping tick, so a tolerance above the cycle's
+   movement makes it stop at a feasible snapshot of the terminal cycle:
+   the standard best-feasible-iterate readout for subgradient methods.
+   From the clearing start every measured scenario stops at tick 51,
+   the window minimum, under the default 0.01 as well; the wide value
+   stays until a duality-gap certificate replaces the movement rule.
+   The feasibility tolerance stays at the default, so the returned
    assignment meets Eq. 3/4 as tightly as the solver's answers do. *)
 let scale_config =
   {
@@ -54,6 +68,7 @@ let scale_config =
       Lla.Step_size.split
         ~resource:(Lla.Step_size.adaptive ~initial:1.0 ~cap:1e9 ())
         ~path:(Lla.Step_size.adaptive ~initial:1.0 ~cap:64. ());
+    price_init = Clearing;
     movement_tolerance = 1.0;
   }
 
@@ -771,6 +786,255 @@ let requeue_all t =
 let guard_events t = Array.fold_left (fun acc sh -> acc + sh.guards) 0 t.shards
 
 (* ------------------------------------------------------------------ *)
+(* Clearing-price start                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Under [Clearing], construction starts the iteration at market-clearing
+   prices instead of at [mu0] / [lambda0]: block-coordinate minimisation
+   of the LLA dual g(mu, lambda) = max_lat L (DESIGN §11). Minimising g
+   over one resource's mu_r at fixed lambda sets its share sum, at the
+   closed-form allocation, to exactly B_r (mu_r = 0 when the members fit
+   at [lo]); minimising over one path's lambda_p sets its latency to
+   exactly C_p (0 when slack). [clear_prices] alternates the two blocks
+   over dirty sets until no price moves by a single bit.
+
+   Each 1-D equation is monotone, and a Newton step on the right
+   variable is exact or nearly so between two clamp breakpoints: a
+   resource's share sum is piecewise linear in y = 1/sqrt mu, and a
+   path's latency L(lambda) makes L^-2 piecewise concave, a power mean
+   of affine terms. [root] keeps a bracket around the step and bisects
+   whenever Newton leaves it. The pass runs once, before the first tick,
+   so it may allocate; it borrows [t.lat] for the per-slot pressures,
+   the marks for its dirty sets, and shard 0's scratch for the slope. *)
+
+(* A constant cap on the block-coordinate rounds. Measured on generated
+   scenarios of 800 to 10^5 subtasks: 1 round where no path is priced,
+   8-12 where some is, every one ending at the exact fixpoint. *)
+let clearing_rounds = 64
+
+(* Newton / bisection steps per 1-D equation. *)
+let root_steps = 100
+
+(* Solve [f x = target] for an increasing [f] over [0, b] from [x0].
+   [newton x v] maps [v = f x] to the next guess; it may read the slope
+   [f] left in scratch. The result is the last guess, once a step moves
+   it by at most a few ulp or the bracket collapses: a deterministic
+   function of [f], so an unchanged market clears to the same bits. *)
+let root ~f ~newton ~target ~b x0 =
+  let a = ref 0. and b = ref b and x = ref x0 and result = ref nan and steps = ref 0 in
+  while Float.is_nan !result do
+    let v = f !x in
+    if v = target then result := !x
+    else begin
+      if v < target then a := !x else b := !x;
+      let n = newton !x v in
+      let n = if n > !a && n < !b then n else !a +. (0.5 *. (!b -. !a)) in
+      incr steps;
+      if !steps >= root_steps || Float.abs (n -. !x) <= 1e-15 *. Float.abs !x then result := n;
+      x := n
+    end
+  done;
+  !result
+
+(* Pressure of slot i (press0 plus the prices of its paths, summed as
+   the allocation pass sums them), without path [skip]'s price. *)
+let pressure_without t i skip =
+  let s = ref 0. in
+  for e = t.sp_off.(i) to t.sp_off.(i + 1) - 1 do
+    let p = t.sp_idx.(e) in
+    if p <> skip then s := !s +. t.lambda.(p)
+  done;
+  t.press0.(i) +. !s
+
+(* [w / max w lat], the share of a subtask at latency [lat] *)
+let share w lat = w /. if w >= lat then w else lat
+
+(* Resource r's share sum at price [mu], each member at the allocation
+   pass's closed form for pressure [pr.(i)]. [sc.(0)] receives the share
+   of the members strictly inside their bounds: y times the slope of the
+   sum in y = 1/sqrt mu. *)
+let resource_shares t pr sc r mu =
+  let s = ref 0. and free = ref 0. in
+  for i = t.rs_off.(r) to t.rs_off.(r + 1) - 1 do
+    let w = t.work.(i) and lo = t.lo_b.(i) and hi = t.hi_b.(i) and p = pr.(i) in
+    if mu <= 0. then s := !s +. share w (if p > 0. then lo else hi)
+    else if p <= 0. then s := !s +. share w hi
+    else begin
+      let x = sqrt (mu *. w /. p) in
+      if x <= lo then s := !s +. share w lo
+      else if x >= hi then s := !s +. share w hi
+      else begin
+        let v = share w x in
+        s := !s +. v;
+        if x > w then free := !free +. v
+      end
+    end
+  done;
+  sc.(0) <- !free;
+  !s
+
+(* The price that fills resource r to exactly B_r at the current path
+   prices: 0 when its members fit at [lo]; [mu0] when they overflow it
+   even at [hi], where no price clears. The share sum is linear in
+   y = 1/sqrt mu between breakpoints, so a Newton step in y lands on the
+   root once it is on the right piece. *)
+let clear_resource t pr sc r =
+  let cap = t.cap.(r) in
+  let floor = ref 0. and yb = ref 0. and unclamped = ref 0. in
+  for i = t.rs_off.(r) to t.rs_off.(r + 1) - 1 do
+    let w = t.work.(i) and p = pr.(i) in
+    floor := !floor +. share w t.hi_b.(i);
+    if p > 0. then begin
+      (* every member is at lo from y = sqrt (w / p) / lo on *)
+      let y = sqrt (w /. p) /. t.lo_b.(i) in
+      if y > !yb then yb := y;
+      unclamped := !unclamped +. sqrt (w *. p)
+    end
+  done;
+  if !floor > cap then t.config.mu0
+  else if resource_shares t pr sc r 0. <= cap then 0.
+  else begin
+    let mu_of y = 1. /. (y *. y) in
+    (* the root if no member were clamped *)
+    let y0 = cap /. !unclamped in
+    let y =
+      root ~target:cap ~b:!yb
+        ~f:(fun y -> resource_shares t pr sc r (mu_of y))
+        ~newton:(fun y v -> if sc.(0) > 0. then y +. ((cap -. v) *. y /. sc.(0)) else nan)
+        (if y0 > 0. && y0 < !yb then y0 else 0.5 *. !yb)
+    in
+    let mu = mu_of y in
+    if Float.is_finite mu then mu else t.config.mu0
+  end
+
+(* Path p's latency at price [lam] with every member at the allocation
+   pass's closed form; [qs.(k)] is member k's pressure without p.
+   [sc.(0)] receives the derivative in [lam] (0 or negative). *)
+let path_latency t qs sc p lam =
+  let start = t.ps_off.(p) in
+  let s = ref 0. and d = ref 0. in
+  for e = start to t.ps_off.(p + 1) - 1 do
+    let i = t.ps_idx.(e) in
+    let mu_r = t.mu.(t.sub_res.(i)) and lo = t.lo_b.(i) and hi = t.hi_b.(i) in
+    let pressure = qs.(e - start) +. lam in
+    if mu_r <= 0. then s := !s +. if pressure > 0. then lo else hi
+    else if pressure <= 0. then s := !s +. hi
+    else begin
+      let x = sqrt (mu_r *. t.work.(i) /. pressure) in
+      if x <= lo then s := !s +. lo
+      else if x >= hi then s := !s +. hi
+      else begin
+        s := !s +. x;
+        d := !d -. (x /. (2. *. pressure))
+      end
+    end
+  done;
+  sc.(0) <- !d;
+  !s
+
+(* The price that brings path p's latency to exactly C_p at the current
+   resource prices: 0 when it is slack; [lambda0] when it misses C_p even
+   with every member at [lo]. The root is found on u = L^-2, which
+   increases in [lam] and is concave between breakpoints, so Newton
+   approaches it from below. *)
+let clear_path t pr qs sc p =
+  let start = t.ps_off.(p) and stop = t.ps_off.(p + 1) - 1 in
+  let crit = t.crit.(p) in
+  (* with p's price at +0, a member's pressure without it is its
+     pressure, bit for bit *)
+  let priced = t.lambda.(p) <> 0. in
+  for e = start to stop do
+    let i = t.ps_idx.(e) in
+    qs.(e - start) <- (if priced then pressure_without t i p else pr.(i))
+  done;
+  if path_latency t qs sc p 0. <= crit then 0.
+  else begin
+    let floor = ref 0. and lb = ref 0. in
+    for e = start to stop do
+      let i = t.ps_idx.(e) and q = qs.(e - start) in
+      let lo = t.lo_b.(i) in
+      floor := !floor +. lo;
+      (* every member is at lo from lam = mu w / lo^2 - q on *)
+      let l = (t.mu.(t.sub_res.(i)) *. t.work.(i) /. (lo *. lo)) -. q in
+      if l > !lb then lb := l
+    done;
+    if !floor > crit then t.config.lambda0
+    else begin
+      let u l = 1. /. (l *. l) in
+      (* lb <= 0 only when the excess at 0 comes from unpriced members
+         with zero pressure, which drop to lo at any positive price *)
+      let lam =
+        root ~target:(u crit) ~b:(if !lb > 0. then !lb else 1.)
+          ~f:(fun lam -> u (path_latency t qs sc p lam))
+          ~newton:(fun lam v ->
+            (* du/dlam = -2 L' / L^3, with L = v^-1/2 *)
+            let l = 1. /. sqrt v in
+            let du = -2. *. sc.(0) /. (l *. l *. l) in
+            if du > 0. then lam +. ((u crit -. v) /. du) else nan)
+          0.
+      in
+      if Float.is_finite lam && lam >= 0. then lam else t.config.lambda0
+    end
+  end
+
+(* Alternate the two blocks until no price changes by a bit, at most
+   [clearing_rounds] times. Round k clears the resources marked k, then
+   the paths marked k: round 1 marks everything; a resource whose price
+   moved marks its paths for the same round, and a path whose price
+   moved marks its members' resources, and the other paths through its
+   members, for round k + 1. Entities are visited in ascending id
+   order, so the result does not depend on the shard count. *)
+let clear_prices t =
+  let pr = t.lat in
+  for i = 0 to t.n_sub - 1 do
+    pr.(i) <- pressure_without t i (-1)
+  done;
+  let longest = ref 0 in
+  for p = 0 to t.n_path - 1 do
+    longest := max !longest (t.ps_off.(p + 1) - t.ps_off.(p))
+  done;
+  let qs = Array.make !longest 0. and sc = t.shards.(0).scratch in
+  Array.fill t.res_mark 0 t.n_res 1;
+  Array.fill t.path_mark 0 t.n_path 1;
+  let round = ref 1 and pending = ref true in
+  while !pending && !round <= clearing_rounds do
+    let k = !round in
+    pending := false;
+    for r = 0 to t.n_res - 1 do
+      if t.res_mark.(r) = k then begin
+        let mu = clear_resource t pr sc r in
+        if mu <> t.mu.(r) then begin
+          t.mu.(r) <- mu;
+          for e = t.rp_off.(r) to t.rp_off.(r + 1) - 1 do
+            t.path_mark.(t.rp_idx.(e)) <- k
+          done
+        end
+      end
+    done;
+    for p = 0 to t.n_path - 1 do
+      if t.path_mark.(p) = k then begin
+        let lam = clear_path t pr qs sc p in
+        if lam <> t.lambda.(p) then begin
+          t.lambda.(p) <- lam;
+          pending := true;
+          for e = t.ps_off.(p) to t.ps_off.(p + 1) - 1 do
+            let i = t.ps_idx.(e) in
+            pr.(i) <- pressure_without t i (-1);
+            t.res_mark.(t.sub_res.(i)) <- k + 1;
+            for f = t.sp_off.(i) to t.sp_off.(i + 1) - 1 do
+              let q = t.sp_idx.(f) in
+              (* a later path still marked k clears this round anyway *)
+              if q <> p && not (q > p && t.path_mark.(q) = k) then t.path_mark.(q) <- k + 1
+            done
+          done
+        end
+      end
+    done;
+    incr round
+  done;
+  Array.blit t.lat0 0 t.lat 0 t.n_sub
+
+(* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1025,6 +1289,7 @@ let of_problem ?obs ?(config = default_config) (problem : P.t) =
         km = None;
       }
     in
+    if config.price_init = Clearing then clear_prices t;
     (* tick 0 visits everything: queues full, every sum dirty *)
     requeue_all t;
     if n_shards = 2 then begin

@@ -62,10 +62,28 @@
     the same price-healing discipline as [Distributed.enter_safe_mode]
     ({!enter_fallback}, {!set_frozen}). *)
 
+(** Where {!of_problem} starts the price iterate. *)
+type price_init =
+  | Cold  (** every resource at [mu0], every path at [lambda0]: the paper's start *)
+  | Clearing
+      (** the market-clearing prices: block-coordinate minimisation of the
+          LLA dual, alternating two exact 1-D solves until no price moves
+          by a bit (at most 64 rounds). Each resource price fills its
+          resource to exactly [B_r] at the closed-form allocation (0 when
+          the members fit at their lower latency bounds); each path price
+          brings its path to exactly [C_p] (0 when slack). A resource
+          that overflows even with every member at its upper bound keeps
+          [mu0]; a path that misses [C_p] even with every member at its
+          lower bound keeps [lambda0]. Latencies still start at the upper
+          bound; the first tick allocates at the clearing prices. *)
+
 type config = {
   step_policy : Lla.Step_size.policy;
   mu0 : float;
   lambda0 : float;
+  price_init : price_init;
+      (** the construction-time start only: {!admit_task} and
+          {!crash_reset} always use [mu0] / [lambda0] *)
   movement_tolerance : float;
       (** convergence: max relative latency change per tick *)
   convergence_window : int;  (** consecutive still ticks required *)
@@ -74,37 +92,42 @@ type config = {
 
 val default_config : config
 (** Mirrors [Lla.Solver.default_config]: adaptive steps (initial 1,
-    doubling, cap 4), [mu0 = 1], [lambda0 = 0], movement tolerance 0.01
-    over a 50-tick window, feasibility tolerance 0.005. *)
+    doubling, cap 4), [mu0 = 1], [lambda0 = 0], a [Cold] start, movement
+    tolerance 0.01 over a 50-tick window, feasibility tolerance 0.005. *)
 
 val scale_config : config
 (** [default_config] with a {!Lla.Step_size.split} step policy
-    (resource cap 1e9, path cap 64) and the movement tolerance widened
-    to 1.0. At 10^4+ subtasks the equilibrium prices of hot resources
-    sit orders of magnitude above the solver default's reach (they
-    grow with the square of the per-resource fan-in), and geometric
-    step escalation discovers that magnitude in logarithmically-many
-    ticks where the capped default crawls — but a path's step doubles
-    while any traversed resource is congested, so sharing the
-    unbounded cap with Eq. 9 turns long price-discovery streaks into
-    violent path-price oscillation. The moderate path cap still lets a
-    deadline-tight path's price climb during those streaks, and the
-    wider tolerance (~1e-4 relative against the generator's O(1e4)
-    latencies) rides out the small limit cycle the capped steps leave
-    behind, so {!solve} stops at a feasible snapshot of it. Use for
-    generated scale scenarios; the default remains right for
-    Table-1-sized problems and for element-wise comparison against
-    {!Lla.Solver}. *)
+    (resource cap 1e9, path cap 64), a [Clearing] start and the movement
+    tolerance widened to 1.0. At 10^4+ subtasks the equilibrium prices
+    of hot resources sit orders of magnitude above the solver default's
+    reach (they grow with the square of the per-resource fan-in). The
+    clearing start computes them; from a cold start, geometric step
+    escalation discovers them in logarithmically-many ticks where the
+    capped default crawls — but a path's step doubles while any
+    traversed resource is congested, so sharing the unbounded cap with
+    Eq. 9 turns long price-discovery streaks into violent path-price
+    oscillation. The moderate path cap still lets a deadline-tight
+    path's price climb during those streaks. Movement is relative, so
+    the 1.0 tolerance admits a tick that doubles or halves a latency; it
+    rides out the limit cycle the capped steps leave behind after a
+    cold start, so {!solve} stops at a feasible snapshot of it. From the
+    clearing start every measured scenario stops at tick 51 under the
+    default 0.01 as well. Use for generated scale scenarios; the default
+    remains right for Table-1-sized problems and for element-wise
+    comparison against {!Lla.Solver}. *)
 
 type t
 
 val of_problem : ?obs:Lla_obs.t -> ?config:config -> Lla.Problem.t -> (t, string) result
 (** Compact a compiled problem. [Error] when some task's utility is not
     linear or some share function is not reciprocal (the closed form
-    does not apply — use {!Lla.Solver}). With [?obs], each tick is timed
-    under [kernel.step] > [allocate] / [resource_prices] / [path_prices]
-    via preallocated thunks (profiling adds clock reads, not garbage;
-    the clock itself may box), and the tick thunk also bumps the
+    does not apply — use {!Lla.Solver}). Under a [Clearing] [price_init]
+    construction also computes the start prices (~10 ms at 10^5
+    subtasks, timed under no profiler phase of its own). With [?obs],
+    each tick is timed under [kernel.step] > [allocate] /
+    [resource_prices] / [path_prices] via preallocated thunks
+    (profiling adds clock reads, not garbage; the clock itself may
+    box), and the tick thunk also bumps the
     [lla_kernel_*_total] counters in the handle's registry — ticks,
     touched subtasks/resources/paths, guard events — as plain integer
     adds on preallocated instances, keeping the hot path
@@ -228,7 +251,9 @@ val retire_task : t -> int -> unit
 
 val admit_task : t -> int -> unit
 (** Restore task [k]'s block with its construction-time coefficients and
-    initial iterate; it converges into the running system. An admit
+    the cold initial iterate (latencies at the upper bound, path prices
+    at [lambda0], whatever [price_init] says); it converges into the
+    running system. An admit
     followed by a retire in the same inter-tick gap is bit-for-bit
     invisible (the property suite checks this).
     @raise Invalid_argument if [k] is out of range or already active. *)
@@ -282,13 +307,14 @@ val requeue_all : t -> unit
     from a replayed {!Lla_durable.Journal} record. *)
 
 val crash_reset : t -> unit
-(** Revert every live iterate component to its construction-time initial
-    value — active latencies to [lat_hi], resource prices to [mu0] with
-    step sizes at initial, path prices to [lambda0] — unfreeze, and
-    {!requeue_all}. Churn membership survives (it is control-plane
-    state): retired blocks keep their identity placeholders rather than
-    resurrecting. The cold half of a crash drill; convergence restarts
-    from scratch. *)
+(** Revert every live iterate component to the paper's cold start —
+    active latencies to [lat_hi], resource prices to [mu0] with step
+    sizes at initial, path prices to [lambda0], even under a [Clearing]
+    [price_init] — unfreeze, and {!requeue_all}. Churn membership
+    survives (it is control-plane state): retired blocks keep their
+    identity placeholders rather than resurrecting. The cold half of a
+    crash drill; convergence restarts from scratch, which is what a warm
+    {!restore_iterate} is measured against. *)
 
 val restore_iterate :
   t -> lat:float array -> mu:float array -> lambda:float array -> (unit, string) result

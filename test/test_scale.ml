@@ -1,7 +1,7 @@
 (* Lla_scale: generator determinism / admission, kernel-vs-solver
    equivalence, dirty-set sparsity, the zero-allocation guarantee of the
-   kernel tick, problem order at the kernel's API boundary, and golden
-   bit-identity digests. *)
+   kernel tick, problem order at the kernel's API boundary, the
+   clearing-price start, and golden bit-identity digests. *)
 
 open Lla_model
 module Generator = Lla_scale.Generator
@@ -418,10 +418,13 @@ let test_kernel_problem_order () =
    pass order or sharding that moves one iterate bit, tick count, touch
    count or the utility changes the hex string. The 64k scenario is
    above the sharding threshold; its digests were recorded on the
-   one-shard kernel. *)
-let golden_kernel ?(subtasks = 10_000) () =
+   one-shard kernel. The first four were recorded before the clearing
+   start existed, so they run [scale_config] from the cold start. *)
+let cold_scale_config = { Kernel.scale_config with Kernel.price_init = Kernel.Cold }
+
+let golden_kernel ?(config = cold_scale_config) ?(subtasks = 10_000) () =
   let w = Generator.generate ~params:(Generator.sized ~subtasks ()) ~seed:42 () in
-  let k = kernel_exn ~config:Kernel.scale_config w in
+  let k = kernel_exn ~config w in
   if Kernel.solve k ~max_iterations:4_000 = None then
     Alcotest.failf "%d-subtask golden scenario: no solve" subtasks;
   Kernel.run k ~iterations:200;
@@ -499,6 +502,132 @@ let test_golden_sharded_between_ticks () =
     "64k seed-42 digest after churn, poison, disturbance, fallback and restore" "aed1977369b284a7c7a1c393eff71c30"
     (kernel_digest k)
 
+(* The clearing start at 10^4 subtasks (one shard) and 64 000 (two on a
+   multi-core host); the 64k digest is the same on one shard. *)
+let test_golden_clearing_solve () =
+  Alcotest.(check string)
+    "10k seed-42 clearing-start digest after solve + 200 ticks" "41ccc0a3f26e26996c5d6c51cc90da57"
+    (kernel_digest (golden_kernel ~config:Kernel.scale_config ()))
+
+let test_golden_sharded_clearing_solve () =
+  Alcotest.(check string)
+    "64k seed-42 clearing-start digest after solve + 200 ticks" "b85605cafe1ceca64ed71fc3905e395b"
+    (kernel_digest (golden_kernel ~config:Kernel.scale_config ~subtasks:64_000 ()))
+
+(* ------------------------------------------------------------------ *)
+(* Clearing-price start                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The share sums and path latencies of the kernel's live latencies, in
+   the order the kernel adds them. *)
+let sums k =
+  let problem = Kernel.problem k in
+  let lat = Kernel.lat_array k in
+  let shares =
+    Array.map
+      (fun members ->
+        Array.fold_left
+          (fun acc i ->
+            let w = problem.Lla.Problem.subtasks.(i).Lla.Problem.share.Share.lat_min in
+            acc +. (w /. Float.max w lat.(i)))
+          0. members)
+      problem.Lla.Problem.by_resource
+  in
+  let paths =
+    Array.map
+      (fun (p : Lla.Problem.path) ->
+        Array.fold_left (fun acc i -> acc +. lat.(i)) 0. p.Lla.Problem.subtask_indices)
+      problem.Lla.Problem.paths
+  in
+  (shares, paths)
+
+(* Complementary slackness at the start prices, read after the first
+   tick, which allocates at them: a priced constraint is tight within
+   1e-9 relative, an unpriced one holds. Seed 8 is the first 2k seed
+   whose start prices a path (one of 669); every resource is priced. *)
+let test_clearing_kkt_at_start () =
+  let w = Generator.generate ~params:(Generator.sized ~subtasks:2_000 ()) ~seed:8 () in
+  let k = kernel_exn ~config:Kernel.scale_config w in
+  let mu = Array.copy (Kernel.mu_array k) and lambda = Array.copy (Kernel.lambda_array k) in
+  Kernel.step k;
+  let shares, paths = sums k in
+  let problem = Kernel.problem k in
+  let check ~what ~price ~bound ~value =
+    let priced = ref 0 in
+    Array.iteri
+      (fun j v ->
+        let b = bound j in
+        if price.(j) > 0. then begin
+          incr priced;
+          if Float.abs (v -. b) > 1e-9 *. b then
+            Alcotest.failf "%s %d: price %g but %.17g vs bound %.17g" what j price.(j) v b
+        end
+        else if v > b then Alcotest.failf "%s %d: unpriced but %.17g > %.17g" what j v b)
+      value;
+    if !priced = 0 then Alcotest.failf "no %s is priced: the check is vacuous" what
+  in
+  check ~what:"resource" ~price:mu ~bound:(Array.get problem.Lla.Problem.capacities) ~value:shares;
+  check ~what:"path" ~price:lambda
+    ~bound:(fun p -> problem.Lla.Problem.paths.(p).Lla.Problem.critical_time)
+    ~value:paths
+
+(* Two tasks over two resources. Task 1's chain needs 5 ms at its
+   lower bounds against a 4 ms critical time, and its first subtask
+   needs half of resource 0 even at its upper bound, which offers 5%.
+   No price clears either, so both keep the cold values; resource 1 and
+   task 2's path still clear. *)
+let test_clearing_total () =
+  let sub ~id ~task ~resource ~exec =
+    Subtask.make ~id ~task:(Ids.Task_id.make task) ~resource ~exec_time:exec ()
+  in
+  let task ~id ~subtasks ~critical_time =
+    let ids = List.map (fun (s : Subtask.t) -> s.Subtask.id) subtasks in
+    let rec chain = function a :: (b :: _ as rest) -> (a, b) :: chain rest | _ -> [] in
+    Task.make_exn ~id ~subtasks
+      ~graph:(Graph.make_exn ~nodes:ids ~edges:(chain ids))
+      ~critical_time
+      ~utility:(Utility.linear ~k:2. ~critical_time)
+      ~trigger:(Trigger.periodic ~period:400. ())
+      ()
+  in
+  let w =
+    Workload.make_exn
+      ~tasks:
+        [
+          task ~id:1 ~critical_time:4.
+            ~subtasks:[ sub ~id:1 ~task:1 ~resource:0 ~exec:2.; sub ~id:2 ~task:1 ~resource:1 ~exec:3. ];
+          task ~id:2 ~critical_time:30.
+            ~subtasks:[ sub ~id:3 ~task:2 ~resource:1 ~exec:1.; sub ~id:4 ~task:2 ~resource:1 ~exec:1. ];
+        ]
+      ~resources:[ Resource.make ~availability:0.05 0; Resource.make ~availability:0.9 1 ]
+  in
+  let config = Kernel.scale_config in
+  let k = kernel_exn ~config w in
+  let mu = Array.copy (Kernel.mu_array k) and lambda = Array.copy (Kernel.lambda_array k) in
+  Alcotest.(check (float 0.)) "overloaded resource keeps mu0" config.Kernel.mu0 mu.(0);
+  Alcotest.(check (float 0.)) "unreachable path keeps lambda0" config.Kernel.lambda0 lambda.(0);
+  if not (mu.(1) > 0. && Float.is_finite mu.(1)) then
+    Alcotest.failf "resource 1 should clear at a finite positive price, got %g" mu.(1);
+  if not (Array.for_all Float.is_finite lambda && Array.for_all (fun l -> l >= 0.) lambda) then
+    Alcotest.fail "non-finite or negative path price";
+  Kernel.run k ~iterations:100;
+  if not (Array.for_all Float.is_finite (Kernel.mu_array k)) then
+    Alcotest.fail "non-finite resource price after 100 ticks";
+  Alcotest.(check int) "no guard events" 0 (Kernel.guard_events k)
+
+(* From the clearing start every 10^4 scenario stops at the 50-tick
+   window's minimum plus the first tick's move; the cold start takes
+   55-127 ticks on the same seeds. *)
+let test_clearing_seed_matrix () =
+  for seed = 1 to 10 do
+    let w = Generator.generate ~params:(Generator.sized ~subtasks:10_000 ()) ~seed () in
+    let k = kernel_exn ~config:Kernel.scale_config w in
+    match Kernel.solve k ~max_iterations:60 with
+    | Some _ when Kernel.feasible k -> ()
+    | Some n -> Alcotest.failf "seed %d: stopped at tick %d but infeasible" seed n
+    | None -> Alcotest.failf "seed %d: no convergence within 60 ticks" seed
+  done
+
 let () =
   Alcotest.run "scale"
     [
@@ -533,5 +662,18 @@ let () =
           Alcotest.test_case "64k digest after solve + 200 ticks" `Quick test_golden_sharded_solve;
           Alcotest.test_case "64k digest after between-tick calls" `Quick
             test_golden_sharded_between_ticks;
+          Alcotest.test_case "clearing-start digest after solve + 200 ticks" `Quick
+            test_golden_clearing_solve;
+          Alcotest.test_case "64k clearing-start digest after solve + 200 ticks" `Quick
+            test_golden_sharded_clearing_solve;
+        ] );
+      ( "clearing",
+        [
+          Alcotest.test_case "priced constraints are tight at the start" `Quick
+            test_clearing_kkt_at_start;
+          Alcotest.test_case "overload and unreachable deadline fall back" `Quick
+            test_clearing_total;
+          Alcotest.test_case "10k seeds 1-10 converge within 60 ticks" `Quick
+            test_clearing_seed_matrix;
         ] );
     ]
