@@ -57,146 +57,153 @@ let detect_linear_slope (u : Utility.t) ~critical_time =
     then Some d0
     else None
 
-(* Compilation is kept near-linear in the workload size: every per-subtask
-   and per-path step below resolves ids through the hash tables built
-   here, never through the workload's association lists (whose lookups
+(* [invert n iter] lists, for each bucket 0..n-1, the items that [iter add]
+   passes to [add item bucket], in the order passed: one pass counts, a
+   second fills, so the whole costs O(n + items) and no list. *)
+let invert n iter =
+  let count = Array.make n 0 in
+  iter (fun _ b -> count.(b) <- count.(b) + 1);
+  let buckets = Array.map (fun c -> Array.make c 0) count in
+  Array.fill count 0 n 0;
+  iter (fun x b ->
+      buckets.(b).(count.(b)) <- x;
+      count.(b) <- count.(b) + 1);
+  buckets
+
+(* Compilation is linear in the workload size up to a sort of each path's
+   few resources: ids resolve through hash tables sized to their final
+   count, never through the workload's association lists (whose lookups
    are O(n) and would make compile quadratic — prohibitive for the
-   Lla_scale generator's 10^4..10^6-subtask scenarios). *)
+   Lla_scale generator's 10^4..10^6-subtask scenarios). Subtasks are
+   numbered in task order, then in each task's list order. *)
 let compile (workload : Workload.t) =
   let resources = Array.of_list workload.Workload.resources in
-  let resource_of = Ids.Resource_id.Tbl.create 16 in
+  let n_res = Array.length resources in
+  let resource_of = Ids.Resource_id.Tbl.create n_res in
   Array.iteri (fun i (r : Resource.t) -> Ids.Resource_id.Tbl.replace resource_of r.id i) resources;
-  let task_list = workload.Workload.tasks in
-  let task_of = Ids.Task_id.Tbl.create 16 in
-  List.iteri (fun i (t : Task.t) -> Ids.Task_id.Tbl.replace task_of t.id i) task_list;
-  let subtask_of = Ids.Subtask_id.Tbl.create 64 in
-  let all_subtasks =
-    List.concat_map (fun (t : Task.t) -> List.map (fun s -> (t, s)) t.Task.subtasks) task_list
+  let task_arr = Array.of_list workload.Workload.tasks in
+  let n_tasks = Array.length task_arr in
+  let task_of = Ids.Task_id.Tbl.create n_tasks in
+  Array.iteri (fun i (t : Task.t) -> Ids.Task_id.Tbl.replace task_of t.id i) task_arr;
+  (* [sub_start.(ti)] / [path_start.(ti)]: the number of task ti's first
+     subtask / first path; entry n_tasks holds the totals. *)
+  let sub_start = Array.make (n_tasks + 1) 0 and path_start = Array.make (n_tasks + 1) 0 in
+  Array.iteri
+    (fun ti (t : Task.t) ->
+      sub_start.(ti + 1) <- sub_start.(ti) + List.length t.Task.subtasks;
+      path_start.(ti + 1) <- path_start.(ti) + Array.length t.Task.paths)
+    task_arr;
+  let n_sub = sub_start.(n_tasks) and n_paths = path_start.(n_tasks) in
+  let records =
+    Array.of_list (List.concat_map (fun (t : Task.t) -> t.Task.subtasks) workload.tasks)
   in
-  List.iteri (fun i (_, (s : Subtask.t)) -> Ids.Subtask_id.Tbl.replace subtask_of s.id i)
-    all_subtasks;
-  (* id -> record tables so path construction does not re-scan the
-     workload's subtask list for every path member. *)
-  let subtask_rec_of : Subtask.t Ids.Subtask_id.Tbl.t =
-    Ids.Subtask_id.Tbl.create (List.length all_subtasks)
+  let owner = Array.make n_sub 0 in
+  Array.iteri
+    (fun ti _ -> Array.fill owner sub_start.(ti) (sub_start.(ti + 1) - sub_start.(ti)) ti)
+    task_arr;
+  let subtask_of = Ids.Subtask_id.Tbl.create n_sub in
+  Array.iteri (fun i (s : Subtask.t) -> Ids.Subtask_id.Tbl.replace subtask_of s.id i) records;
+  let resource =
+    Array.map (fun (s : Subtask.t) -> Ids.Resource_id.Tbl.find resource_of s.resource) records
   in
-  List.iter (fun (_, (s : Subtask.t)) -> Ids.Subtask_id.Tbl.replace subtask_rec_of s.id s)
-    all_subtasks;
-  (* Global path numbering: task order, then Graph.paths order. *)
-  let paths_rev = ref [] and n_paths = ref 0 in
-  let task_path_start = Ids.Task_id.Tbl.create 16 in
-  List.iter
-    (fun (t : Task.t) ->
-      Ids.Task_id.Tbl.replace task_path_start t.id !n_paths;
+  (* Global path numbering: task order, then Graph.paths order. A path's
+     resources are its members' distinct resources in ascending id order. *)
+  let by_resource_id a b =
+    Ids.Resource_id.compare resources.(a).Resource.id resources.(b).Resource.id
+  in
+  let paths =
+    Array.make n_paths
+      {
+        task = 0;
+        index_in_task = 0;
+        subtask_indices = [||];
+        critical_time = 0.;
+        path_resources = [||];
+      }
+  in
+  Array.iteri
+    (fun ti (t : Task.t) ->
       Array.iteri
         (fun index_in_task path_subtasks ->
           let subtask_indices =
             Array.of_list (List.map (Ids.Subtask_id.Tbl.find subtask_of) path_subtasks)
           in
-          let resource_set =
-            List.fold_left
-              (fun acc sid ->
-                let s = Ids.Subtask_id.Tbl.find subtask_rec_of sid in
-                Ids.Resource_id.Set.add s.Subtask.resource acc)
-              Ids.Resource_id.Set.empty path_subtasks
-          in
-          let path_resources =
-            Array.of_list
-              (List.map (Ids.Resource_id.Tbl.find resource_of)
-                 (Ids.Resource_id.Set.elements resource_set))
-          in
-          paths_rev :=
+          let members = Array.map (Array.get resource) subtask_indices in
+          Array.stable_sort by_resource_id members;
+          let distinct = ref 0 in
+          Array.iter
+            (fun r ->
+              if !distinct = 0 || members.(!distinct - 1) <> r then begin
+                members.(!distinct) <- r;
+                incr distinct
+              end)
+            members;
+          paths.(path_start.(ti) + index_in_task) <-
             {
-              task = Ids.Task_id.Tbl.find task_of t.id;
+              task = ti;
               index_in_task;
               subtask_indices;
               critical_time = t.Task.critical_time;
-              path_resources;
-            }
-            :: !paths_rev;
-          incr n_paths)
+              path_resources = Array.sub members 0 !distinct;
+            })
         t.Task.paths)
-    task_list;
-  let paths = Array.of_list (List.rev !paths_rev) in
+    task_arr;
+  (* Each path enters itself in its members' lists, so every list comes
+     out in ascending path order. *)
+  let own_paths =
+    invert n_sub (fun add ->
+        Array.iteri (fun p (q : path) -> Array.iter (add p) q.subtask_indices) paths)
+  in
   let subtasks =
-    Array.of_list
-      (List.map
-         (fun ((t : Task.t), (s : Subtask.t)) ->
-           let resource_index = Ids.Resource_id.Tbl.find resource_of s.resource in
-           let r = resources.(resource_index) in
-           let share = Subtask.share_function s ~lag:r.Resource.lag in
-           (* Inlined Workload.latency_bounds / min_share: those helpers
-              re-locate the subtask and its owner by list scan, which is
-              fine for ad-hoc queries but quadratic inside compile. The
-              arithmetic is identical — the owning task is already [t]. *)
-           let floor_share = Task.arrival_rate t *. s.Subtask.exec_time in
-           let stability =
-             if floor_share > 0. then share.Lla_model.Share.inverse floor_share else infinity
-           in
-           let lat_lo = share.Lla_model.Share.lat_min in
-           let lat_hi_raw = Float.min stability t.Task.critical_time in
-           let lat_hi = Float.max lat_lo lat_hi_raw in
-           let start = Ids.Task_id.Tbl.find task_path_start t.id in
-           let own_paths =
-             Array.to_list t.Task.paths
-             |> List.mapi (fun i p -> (start + i, p))
-             |> List.filter_map (fun (global, p) ->
-                    if List.exists (Ids.Subtask_id.equal s.id) p then Some global else None)
-           in
-           {
-             sid = s.id;
-             name = s.name;
-             task = Ids.Task_id.Tbl.find task_of t.id;
-             resource = resource_index;
-             exec = s.exec_time;
-             weight = Task.weight t s.id;
-             share;
-             lat_lo;
-             lat_hi;
-             stability;
-             paths = Array.of_list own_paths;
-           })
-         all_subtasks)
+    Array.mapi
+      (fun i (s : Subtask.t) ->
+        let t = task_arr.(owner.(i)) in
+        let r = resources.(resource.(i)) in
+        let share = Subtask.share_function s ~lag:r.Resource.lag in
+        (* Inlined Workload.latency_bounds / min_share: those helpers
+           re-locate the subtask and its owner by list scan, which is
+           fine for ad-hoc queries but quadratic inside compile. The
+           arithmetic is identical — the owning task is already [t]. *)
+        let floor_share = Task.arrival_rate t *. s.Subtask.exec_time in
+        let stability =
+          if floor_share > 0. then share.Lla_model.Share.inverse floor_share else infinity
+        in
+        let lat_lo = share.Lla_model.Share.lat_min in
+        let lat_hi_raw = Float.min stability t.Task.critical_time in
+        let lat_hi = Float.max lat_lo lat_hi_raw in
+        {
+          sid = s.id;
+          name = s.name;
+          task = owner.(i);
+          resource = resource.(i);
+          exec = s.exec_time;
+          weight = Task.weight t s.id;
+          share;
+          lat_lo;
+          lat_hi;
+          stability;
+          paths = own_paths.(i);
+        })
+      records
   in
   let tasks =
-    Array.of_list
-      (List.map
-         (fun (t : Task.t) ->
-           let subtask_indices =
-             Array.of_list
-               (List.map
-                  (fun (s : Subtask.t) -> Ids.Subtask_id.Tbl.find subtask_of s.id)
-                  t.Task.subtasks)
-           in
-           let start = Ids.Task_id.Tbl.find task_path_start t.id in
-           let path_indices = Array.init (Array.length t.Task.paths) (fun i -> start + i) in
-           {
-             tid = t.id;
-             task_name = t.Task.name;
-             utility = t.Task.utility;
-             linear_slope = detect_linear_slope t.Task.utility ~critical_time:t.Task.critical_time;
-             critical_time = t.Task.critical_time;
-             subtask_indices;
-             path_indices;
-           })
-         task_list)
+    Array.mapi
+      (fun ti (t : Task.t) ->
+        {
+          tid = t.id;
+          task_name = t.Task.name;
+          utility = t.Task.utility;
+          linear_slope = detect_linear_slope t.Task.utility ~critical_time:t.Task.critical_time;
+          critical_time = t.Task.critical_time;
+          subtask_indices =
+            Array.init (sub_start.(ti + 1) - sub_start.(ti)) (fun j -> sub_start.(ti) + j);
+          path_indices = Array.init (Array.length t.Task.paths) (fun k -> path_start.(ti) + k);
+        })
+      task_arr
   in
-  (* Count-and-fill keeps this O(S + R) instead of one full subtask scan
-     per resource; iterating [i] in ascending order preserves the
-     ascending subtask-index order the solver's share sums rely on. *)
-  let by_resource =
-    let n_res = Array.length resources in
-    let counts = Array.make n_res 0 in
-    Array.iter (fun s -> counts.(s.resource) <- counts.(s.resource) + 1) subtasks;
-    let buckets = Array.init n_res (fun r -> Array.make counts.(r) 0) in
-    let cursor = Array.make n_res 0 in
-    Array.iteri
-      (fun i s ->
-        buckets.(s.resource).(cursor.(s.resource)) <- i;
-        cursor.(s.resource) <- cursor.(s.resource) + 1)
-      subtasks;
-    buckets
-  in
+  (* Iterating [i] in ascending order preserves the ascending
+     subtask-index order the solver's share sums rely on. *)
+  let by_resource = invert n_res (fun add -> Array.iteri add resource) in
   {
     workload;
     subtasks;

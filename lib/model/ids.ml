@@ -37,9 +37,15 @@ end) : ID = struct
 
   let equal = Int.equal
 
-  let hash = Hashtbl.hash
+  (* Hashtbl.Make indexes buckets by the low bits of [hash]. A multiply
+     by an odd constant lets every bit of the id reach the high bits, and
+     folding those back down keeps strided ids (all multiples of 8, say)
+     from sharing a few buckets, as the identity would. *)
+  let hash i =
+    let h = i * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 29)) land max_int
 
-  let to_string i = Printf.sprintf "%s%d" Prefix.prefix i
+  let to_string i = Prefix.prefix ^ string_of_int i
 
   let pp ppf i = Format.pp_print_string ppf (to_string i)
 

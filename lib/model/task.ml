@@ -29,22 +29,22 @@ let make ?name ?(variant = Utility.Path_weighted) ?(latency_percentile = 100.) ~
       Error (name ^ ": latency percentile outside (0, 100]")
     else Ok ()
   in
-  let ids = List.map (fun (s : Subtask.t) -> s.id) subtasks in
-  let id_set = Subtask_id.Set.of_list ids in
+  let ids = Sorted.of_list (fun (s : Subtask.t) -> Subtask_id.to_int s.id) subtasks in
   let* () =
-    if Subtask_id.Set.cardinal id_set <> List.length ids then
-      Error (name ^ ": duplicate subtask ids")
-    else Ok ()
+    if Sorted.has_duplicate ids then Error (name ^ ": duplicate subtask ids") else Ok ()
   in
   let* () =
     match List.find_opt (fun (s : Subtask.t) -> not (Task_id.equal s.task task_id)) subtasks with
     | Some s -> Error (Printf.sprintf "%s: subtask %s declares another owner task" name s.name)
     | None -> Ok ()
   in
-  let graph_set = Subtask_id.Set.of_list (Graph.nodes graph) in
+  (* The ids are distinct and so are the graph's nodes: the two sets are
+     equal iff they have one size and the graph holds every id. *)
   let* () =
-    if not (Subtask_id.Set.equal id_set graph_set) then
-      Error (name ^ ": graph nodes differ from the task's subtask ids")
+    if
+      Graph.node_count graph <> Array.length ids
+      || List.exists (fun (s : Subtask.t) -> not (Graph.mem graph s.id)) subtasks
+    then Error (name ^ ": graph nodes differ from the task's subtask ids")
     else Ok ()
   in
   Ok

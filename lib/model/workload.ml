@@ -10,30 +10,25 @@ let ( let* ) = Result.bind
 let make ~tasks ~resources =
   let* () = if tasks = [] then Error "workload: no tasks" else Ok () in
   let* () = if resources = [] then Error "workload: no resources" else Ok () in
-  let task_ids = List.map (fun (t : Task.t) -> t.id) tasks in
   let* () =
-    if Task_id.Set.cardinal (Task_id.Set.of_list task_ids) <> List.length task_ids then
+    if Sorted.has_duplicate (Sorted.of_list (fun (t : Task.t) -> Task_id.to_int t.id) tasks) then
       Error "workload: duplicate task ids"
     else Ok ()
   in
-  let resource_ids = List.map (fun (r : Resource.t) -> r.id) resources in
-  let resource_set = Resource_id.Set.of_list resource_ids in
+  let resource_ids = Sorted.of_list (fun (r : Resource.t) -> Resource_id.to_int r.id) resources in
   let* () =
-    if Resource_id.Set.cardinal resource_set <> List.length resource_ids then
-      Error "workload: duplicate resource ids"
-    else Ok ()
+    if Sorted.has_duplicate resource_ids then Error "workload: duplicate resource ids" else Ok ()
   in
   let all_subtasks = List.concat_map (fun (t : Task.t) -> t.subtasks) tasks in
-  let subtask_ids = List.map (fun (s : Subtask.t) -> s.id) all_subtasks in
+  let subtask_ids = Sorted.of_list (fun (s : Subtask.t) -> Subtask_id.to_int s.id) all_subtasks in
   let* () =
-    if Subtask_id.Set.cardinal (Subtask_id.Set.of_list subtask_ids) <> List.length subtask_ids
-    then Error "workload: subtask ids are not globally unique"
+    if Sorted.has_duplicate subtask_ids then Error "workload: subtask ids are not globally unique"
     else Ok ()
   in
   let* () =
     match
       List.find_opt
-        (fun (s : Subtask.t) -> not (Resource_id.Set.mem s.resource resource_set))
+        (fun (s : Subtask.t) -> not (Sorted.mem resource_ids (Resource_id.to_int s.resource)))
         all_subtasks
     with
     | Some s ->
@@ -129,10 +124,24 @@ let constraint_violations t ~latency ~tolerance =
   in
   resource_violations @ path_violations
 
+(* One pass over the subtasks. Each resource's sum takes its terms in the
+   order [utilization] does, so the figures are the same to the bit. *)
 let stats t =
-  let n_subtasks = List.length (subtasks t) in
-  let utils = List.map (fun (r : Resource.t) -> utilization t r.id) t.resources in
-  let lo = List.fold_left Float.min infinity utils
-  and hi = List.fold_left Float.max neg_infinity utils in
+  let n_resources = List.length t.resources in
+  let index = Resource_id.Tbl.create n_resources in
+  List.iteri (fun i (r : Resource.t) -> Resource_id.Tbl.replace index r.id i) t.resources;
+  let utils = Array.make n_resources 0. and n_subtasks = ref 0 in
+  List.iter
+    (fun (task : Task.t) ->
+      let rate = Task.arrival_rate task in
+      List.iter
+        (fun (s : Subtask.t) ->
+          let i = Resource_id.Tbl.find index s.resource in
+          utils.(i) <- utils.(i) +. (rate *. s.exec_time);
+          incr n_subtasks)
+        task.subtasks)
+    t.tasks;
+  let lo = Array.fold_left Float.min infinity utils
+  and hi = Array.fold_left Float.max neg_infinity utils in
   Printf.sprintf "%d tasks, %d subtasks, %d resources, utilization %.2f..%.2f"
-    (List.length t.tasks) n_subtasks (List.length t.resources) lo hi
+    (List.length t.tasks) !n_subtasks n_resources lo hi

@@ -323,12 +323,26 @@ let parse text =
   in
   let resources = List.rev !resources in
   let task_decls = List.rev !tasks in
-  let subtask_decls = List.rev !subtasks in
-  let edge_decls = List.rev !edges in
   let* () = if task_decls = [] then Error "no tasks declared" else Ok () in
+  (* Group the declarations once, each group in file order: subtasks by
+     the task they name, edges by their source subtask. A task then sees
+     the edges leaving any id it declares, so an id two tasks declare
+     brings its edges to both. *)
+  let group key decls =
+    let table = Hashtbl.create 64 in
+    (* [decls] is in reverse file order, so consing restores it *)
+    List.iter
+      (fun d ->
+        let k = key d in
+        Hashtbl.replace table k (d :: Option.value (Hashtbl.find_opt table k) ~default:[]))
+      decls;
+    fun k -> Option.value (Hashtbl.find_opt table k) ~default:[]
+  in
+  let subtasks_of = group (fun s -> s.s_task) !subtasks in
+  let edges_from = group (fun (_, a, _) -> a) !edges in
   (* Materialize each task from its subtasks and edges. *)
   let build_task decl =
-    let own = List.filter (fun s -> s.s_task = decl.t_id) subtask_decls in
+    let own = subtasks_of decl.t_id in
     let* () =
       if own = [] then errorf decl.t_line "task %d has no subtasks" decl.t_id else Ok ()
     in
@@ -340,22 +354,25 @@ let parse text =
             ~resource:s.s_resource ~exec_time:s.s_exec ())
         own
     in
-    let own_ids = Subtask_id.Set.of_list (List.map (fun (s : Subtask.t) -> s.id) model_subtasks) in
+    let own_ids =
+      List.sort_uniq Int.compare
+        (List.map (fun (s : Subtask.t) -> Subtask_id.to_int s.id) model_subtasks)
+    in
+    let own_set = Array.of_list own_ids in
     let own_edges =
-      List.filter
-        (fun (_, a, _) -> Subtask_id.Set.mem (Subtask_id.make a) own_ids)
-        edge_decls
+      List.sort (fun (l, _, _) (l', _, _) -> Int.compare l l') (List.concat_map edges_from own_ids)
     in
     let* graph_edges =
       List.fold_left
         (fun acc (line_no, a, b) ->
           let* acc = acc in
-          if Subtask_id.Set.mem (Subtask_id.make b) own_ids then
-            Ok ((Subtask_id.make a, Subtask_id.make b) :: acc)
+          if Sorted.mem own_set b then Ok ((Subtask_id.make a, Subtask_id.make b) :: acc)
           else errorf line_no "edge %d -> %d crosses tasks" a b)
         (Ok []) own_edges
     in
-    let* graph = Graph.make ~nodes:(Subtask_id.Set.elements own_ids) ~edges:(List.rev graph_edges) in
+    let* graph =
+      Graph.make ~nodes:(List.map Subtask_id.make own_ids) ~edges:(List.rev graph_edges)
+    in
     let* utility =
       parse_utility decl.t_line decl.t_utility_spec ~critical_time:decl.t_critical_time
     in
@@ -371,14 +388,20 @@ let parse text =
         Ok (task :: acc))
       (Ok []) task_decls
   in
+  let subtask_decls = List.rev !subtasks in
   (* Orphan subtasks (task id never declared) are an error. *)
   let* () =
-    match
-      List.find_opt
-        (fun s -> not (List.exists (fun d -> d.t_id = s.s_task) task_decls))
-        subtask_decls
-    with
+    let declared = Sorted.of_list (fun d -> d.t_id) task_decls in
+    match List.find_opt (fun s -> not (Sorted.mem declared s.s_task)) subtask_decls with
     | Some s -> errorf s.s_line "subtask %d references undeclared task %d" s.s_id s.s_task
+    | None -> Ok ()
+  in
+  (* So are dangling edges, whose source no task declares: no task would
+     pick them up. *)
+  let* () =
+    let declared = Sorted.of_list (fun s -> s.s_id) subtask_decls in
+    match List.find_opt (fun (_, a, _) -> not (Sorted.mem declared a)) (List.rev !edges) with
+    | Some (line_no, a, b) -> errorf line_no "edge %d -> %d leaves undeclared subtask %d" a b a
     | None -> Ok ()
   in
   Workload.make ~tasks:(List.rev tasks) ~resources

@@ -29,7 +29,10 @@
 open Ids
 
 val parse : string -> (Workload.t, string) result
-(** Parse the format above; errors carry the offending line number. *)
+(** Parse the format above; errors carry the offending line number. A
+    task owns the edges leaving the subtasks it declares; an edge into
+    another task, or from a subtask no task declares, is an error.
+    Near-linear in the file size. *)
 
 val to_string : Workload.t -> string
 (** Render a workload back to the format; [parse (to_string w)] yields a

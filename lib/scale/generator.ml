@@ -184,19 +184,16 @@ let generate ?(params = default_params) ~seed () =
       (fun d ->
         let tid = Ids.Task_id.make d.task_id in
         let n = Array.length d.execs in
-        let subtask_arr =
-          Array.init n (fun j ->
+        let subtasks =
+          List.init n (fun j ->
               Subtask.make ~id:(d.first_sid + j) ~task:tid ~resource:d.resources.(j)
                 ~exec_time:d.execs.(j) ())
         in
-        let subtasks = Array.to_list subtask_arr in
+        let sid j = Ids.Subtask_id.make (d.first_sid + j) in
         let graph =
           Graph.make_exn
             ~nodes:(List.map (fun (s : Subtask.t) -> s.id) subtasks)
-            ~edges:
-              (List.map
-                 (fun (a, b) -> (subtask_arr.(a).Subtask.id, subtask_arr.(b).Subtask.id))
-                 d.edges)
+            ~edges:(List.map (fun (a, b) -> (sid a, sid b)) d.edges)
         in
         let _, witness_critical_path =
           Graph.critical_path graph ~latency:(fun id ->

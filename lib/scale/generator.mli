@@ -47,5 +47,4 @@ val generate : ?params:params -> seed:int -> unit -> Lla_model.Workload.t
     nonsensical parameters. *)
 
 val describe : Lla_model.Workload.t -> string
-(** One-line [tasks/subtasks/paths/resources] summary. O(workload) —
-    safe on generated scenarios, unlike the quadratic [Workload.stats]. *)
+(** One-line [tasks/subtasks/paths/resources] summary, in O(workload). *)

@@ -69,6 +69,28 @@ echo "ci: $total tests run (floor $floor)"
 # box jitter does not flake the gate).
 ./_build/default/bench/main.exe --json _build scale-smoke
 
+# Codec round trip at 10^5: the headline scenario written to a file and
+# replayed with --workload file: must converge at the same tick to the
+# same utility as the scenario generated in memory. Only the tick number
+# and the utility line are compared; the timings in parentheses vary.
+./_build/default/bin/lla_cli.exe generate --subtasks 100000 --seed 42 -o _build/scale1e5.lla
+scale_summary() {
+  ./_build/default/bin/lla_cli.exe solve-scale "$@" |
+    sed -n -e 's/^converged at tick \([0-9]*\) .*/tick \1/p' -e '/^total utility:/p'
+}
+direct=$(scale_summary --subtasks 100000 --seed 42)
+replayed=$(scale_summary --workload file:_build/scale1e5.lla)
+case "$direct" in
+  tick*"total utility:"*) ;;
+  *) echo "ci: 10^5 solve-scale did not converge: $direct" >&2; exit 1 ;;
+esac
+if [ "$direct" != "$replayed" ]; then
+  printf 'generated:\n%s\nreplayed:\n%s\n' "$direct" "$replayed" >&2
+  echo "ci: 10^5 codec round trip disagrees" >&2
+  exit 1
+fi
+echo "ci: 10^5 codec round trip agrees:" $direct
+
 # Soak-tier smoke: a 60k-tick endurance run under continuous churn and
 # recurring chaos windows must hold every rolling-health oracle (sustained
 # Eq. 3/4 feasibility, reconvergence budgets, baseline utility drift),

@@ -94,6 +94,63 @@ let test_parse_errors () =
      subtask 6 task=2 resource=1 exec=1\n\
      edge 5 6\n"
 
+(* The parser groups subtask and edge lines by task once; each error path
+   of that grouping, with its exact message and line. *)
+let test_parse_grouped_errors () =
+  let expect msg text =
+    match Workload_codec.parse text with
+    | Ok _ -> Alcotest.failf "expected %S" msg
+    | Error got -> Alcotest.(check string) "message" msg got
+  in
+  let header = "resource 0\nresource 1\n" in
+  let task id =
+    Printf.sprintf "task %d critical_time=50 utility=negative trigger=periodic:100\n" id
+  in
+  let subtask id task = Printf.sprintf "subtask %d task=%d resource=0 exec=1\n" id task in
+  (* a task whose subtasks are all declared under another id *)
+  expect "line 3: task 1 has no subtasks" (header ^ task 1 ^ task 2 ^ subtask 5 2);
+  (* an edge into another task, after the task's own subtasks *)
+  expect "line 7: edge 5 -> 6 crosses tasks"
+    (header ^ task 1 ^ subtask 5 1 ^ task 2 ^ subtask 6 2 ^ "edge 5 6\n");
+  (* an id two tasks declare brings its edges to both: task 1 accepts
+     5 -> 6, task 2 sees the same edge leave its copy of 5 *)
+  expect "line 9: edge 5 -> 6 crosses tasks"
+    (header ^ task 1 ^ subtask 5 1 ^ subtask 6 1 ^ task 2 ^ subtask 5 2 ^ subtask 7 2
+   ^ "edge 5 6\n");
+  (* the graph's own checks keep their messages (no line) *)
+  expect "graph contains a cycle"
+    (header ^ task 1 ^ subtask 4 1 ^ subtask 5 1 ^ subtask 6 1 ^ "edge 4 5\nedge 5 6\nedge 6 5\n");
+  (* ... and come before the utility's *)
+  expect "graph has 2 roots; the paper's task model requires a unique start subtask"
+    (header ^ "task 1 critical_time=50 utility=bogus trigger=periodic:100\n" ^ subtask 5 1
+   ^ subtask 6 1);
+  expect "line 3: unknown utility spec \"bogus\""
+    (header ^ "task 1 critical_time=50 utility=bogus trigger=periodic:100\n" ^ subtask 5 1);
+  expect "T1: duplicate subtask ids" (header ^ task 1 ^ subtask 5 1 ^ subtask 5 1);
+  (* every task is built before orphans are looked for *)
+  expect "line 10: edge 9 -> 6 crosses tasks"
+    (header ^ task 1 ^ subtask 5 1 ^ subtask 8 9 ^ subtask 6 1 ^ "edge 5 6\n" ^ task 2
+   ^ subtask 9 2 ^ "edge 9 6\n");
+  expect "line 5: subtask 8 references undeclared task 9"
+    (header ^ task 1 ^ subtask 5 1 ^ subtask 8 9 ^ subtask 6 1 ^ "edge 5 6\n");
+  (* an edge whose source no task declares belongs to no task *)
+  expect "line 5: edge 99 -> 5 leaves undeclared subtask 99"
+    (header ^ task 1 ^ subtask 5 1 ^ "edge 99 5\n");
+  (* orphans still come first *)
+  expect "line 5: subtask 8 references undeclared task 9"
+    (header ^ task 1 ^ subtask 5 1 ^ subtask 8 9 ^ "edge 99 5\n");
+  (* a duplicate id across tasks that passes both tasks is the workload's *)
+  expect "workload: subtask ids are not globally unique"
+    (header ^ task 1 ^ subtask 5 1 ^ task 2 ^ subtask 5 2)
+
+(* A generated 10^4-subtask scenario re-serializes byte for byte. *)
+let test_roundtrip_10k () =
+  let w =
+    Lla_scale.Generator.generate ~params:(Lla_scale.Generator.sized ~subtasks:10_000 ()) ~seed:42 ()
+  in
+  let text = Workload_codec.to_string w in
+  Alcotest.(check string) "parse then to_string" text (Workload_codec.to_string (parse_exn text))
+
 let test_parse_comments_and_hash_names () =
   let text =
     "resource 0 name=cpu#1   # trailing comment\n\
@@ -334,11 +391,13 @@ let () =
           Alcotest.test_case "sample file" `Quick test_parse_sample;
           Alcotest.test_case "parsed workload solves" `Slow test_parse_solves;
           Alcotest.test_case "error reporting" `Quick test_parse_errors;
+          Alcotest.test_case "grouped declarations: errors" `Quick test_parse_grouped_errors;
           Alcotest.test_case "comments and # in names" `Quick test_parse_comments_and_hash_names;
         ] );
       ( "roundtrip",
         [
           Alcotest.test_case "paper workloads" `Slow test_roundtrip_paper_workloads;
+          Alcotest.test_case "10k generated scenario, byte for byte" `Quick test_roundtrip_10k;
           QCheck_alcotest.to_alcotest prop_roundtrip_random;
           Alcotest.test_case "file io" `Quick test_file_io;
           Alcotest.test_case "missing file" `Quick test_load_missing_file;

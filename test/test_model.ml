@@ -427,6 +427,281 @@ let prop_graph_critical_path_is_max =
       in
       Float.abs (dp -. best) < 1e-9)
 
+(* The Map/Set graph that the array-backed one replaced, kept as the
+   reference it must agree with: every check, message and result. *)
+module Ref_graph = struct
+  open Ids
+
+  type t = {
+    node_list : Subtask_id.t list;
+    succ : Subtask_id.t list Subtask_id.Map.t;
+    pred : Subtask_id.t list Subtask_id.Map.t;
+    graph_root : Subtask_id.t;
+    topo : Subtask_id.t list;
+  }
+
+  let ( let* ) = Result.bind
+
+  let build_adjacency nodes edges =
+    let empty = List.fold_left (fun m s -> Subtask_id.Map.add s [] m) Subtask_id.Map.empty nodes in
+    let add m (a, b) =
+      Subtask_id.Map.update a (function Some l -> Some (b :: l) | None -> None) m
+    in
+    Subtask_id.Map.map List.rev (List.fold_left add empty edges)
+
+  let make ~nodes:node_list ~edges:edge_list =
+    let* () = if node_list = [] then Error "graph has no nodes" else Ok () in
+    let node_set = Subtask_id.Set.of_list node_list in
+    let* () =
+      if Subtask_id.Set.cardinal node_set <> List.length node_list then
+        Error "duplicate nodes in graph"
+      else Ok ()
+    in
+    let* () =
+      match
+        List.find_opt
+          (fun (a, b) ->
+            (not (Subtask_id.Set.mem a node_set)) || not (Subtask_id.Set.mem b node_set))
+          edge_list
+      with
+      | Some (a, b) ->
+        Error
+          (Printf.sprintf "edge (%s, %s) references an undeclared node" (Subtask_id.to_string a)
+             (Subtask_id.to_string b))
+      | None -> Ok ()
+    in
+    let* () =
+      if List.exists (fun (a, b) -> Subtask_id.equal a b) edge_list then
+        Error "self edge in graph"
+      else Ok ()
+    in
+    let* () =
+      let rec has_dup = function
+        | a :: (b :: _ as rest) -> a = b || has_dup rest
+        | [ _ ] | [] -> false
+      in
+      if has_dup (List.sort compare edge_list) then Error "duplicate edge in graph" else Ok ()
+    in
+    let succ = build_adjacency node_list edge_list in
+    let pred = build_adjacency node_list (List.map (fun (a, b) -> (b, a)) edge_list) in
+    let* graph_root =
+      match List.filter (fun s -> Subtask_id.Map.find s pred = []) node_list with
+      | [ r ] -> Ok r
+      | [] -> Error "graph has no root (cycle through every node)"
+      | roots ->
+        Error
+          (Printf.sprintf
+             "graph has %d roots; the paper's task model requires a unique start subtask"
+             (List.length roots))
+    in
+    let in_deg = Subtask_id.Tbl.create 16 in
+    List.iter
+      (fun s -> Subtask_id.Tbl.replace in_deg s (List.length (Subtask_id.Map.find s pred)))
+      node_list;
+    let queue = Queue.create () in
+    List.iter (fun s -> if Subtask_id.Tbl.find in_deg s = 0 then Queue.add s queue) node_list;
+    let topo = ref [] in
+    while not (Queue.is_empty queue) do
+      let s = Queue.pop queue in
+      topo := s :: !topo;
+      List.iter
+        (fun next ->
+          let d = Subtask_id.Tbl.find in_deg next - 1 in
+          Subtask_id.Tbl.replace in_deg next d;
+          if d = 0 then Queue.add next queue)
+        (Subtask_id.Map.find s succ)
+    done;
+    let topo = List.rev !topo in
+    let* () =
+      if List.length topo <> List.length node_list then Error "graph contains a cycle" else Ok ()
+    in
+    let* () =
+      let visited = Subtask_id.Tbl.create 16 in
+      let rec visit s =
+        if not (Subtask_id.Tbl.mem visited s) then begin
+          Subtask_id.Tbl.replace visited s ();
+          List.iter visit (Subtask_id.Map.find s succ)
+        end
+      in
+      visit graph_root;
+      if Subtask_id.Tbl.length visited <> List.length node_list then
+        Error "some subtasks are unreachable from the root"
+      else Ok ()
+    in
+    Ok { node_list; succ; pred; graph_root; topo }
+
+  let successors t s = Subtask_id.Map.find s t.succ
+
+  let predecessors t s = Subtask_id.Map.find s t.pred
+
+  let leaves t = List.filter (fun s -> successors t s = []) t.node_list
+
+  let paths t =
+    let rec extend s =
+      match Subtask_id.Map.find s t.succ with
+      | [] -> [ [ s ] ]
+      | succs -> List.concat_map (fun next -> List.map (fun p -> s :: p) (extend next)) succs
+    in
+    extend t.graph_root
+
+  let counts ~order ~adjacent =
+    let counts = Subtask_id.Tbl.create 16 in
+    List.iter
+      (fun s ->
+        let c =
+          match adjacent s with
+          | [] -> 1
+          | l -> List.fold_left (fun acc p -> acc + Subtask_id.Tbl.find counts p) 0 l
+        in
+        Subtask_id.Tbl.replace counts s c)
+      order;
+    counts
+
+  let counts_from_root t = counts ~order:t.topo ~adjacent:(predecessors t)
+
+  let counts_to_leaves t = counts ~order:(List.rev t.topo) ~adjacent:(successors t)
+
+  let path_count_through t s =
+    Subtask_id.Tbl.find (counts_from_root t) s * Subtask_id.Tbl.find (counts_to_leaves t) s
+
+  let weights t ~variant =
+    match (variant : Utility.variant) with
+    | Utility.Sum ->
+      List.fold_left (fun m s -> Subtask_id.Map.add s 1. m) Subtask_id.Map.empty t.node_list
+    | Utility.Path_weighted ->
+      let from_root = counts_from_root t and to_leaves = counts_to_leaves t in
+      let total = float_of_int (Subtask_id.Tbl.find to_leaves t.graph_root) in
+      List.fold_left
+        (fun m s ->
+          let through =
+            float_of_int (Subtask_id.Tbl.find from_root s * Subtask_id.Tbl.find to_leaves s)
+          in
+          Subtask_id.Map.add s (through /. total) m)
+        Subtask_id.Map.empty t.node_list
+
+  let critical_path t ~latency =
+    let best = Subtask_id.Tbl.create 16 in
+    List.iter
+      (fun s ->
+        let own = latency s in
+        let tail =
+          List.fold_left
+            (fun acc n ->
+              let cost, suffix = Subtask_id.Tbl.find best n in
+              match acc with
+              | Some (best_cost, _) when best_cost >= cost -> acc
+              | _ -> Some (cost, suffix))
+            None (successors t s)
+        in
+        match tail with
+        | None -> Subtask_id.Tbl.replace best s (own, [ s ])
+        | Some (cost, suffix) -> Subtask_id.Tbl.replace best s (own +. cost, s :: suffix))
+      (List.rev t.topo);
+    let cost, path = Subtask_id.Tbl.find best t.graph_root in
+    (path, cost)
+end
+
+(* Node and edge lists, half of them a random DAG (shuffled ids, edge
+   order and node order), half arbitrary small lists that break some
+   rule: duplicates, undeclared endpoints, self edges, cycles, several
+   roots. *)
+let graph_input_gen =
+  let open QCheck.Gen in
+  let dag =
+    pair (1 -- 12) int >|= fun (n, seed) ->
+    let rng = Lla_stdx.Rng.create ~seed in
+    let ids = Array.init n (fun i -> (3 * i) + Lla_stdx.Rng.int rng ~bound:3) in
+    Lla_stdx.Rng.shuffle rng ids;
+    let edges =
+      List.concat
+        (List.init (n - 1) (fun i ->
+             let parent = Lla_stdx.Rng.int rng ~bound:(i + 1) in
+             let extra = Lla_stdx.Rng.int rng ~bound:(i + 1) in
+             (ids.(parent), ids.(i + 1))
+             :: (if extra <> parent then [ (ids.(extra), ids.(i + 1)) ] else [])))
+      |> Array.of_list
+    in
+    Lla_stdx.Rng.shuffle rng edges;
+    let nodes = Array.copy ids in
+    Lla_stdx.Rng.shuffle rng nodes;
+    (Array.to_list nodes, Array.to_list edges, seed)
+  in
+  let arbitrary =
+    int >|= fun seed ->
+    let rng = Lla_stdx.Rng.create ~seed in
+    let pool = Array.init 10 Fun.id in
+    Lla_stdx.Rng.shuffle rng pool;
+    let k = Lla_stdx.Rng.int rng ~bound:7 in
+    let pick () = pool.(Lla_stdx.Rng.int rng ~bound:k) in
+    let nodes =
+      Array.to_list (Array.sub pool 0 k)
+      @ if k > 0 && Lla_stdx.Rng.int rng ~bound:6 = 0 then [ pick () ] else []
+    in
+    (* mostly declared endpoints, so cycles, self and duplicate edges and
+       extra roots come up as often as undeclared ones *)
+    let endpoint () =
+      if k = 0 || Lla_stdx.Rng.int rng ~bound:10 = 0 then Lla_stdx.Rng.int rng ~bound:12
+      else pick ()
+    in
+    let edges =
+      List.init (Lla_stdx.Rng.int rng ~bound:9) (fun _ ->
+          let a = endpoint () in
+          (a, endpoint ()))
+    in
+    (nodes, edges, seed)
+  in
+  frequency [ (1, dag); (1, arbitrary) ]
+
+let print_graph_input (nodes, edges, seed) =
+  Printf.sprintf "nodes [%s] edges [%s] seed %d"
+    (String.concat "; " (List.map string_of_int nodes))
+    (String.concat "; " (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) edges))
+    seed
+
+let prop_graph_matches_reference =
+  QCheck.Test.make ~name:"graph: array-backed graph agrees with the Map/Set reference" ~count:500
+    (QCheck.make ~print:print_graph_input graph_input_gen)
+    (fun (nodes, edges, seed) ->
+      let nodes = List.map sid nodes and edges = List.map (fun (a, b) -> (sid a, sid b)) edges in
+      match (Graph.make ~nodes ~edges, Ref_graph.make ~nodes ~edges) with
+      | Error a, Error b when String.equal a b -> true
+      | Error a, Error b -> QCheck.Test.fail_reportf "messages differ: %S vs reference %S" a b
+      | Ok _, Error b -> QCheck.Test.fail_reportf "accepted; the reference says %S" b
+      | Error a, Ok _ -> QCheck.Test.fail_reportf "rejected with %S; the reference accepts" a
+      | Ok g, Ok r ->
+        let ids l = List.map Ids.Subtask_id.to_int l in
+        let same what a b =
+          if a <> b then QCheck.Test.fail_reportf "%s differs from the reference" what
+        in
+        let bits m =
+          List.map
+            (fun (s, w) -> (Ids.Subtask_id.to_int s, Int64.bits_of_float w))
+            (Ids.Subtask_id.Map.bindings m)
+        in
+        List.iter
+          (fun s ->
+            same "successors" (ids (Graph.successors g s)) (ids (Ref_graph.successors r s));
+            same "predecessors" (ids (Graph.predecessors g s)) (ids (Ref_graph.predecessors r s));
+            same "path_count_through" (Graph.path_count_through g s)
+              (Ref_graph.path_count_through r s))
+          nodes;
+        same "topological_order" (ids (Graph.topological_order g)) (ids r.Ref_graph.topo);
+        same "leaves" (ids (Graph.leaves g)) (ids (Ref_graph.leaves r));
+        same "paths" (List.map ids (Graph.paths g)) (List.map ids (Ref_graph.paths r));
+        List.iter
+          (fun variant ->
+            same "weights" (bits (Graph.weights g ~variant)) (bits (Ref_graph.weights r ~variant)))
+          [ Utility.Sum; Utility.Path_weighted ];
+        (* few distinct latencies, so equal-cost branches exercise the tie-break *)
+        let latency s =
+          [| 1.; 2.5; 2.5; 0.1 |].(abs ((Ids.Subtask_id.to_int s * 7) + seed) mod 4)
+        in
+        let path, cost = Graph.critical_path g ~latency
+        and ref_path, ref_cost = Ref_graph.critical_path r ~latency in
+        same "critical path" (ids path) (ids ref_path);
+        same "critical path cost" (Int64.bits_of_float cost) (Int64.bits_of_float ref_cost);
+        true)
+
 (* ------------------------------------------------------------------ *)
 (* Task and Workload                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -470,6 +745,58 @@ let test_task_validation () =
   with
   | Ok _ -> Alcotest.fail "graph/subtask mismatch must be rejected"
   | Error _ -> ()
+
+(* Each case breaks two rules; the message names the one checked first. *)
+let test_task_error_precedence () =
+  let sub ?(owner = 1) id =
+    Subtask.make ~id ~task:(Ids.Task_id.make owner) ~resource:0 ~exec_time:1. ()
+  in
+  let expect msg subtasks graph =
+    match
+      Task.make ~id:1 ~subtasks ~graph ~critical_time:10.
+        ~utility:(Utility.negative_latency ())
+        ~trigger:(Trigger.periodic ~period:10. ())
+        ()
+    with
+    | Ok _ -> Alcotest.failf "expected %S" msg
+    | Error got -> Alcotest.(check string) "message" msg got
+  in
+  let chain l = Graph.chain (List.map sid l) in
+  expect "T1: duplicate subtask ids" [ sub 1; sub ~owner:9 1 ] (chain [ 1; 2 ]);
+  expect "T1: subtask s2 declares another owner task"
+    [ sub 1; sub ~owner:9 2; sub ~owner:8 3 ]
+    (chain [ 1; 99 ]);
+  expect "T1: graph nodes differ from the task's subtask ids" [ sub 1; sub 2 ] (chain [ 1; 3 ]);
+  expect "T1: graph nodes differ from the task's subtask ids" [ sub 1; sub 2 ] (chain [ 1 ]);
+  expect "T1: graph nodes differ from the task's subtask ids" [ sub 2 ] (chain [ 1; 2 ])
+
+let test_workload_error_precedence () =
+  let task id subtasks =
+    let tid = Ids.Task_id.make id in
+    let subtasks =
+      List.map (fun (s, r) -> Subtask.make ~id:s ~task:tid ~resource:r ~exec_time:1. ()) subtasks
+    in
+    Task.make_exn ~id ~subtasks
+      ~graph:(Graph.chain (List.map (fun (s : Subtask.t) -> s.Subtask.id) subtasks))
+      ~critical_time:50.
+      ~utility:(Utility.negative_latency ())
+      ~trigger:(Trigger.periodic ~period:100. ())
+      ()
+  in
+  let expect msg tasks resources =
+    match Workload.make ~tasks ~resources:(List.map (fun r -> Resource.make r) resources) with
+    | Ok _ -> Alcotest.failf "expected %S" msg
+    | Error got -> Alcotest.(check string) "message" msg got
+  in
+  expect "workload: duplicate task ids" [ task 1 [ (1, 0) ]; task 1 [ (2, 0) ] ] [ 0; 0 ];
+  expect "workload: duplicate resource ids" [ task 1 [ (1, 0) ]; task 2 [ (1, 0) ] ] [ 0; 1; 1 ];
+  expect "workload: subtask ids are not globally unique"
+    [ task 1 [ (1, 0); (2, 5) ]; task 2 [ (2, 0) ] ]
+    [ 0 ];
+  (* the first offender in task, then subtask, order *)
+  expect "workload: subtask s2 uses undeclared resource r5"
+    [ task 1 [ (1, 0); (2, 5) ]; task 2 [ (3, 6) ] ]
+    [ 0 ]
 
 let test_task_aggregate_and_utility () =
   let task = make_simple_task () in
@@ -644,6 +971,7 @@ let () =
               prop_graph_path_count_consistent;
               prop_graph_weights_sum;
               prop_graph_critical_path_is_max;
+              prop_graph_matches_reference;
             ] );
       ( "percentile-map",
         [
@@ -656,6 +984,7 @@ let () =
       ( "task",
         [
           Alcotest.test_case "validation" `Quick test_task_validation;
+          Alcotest.test_case "error precedence" `Quick test_task_error_precedence;
           Alcotest.test_case "aggregate and utility" `Quick test_task_aggregate_and_utility;
           Alcotest.test_case "weights accessor" `Quick test_task_weights_accessor;
         ] );
@@ -663,6 +992,7 @@ let () =
         [
           Alcotest.test_case "lookups" `Quick test_workload_lookups;
           Alcotest.test_case "validation" `Quick test_workload_validation;
+          Alcotest.test_case "error precedence" `Quick test_workload_error_precedence;
           Alcotest.test_case "utilization" `Quick test_workload_utilization;
           Alcotest.test_case "min share and latency bounds" `Quick
             test_workload_min_share_and_bounds;

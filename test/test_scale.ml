@@ -515,6 +515,101 @@ let test_golden_sharded_clearing_solve () =
     (kernel_digest (golden_kernel ~config:Kernel.scale_config ~subtasks:64_000 ()))
 
 (* ------------------------------------------------------------------ *)
+(* Golden build outputs                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The kernel digests pin iterates; these pin what the iterates are
+   computed from: the generated workload's text and every array
+   [Problem.compile] builds from it, floats by bits. *)
+let golden_workload () =
+  Generator.generate ~params:(Generator.sized ~subtasks:10_000 ()) ~seed:42 ()
+
+let test_golden_workload_text () =
+  let text = Workload_codec.to_string (golden_workload ()) in
+  Alcotest.(check int) "10k seed-42 workload bytes" 1_182_590 (String.length text);
+  Alcotest.(check string)
+    "10k seed-42 workload MD5" "4be00c8283a8a102e7d6983abf140ae4"
+    (Digest.to_hex (Digest.string text))
+
+let problem_digest (p : Lla.Problem.t) =
+  let b = Buffer.create (1 lsl 20) in
+  let float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  let int n = Buffer.add_int64_le b (Int64.of_int n) in
+  let ints a =
+    int (Array.length a);
+    Array.iter int a
+  in
+  let str s =
+    int (String.length s);
+    Buffer.add_string b s
+  in
+  Array.iteri
+    (fun i (s : Lla.Problem.subtask) ->
+      int (Ids.Subtask_id.to_int s.sid);
+      int (Lla.Problem.subtask_index p s.sid - i);
+      str s.name;
+      int s.task;
+      int s.resource;
+      float s.exec;
+      float s.weight;
+      float s.share.Share.lat_min;
+      float (s.share.Share.eval (2. *. s.share.Share.lat_min));
+      float s.lat_lo;
+      float s.lat_hi;
+      float s.stability;
+      ints s.paths)
+    p.subtasks;
+  Array.iter
+    (fun (q : Lla.Problem.path) ->
+      int q.task;
+      int q.index_in_task;
+      ints q.subtask_indices;
+      float q.critical_time;
+      ints q.path_resources)
+    p.paths;
+  Array.iteri
+    (fun i (t : Lla.Problem.task) ->
+      int (Ids.Task_id.to_int t.tid);
+      int (Lla.Problem.task_index p t.tid - i);
+      str t.task_name;
+      (match t.linear_slope with Some k -> float k | None -> int (-1));
+      float t.critical_time;
+      ints t.subtask_indices;
+      ints t.path_indices)
+    p.tasks;
+  Array.iteri
+    (fun r id ->
+      int (Ids.Resource_id.to_int id);
+      int (Lla.Problem.resource_index p id - r);
+      float p.capacities.(r);
+      ints p.by_resource.(r))
+    p.resource_ids;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_compiled_problem () =
+  Alcotest.(check string)
+    "10k seed-42 compiled problem digest" "54a7c2a528b0a565144c9cec37501b11"
+    (problem_digest (Lla.Problem.compile (golden_workload ())))
+
+(* Minor words per subtask to generate, compile and compact the 10^4
+   scenario: 332.2 on the array-backed build (the Map/Set build took
+   887), under a budget 5 % above it. Allocation is deterministic, so
+   this is exact, not a timing. *)
+let build_words_budget = 350.
+
+let test_build_allocation () =
+  let before = Gc.minor_words () in
+  let problem = Lla.Problem.compile (golden_workload ()) in
+  (match Kernel.of_problem ~config:Kernel.scale_config problem with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "Kernel.of_problem: %s" e);
+  let words = Gc.minor_words () -. before in
+  let per_subtask = words /. float_of_int (Lla.Problem.n_subtasks problem) in
+  if per_subtask > build_words_budget then
+    Alcotest.failf "build allocates %.1f minor words per subtask (budget %.0f)" per_subtask
+      build_words_budget
+
+(* ------------------------------------------------------------------ *)
 (* Clearing-price start                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -666,6 +761,10 @@ let () =
             test_golden_clearing_solve;
           Alcotest.test_case "64k clearing-start digest after solve + 200 ticks" `Quick
             test_golden_sharded_clearing_solve;
+          Alcotest.test_case "10k workload text" `Quick test_golden_workload_text;
+          Alcotest.test_case "10k compiled problem" `Quick test_golden_compiled_problem;
+          Alcotest.test_case "10k build stays under its allocation budget" `Quick
+            test_build_allocation;
         ] );
       ( "clearing",
         [

@@ -156,6 +156,80 @@ let test_rng_shuffle_permutation () =
   Array.sort Int.compare sorted;
   Alcotest.(check (array int)) "shuffle is a permutation" (Array.init 20 Fun.id) sorted
 
+(* Pins the seed-42 stream bit for bit: every draw kind, a split child
+   interleaved with its parent, and a copy. Bounds up to 2^62 take the
+   rejection branch of [int] now and then. *)
+let test_rng_stream_digest () =
+  let b = Buffer.create 4096 in
+  let int n = Buffer.add_int64_le b (Int64.of_int n) in
+  let float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  let rng = Rng.create ~seed:42 in
+  for i = 1 to 200 do
+    Buffer.add_int64_le b (Rng.int64 rng);
+    float (Rng.float rng);
+    int (Rng.int rng ~bound:i);
+    int (Rng.int rng ~bound:((1 lsl 62) - (i * 7919)));
+    int (Bool.to_int (Rng.bool rng));
+    float (Rng.uniform rng ~lo:(-3.) ~hi:(float_of_int i))
+  done;
+  let child = Rng.split rng in
+  for _ = 1 to 100 do
+    Buffer.add_int64_le b (Rng.int64 child);
+    float (Rng.exponential rng ~rate:0.5);
+    float (Rng.normal child ~mean:1. ~stddev:2.);
+    float (Rng.pareto rng ~shape:1.5 ~scale:2.)
+  done;
+  let twin = Rng.copy child in
+  let a = Array.init 50 Fun.id in
+  Rng.shuffle child a;
+  Array.iter int a;
+  int (Rng.pick twin a);
+  Buffer.add_int64_le b (Rng.int64 child);
+  Alcotest.(check string)
+    "seed-42 mixed stream" "59b7ec58cc2cc1e6232153f54182e84b"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* Minor words per draw, by the kernel zero-alloc test's method: the
+   delta of N draws against that of an empty probe. [Gc.minor_words] boxes
+   its own result, which the empty probe cancels. *)
+let words_per_draw draw =
+  let probe n =
+    let before = Gc.minor_words () in
+    draw n;
+    Gc.minor_words () -. before
+  in
+  let empty = probe 0 in
+  (probe 1000 -. empty) /. 1000.
+
+let test_rng_allocation () =
+  let rng = Rng.create ~seed:42 in
+  let budget name words draw =
+    let got = words_per_draw draw in
+    if got > words then
+      Alcotest.failf "%s allocates %.2f words per draw (budget %.0f)" name got words
+  in
+  budget "int" 0. (fun n ->
+      for i = 1 to n do
+        ignore (Rng.int rng ~bound:i)
+      done);
+  budget "bool" 0. (fun n ->
+      for _ = 1 to n do
+        ignore (Rng.bool rng)
+      done);
+  (* a boxed float is 2 words; a boxed int64 3 *)
+  budget "float" 2. (fun n ->
+      for _ = 1 to n do
+        ignore (Rng.float rng)
+      done);
+  budget "uniform" 2. (fun n ->
+      for _ = 1 to n do
+        ignore (Rng.uniform rng ~lo:1. ~hi:2.)
+      done);
+  budget "int64" 3. (fun n ->
+      for _ = 1 to n do
+        ignore (Rng.int64 rng)
+      done)
+
 let prop_rng_uniform_in_range =
   QCheck.Test.make ~name:"rng: uniform stays in [lo, hi)"
     QCheck.(pair (float_bound_exclusive 100.) (float_bound_exclusive 100.))
@@ -475,6 +549,8 @@ let () =
           Alcotest.test_case "normal moments" `Slow test_rng_normal_moments;
           Alcotest.test_case "pareto minimum" `Quick test_rng_pareto_minimum;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "seed-42 stream digest" `Quick test_rng_stream_digest;
+          Alcotest.test_case "draws allocate at most their result" `Quick test_rng_allocation;
         ]
         @ qcheck [ prop_rng_uniform_in_range ] );
       ( "stats",
