@@ -243,6 +243,51 @@ let engine_test =
          done;
          Lla_sim.Engine.run engine ()))
 
+(* A steady queue of 170 pending events, near the peak depth of a
+   runtime_faulty deployment (mean 76, peak 178 at transport seed 11):
+   each run fires the earliest event, which schedules its replacement at
+   a random offset, so the depth stays put. *)
+let steady_queue_test =
+  let engine = Lla_sim.Engine.create () in
+  let rng = Lla_stdx.Rng.create ~seed:1 in
+  let rec refill e =
+    ignore (Lla_sim.Engine.schedule_after e ~delay:(Lla_stdx.Rng.uniform rng ~lo:0. ~hi:20.) refill)
+  in
+  for _ = 1 to 170 do
+    refill engine
+  done;
+  Test.make ~name:"des-engine/steady-170-pending"
+    (Staged.stage (fun () -> ignore (Lla_sim.Engine.step engine)))
+
+(* One keyed message through runtime_faulty's transport (its config in
+   perfbench/runtime_faulty.ml): send, then drain the engine, so a run
+   covers the copies, retries and last-write-wins check the message
+   draws. *)
+let transport_test =
+  let module T = Lla_transport.Transport in
+  let config =
+    {
+      T.delay = Lla_transport.Delay_model.jittered ~base:1. ~jitter:0.5;
+      faults = { T.drop = 0.08; duplicate = 0.04; reorder = 0.15; reorder_spread = 6. };
+      policy =
+        {
+          T.retry = Some { T.timeout = 40.; backoff = 2.; max_attempts = 6; jitter = 0.4 };
+          last_write_wins = true;
+        };
+      seed = 1;
+      delay_window = 1024;
+      channel_metrics = true;
+    }
+  in
+  let engine = Lla_sim.Engine.create () in
+  let transport = T.create ~obs:(Lla_obs.create ()) ~config engine in
+  let src = T.endpoint transport ~name:"agent:0" in
+  let dst = T.endpoint transport ~name:"controller:0" in
+  Test.make ~name:"transport/send+deliver-faulted"
+    (Staged.stage (fun () ->
+         T.send ~key:0 transport ~src ~dst ignore;
+         Lla_sim.Engine.run engine ()))
+
 let scheduler_test kind name =
   Test.make
     ~name:(Printf.sprintf "scheduler-%s/100-jobs" name)
@@ -274,6 +319,8 @@ let micro_tests () =
       solver_iteration_test ~copies:16;
       compile_test;
       engine_test;
+      steady_queue_test;
+      transport_test;
       scheduler_test (Lla_sched.Scheduler.Fluid { work_conserving = true }) "fluid";
       scheduler_test (Lla_sched.Scheduler.Sfs { quantum = 1.0 }) "sfs";
       graph_test;

@@ -37,13 +37,7 @@ end) : ID = struct
 
   let equal = Int.equal
 
-  (* Hashtbl.Make indexes buckets by the low bits of [hash]. A multiply
-     by an odd constant lets every bit of the id reach the high bits, and
-     folding those back down keeps strided ids (all multiples of 8, say)
-     from sharing a few buckets, as the identity would. *)
-  let hash i =
-    let h = i * 0x2545F4914F6CDD1D in
-    (h lxor (h lsr 29)) land max_int
+  let hash = Lla_stdx.Int_tbl.hash
 
   let to_string i = Prefix.prefix ^ string_of_int i
 

@@ -423,7 +423,7 @@ let create_internal ?obs ?monitor ?journal ~config ~resilience ~engine_h ~bases 
   let monitor_bufs =
     match (monitor, engine_h) with
     | None, _ -> [||]
-    | Some m, (Engine.Sim _ | Engine.Rt _) ->
+    | Some m, Engine.Sim _ ->
       (match obs with Some o -> Lla_obs.Monitor.attach m o.Lla_obs.trace | None -> ());
       [||]
     | Some m, Engine.Domains _ ->
@@ -944,7 +944,7 @@ let start t =
             end)
       in
       watchdog_loop (Engine.now t.engine_h +. watchdog_period)
-    | Engine.Sim _ | Engine.Rt _ ->
+    | Engine.Sim _ ->
       let rec watchdog_loop () =
         t.watchdog_tick <-
           Some

@@ -2,7 +2,7 @@
     {!Distributed}, {!Optimizer_loop}, [Lla_soak.Soak] and
     [Lla_chaos.Campaign].
 
-    Three implementations share the {!Lla_sim.Engine} scheduling core:
+    Two implementations share the {!Lla_sim.Engine} scheduling core:
 
     - {!Engine_sim} — the deterministic single-threaded simulator.
       Golden traces through this engine are bit-for-bit the
@@ -12,8 +12,6 @@
       core in lockstep quanta; cross-shard traffic crosses at barriers,
       totally ordered by [(at, channel, seq)] in deterministic-merge
       mode so replays reproduce bit-for-bit.
-    - {!Engine_rt} — a wall-clock real-time stub: same core, paced
-      against real time by a speedup factor.
 
     The variants are exposed: shard topology and barrier scheduling are
     capabilities the runtime wires differently per engine, not details
@@ -22,9 +20,8 @@
 type t =
   | Sim of Engine_sim.t
   | Domains of Engine_domains.t
-  | Rt of Engine_rt.t
 
-type kind = [ `Sim | `Domains | `Rt ]
+type kind = [ `Sim | `Domains ]
 
 (** {1 Constructors} *)
 
@@ -39,25 +36,22 @@ val domains :
   ?domains:int -> ?quantum:float -> ?deterministic:bool -> ?start_time:float -> unit -> t
 (** See {!Engine_domains.create}. *)
 
-val rt : ?speedup:float -> ?start_time:float -> unit -> t
-(** See {!Engine_rt.create}. *)
-
 (** {1 Common surface} *)
 
 val kind : t -> kind
 
 val name : t -> string
-(** ["sim"] / ["domains"] / ["rt"] — the tag benchmark snapshots stamp. *)
+(** ["sim"] / ["domains"] — the tag benchmark snapshots stamp. *)
 
 val shards : t -> int
-(** 1 for sim/rt. *)
+(** 1 for sim. *)
 
 val core : t -> shard:int -> Lla_sim.Engine.t
 (** Shard [shard]'s scheduling core. @raise Invalid_argument for a
     nonzero shard on a single-shard engine. *)
 
 val now : t -> float
-(** Sim/rt: the core clock. Domains: the barrier clock. *)
+(** Sim: the core clock. Domains: the barrier clock. *)
 
 val run_until : t -> float -> unit
 
@@ -78,7 +72,7 @@ val post : t -> from:int -> shard:int -> at:float -> channel:int -> (unit -> uni
 (** See {!Engine_domains.post}. *)
 
 val at_barrier : t -> at:float -> (unit -> unit) -> unit
-(** See {!Engine_domains.at_barrier}. On sim/rt this is an ordinary
+(** See {!Engine_domains.at_barrier}. On sim this is an ordinary
     scheduled event at [max at now]. *)
 
 val shutdown : t -> unit

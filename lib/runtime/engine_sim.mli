@@ -1,7 +1,7 @@
 (** The deterministic single-threaded simulation engine.
 
     An identity wrapper over one {!Lla_sim.Engine.t} core: scheduling
-    through this engine is the same heap, the same [(time, seq)] event
+    through this engine is the same queue, the same [(time, seq)] event
     order and the same clock as scheduling on the core directly, so
     trajectories are bit-for-bit the pre-interface ones. {!of_core}
     wraps an existing core — the compatibility path for callers that

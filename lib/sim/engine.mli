@@ -14,7 +14,7 @@ val now : t -> float
 
 val schedule : t -> at:float -> (t -> unit) -> event_id
 (** Schedule a callback at absolute time [at].
-    @raise Invalid_argument when [at] is in the past. *)
+    @raise Invalid_argument when [at] is in the past or nan. *)
 
 val schedule_after : t -> delay:float -> (t -> unit) -> event_id
 (** Schedule after a non-negative [delay] from {!now}. *)
@@ -28,8 +28,9 @@ val step : t -> bool
 (** Fire the earliest pending event; [false] when none remain. *)
 
 val run_until : t -> float -> unit
-(** Fire every event with time <= the horizon, then advance {!now} to the
-    horizon. *)
+(** Fire every live event with time <= the horizon, including those the
+    fired events schedule, then advance {!now} to the horizon. No event
+    past the horizon fires, even when cancelled events head the queue. *)
 
 val run : t -> ?max_events:int -> unit -> unit
 (** Fire events until none remain (or [max_events] fired). *)

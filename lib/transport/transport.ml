@@ -2,6 +2,7 @@ module Engine = Lla_sim.Engine
 module Rng = Lla_stdx.Rng
 module Window = Lla_stdx.Percentile.Window
 module Metrics = Lla_obs.Metrics
+module Int_tbl = Lla_stdx.Int_tbl
 
 type faults = {
   drop : float;
@@ -87,7 +88,7 @@ type channel = {
   dst : endpoint;
   mutable link_delay : Delay_model.t option;  (* overrides the transport default *)
   mutable next_seq : int;
-  applied : (int, int) Hashtbl.t;  (* message key -> newest applied seq *)
+  applied : int Int_tbl.t;  (* message key -> newest applied seq *)
   cm : chan_metrics;
 }
 
@@ -108,7 +109,7 @@ type t = {
   delay_h : Metrics.histogram;
   mutable n_endpoints : int;
   mutable endpoint_list : endpoint list;  (* reversed registration order *)
-  channels : (int * int, channel) Hashtbl.t;
+  channels : channel Int_tbl.t;  (* by [channel_key] *)
   mutable partitions : partition_spec list;
   all_window : Window.t;
   (* Live fault state, initialized from [config] and mutable so chaos
@@ -118,6 +119,18 @@ type t = {
   mutable faults : faults;
   mutable extra_jitter : float;
   mutable shared_cm : chan_metrics option;  (* lazy, only when channel_metrics = false *)
+}
+
+(* One message, built once per [send]. Its retransmissions, copies and
+   deliveries are engine events over this record; each event carries
+   only the attempt number (and a copy its delay). *)
+type message = {
+  tr : t;
+  ch : channel;
+  key : int option;
+  seq : int;  (* per-channel send order, for last-write-wins *)
+  span : Lla_obs.Span.t option;
+  payload : Lla_obs.Span.t option -> unit;
 }
 
 let create ?obs ?(config = default_config) engine =
@@ -140,7 +153,7 @@ let create ?obs ?(config = default_config) engine =
         ~help:"End-to-end delay of delivered messages (all channels).";
     n_endpoints = 0;
     endpoint_list = [];
-    channels = Hashtbl.create 64;
+    channels = Int_tbl.create 64;
     partitions = [];
     all_window = Window.create ~capacity:config.delay_window;
     faults = config.faults;
@@ -164,15 +177,30 @@ let set_extra_jitter t spread =
 
 let extra_jitter t = t.extra_jitter
 
-(* Trace emission is a single match on the cold [None] path; it never
-   schedules events or draws randomness. Failures go through [emit]
-   (always traced); the per-message happy path goes through [emit_io]
-   (traced only under [Lla_obs.create ~trace_io:true]). *)
-let emit t event =
-  match t.obs with None -> () | Some o -> Lla_obs.emit o ~at:(Engine.now t.engine) event
+(* Trace emission is a single match on the cold [None] path, before the
+   record is built; it never schedules events or draws randomness.
+   Losses are always traced; the per-message happy path only under
+   [Lla_obs.create ~trace_io:true]. *)
+let trace_drop t ch reason =
+  match t.obs with
+  | None -> ()
+  | Some o ->
+    Lla_obs.emit o ~at:(Engine.now t.engine)
+      (Lla_obs.Trace.Transport_dropped { src = ch.src.name; dst = ch.dst.name; reason })
 
-let emit_io t event =
-  match t.obs_io with None -> () | Some o -> Lla_obs.emit o ~at:(Engine.now t.engine) event
+let trace_send t ch =
+  match t.obs_io with
+  | None -> ()
+  | Some o ->
+    Lla_obs.emit o ~at:(Engine.now t.engine)
+      (Lla_obs.Trace.Transport_send { src = ch.src.name; dst = ch.dst.name })
+
+let trace_delivered t ch delay =
+  match t.obs_io with
+  | None -> ()
+  | Some o ->
+    Lla_obs.emit o ~at:(Engine.now t.engine)
+      (Lla_obs.Trace.Transport_delivered { src = ch.src.name; dst = ch.dst.name; delay })
 
 let endpoint t ~name =
   let e = { eid = t.n_endpoints; name; up = true; crashes = 0; restart_hooks = [] } in
@@ -216,22 +244,26 @@ let channel_cm t src dst =
       t.shared_cm <- Some cm;
       cm
 
+(* Endpoint ids count up from 0 and stay far below 2^31, so the pair
+   packs into one int. *)
+let channel_key src dst = (src.eid lsl 31) lor dst.eid
+
 let channel t src dst =
-  let key = (src.eid, dst.eid) in
-  match Hashtbl.find_opt t.channels key with
-  | Some ch -> ch
-  | None ->
+  let key = channel_key src dst in
+  match Int_tbl.find t.channels key with
+  | ch -> ch
+  | exception Not_found ->
     let ch =
       {
         src;
         dst;
         link_delay = None;
         next_seq = 0;
-        applied = Hashtbl.create 8;
+        applied = Int_tbl.create 8;
         cm = channel_cm t src dst;
       }
     in
-    Hashtbl.add t.channels key ch;
+    Int_tbl.add t.channels key ch;
     ch
 
 let set_link_delay t ~src ~dst model = (channel t src dst).link_delay <- Some model
@@ -290,9 +322,6 @@ let partitioned t ~src ~dst =
    zero-fault configuration consumes no randomness. *)
 let hit t p = p > 0. && (p >= 1. || Rng.float t.rng < p)
 
-let dropped_event ch reason =
-  Lla_obs.Trace.Transport_dropped { src = ch.src.name; dst = ch.dst.name; reason }
-
 (* On an applied delivery carrying a span context, record one "msg" span
    under the sender's span and hand the payload a forwarded context
    (fresh id, origin preserved) so the receiver can parent its own work
@@ -315,105 +344,109 @@ let delivery_span t ch span =
     Some (Lla_obs.Span.forward ctx ~id)
   | _ -> None
 
-let deliver t ch ?key ~seq ~span ~delay payload ~on_lost =
-  if not ch.dst.up then on_lost `Down
+(* Attempt [n] (from 0) of [m] was lost: count and trace it, and
+   schedule attempt [n + 1] when the retry policy allows and the sender
+   is up. *)
+let rec lost m ~n reason =
+  let t = m.tr and ch = m.ch in
+  (match reason with
+  | `Drop ->
+    Metrics.incr ch.cm.c_dropped;
+    trace_drop t ch "drop"
+  | `Cut ->
+    Metrics.incr ch.cm.c_cut;
+    trace_drop t ch "cut"
+  | `Down ->
+    Metrics.incr ch.cm.c_lost_down;
+    trace_drop t ch "down");
+  match t.config.policy.retry with
+  | Some r when n + 1 < r.max_attempts && ch.src.up ->
+    Metrics.incr ch.cm.c_retried;
+    let wait = r.timeout *. (r.backoff ** float_of_int n) in
+    (* jitter de-phases synchronized retransmit bursts; at the default
+       0 no randomness is drawn and retries stay bit-for-bit *)
+    let wait =
+      if r.jitter > 0. then wait *. (1. +. Rng.uniform t.rng ~lo:(-.r.jitter) ~hi:r.jitter)
+      else wait
+    in
+    ignore (Engine.schedule_after t.engine ~delay:wait (fun _ -> attempt m ~n:(n + 1)))
+  | _ -> ()
+
+and deliver m ~n ~delay =
+  let t = m.tr and ch = m.ch in
+  if not ch.dst.up then lost m ~n `Down
   else begin
     let stale =
-      match key with
+      match m.key with
       | Some k when t.config.policy.last_write_wins -> (
-        match Hashtbl.find_opt ch.applied k with
-        | Some newest when newest >= seq -> true
-        | _ ->
-          Hashtbl.replace ch.applied k seq;
+        match Int_tbl.find ch.applied k with
+        | newest when newest >= m.seq -> true
+        | _ | (exception Not_found) ->
+          Int_tbl.replace ch.applied k m.seq;
           false)
       | _ -> false
     in
     if stale then begin
       Metrics.incr ch.cm.c_stale;
-      emit t (dropped_event ch "stale")
+      trace_drop t ch "stale"
     end
     else begin
       Metrics.incr ch.cm.c_delivered;
       Window.add ch.cm.window delay;
       Window.add t.all_window delay;
       Metrics.observe t.delay_h delay;
-      emit_io t
-        (Lla_obs.Trace.Transport_delivered { src = ch.src.name; dst = ch.dst.name; delay });
-      payload (delivery_span t ch span)
+      trace_delivered t ch delay;
+      m.payload (delivery_span t ch m.span)
     end
   end
 
-let rec attempt t ch ?key ~seq ~span ~n payload =
-  let lost reason =
-    (match reason with
-    | `Drop ->
-      Metrics.incr ch.cm.c_dropped;
-      emit t (dropped_event ch "drop")
-    | `Cut ->
-      Metrics.incr ch.cm.c_cut;
-      emit t (dropped_event ch "cut")
-    | `Down ->
-      Metrics.incr ch.cm.c_lost_down;
-      emit t (dropped_event ch "down"));
-    match t.config.policy.retry with
-    | Some r when n + 1 < r.max_attempts && ch.src.up ->
-      Metrics.incr ch.cm.c_retried;
-      let wait = r.timeout *. (r.backoff ** float_of_int n) in
-      (* jitter de-phases synchronized retransmit bursts; at the default
-         0 no randomness is drawn and retries stay bit-for-bit *)
-      let wait =
-        if r.jitter > 0. then
-          wait *. (1. +. Rng.uniform t.rng ~lo:(-.r.jitter) ~hi:r.jitter)
-        else wait
-      in
-      ignore
-        (Engine.schedule_after t.engine ~delay:wait (fun _ ->
-             attempt t ch ?key ~seq ~span ~n:(n + 1) payload))
-    | _ -> ()
+(* One copy of attempt [n]: the RNG draws go delay, then reorder
+   hold-back, then extra jitter. *)
+and copy m ~n model =
+  let t = m.tr in
+  let delay = Delay_model.sample model t.rng in
+  let delay =
+    if hit t t.faults.reorder && t.faults.reorder_spread > 0. then
+      delay +. Rng.uniform t.rng ~lo:0. ~hi:t.faults.reorder_spread
+    else delay
   in
+  let delay =
+    if t.extra_jitter > 0. then delay +. Rng.uniform t.rng ~lo:0. ~hi:t.extra_jitter else delay
+  in
+  ignore (Engine.schedule_after t.engine ~delay (fun _ -> deliver m ~n ~delay))
+
+(* The drop draw comes first, then the first copy's draws, then the
+   duplicate draw and, on a hit, the second copy's. *)
+and attempt m ~n =
+  let t = m.tr and ch = m.ch in
   if not ch.src.up then begin
     Metrics.incr ch.cm.c_lost_down;
-    emit t (dropped_event ch "down")
+    trace_drop t ch "down"
   end
-  else if partitioned t ~src:ch.src ~dst:ch.dst then lost `Cut
-  else if hit t t.faults.drop then lost `Drop
+  else if partitioned t ~src:ch.src ~dst:ch.dst then lost m ~n `Cut
+  else if hit t t.faults.drop then lost m ~n `Drop
   else begin
-    let model = Option.value ch.link_delay ~default:t.config.delay in
-    let schedule_copy () =
-      let delay = Delay_model.sample model t.rng in
-      let delay =
-        if hit t t.faults.reorder && t.faults.reorder_spread > 0. then
-          delay +. Rng.uniform t.rng ~lo:0. ~hi:t.faults.reorder_spread
-        else delay
-      in
-      let delay =
-        if t.extra_jitter > 0. then delay +. Rng.uniform t.rng ~lo:0. ~hi:t.extra_jitter
-        else delay
-      in
-      ignore
-        (Engine.schedule_after t.engine ~delay (fun _ ->
-             deliver t ch ?key ~seq ~span ~delay payload ~on_lost:lost))
-    in
-    schedule_copy ();
+    let model = match ch.link_delay with Some model -> model | None -> t.config.delay in
+    copy m ~n model;
     if hit t t.faults.duplicate then begin
       Metrics.incr ch.cm.c_duplicated;
-      schedule_copy ()
+      copy m ~n model
     end
   end
 
 let send_traced ?key ?span t ~src ~dst payload =
   let ch = channel t src dst in
   Metrics.incr ch.cm.c_sent;
-  emit_io t (Lla_obs.Trace.Transport_send { src = src.name; dst = dst.name });
+  trace_send t ch;
   let seq = ch.next_seq in
   ch.next_seq <- seq + 1;
-  attempt t ch ?key ~seq ~span ~n:0 payload
+  attempt { tr = t; ch; key; seq; span; payload } ~n:0
 
 let send ?key t ~src ~dst payload = send_traced ?key t ~src ~dst (fun _ -> payload ())
 
 (* --- inspection ------------------------------------------------------ *)
 
-let counters_of_cm (cm : chan_metrics) =
+let counters_of (cm : chan_metrics) =
   {
     sent = Metrics.value cm.c_sent;
     delivered = Metrics.value cm.c_delivered;
@@ -423,18 +456,6 @@ let counters_of_cm (cm : chan_metrics) =
     duplicated = Metrics.value cm.c_duplicated;
     retried = Metrics.value cm.c_retried;
     stale = Metrics.value cm.c_stale;
-  }
-
-let counters_of ch =
-  {
-    sent = Metrics.value ch.cm.c_sent;
-    delivered = Metrics.value ch.cm.c_delivered;
-    dropped = Metrics.value ch.cm.c_dropped;
-    cut = Metrics.value ch.cm.c_cut;
-    lost_down = Metrics.value ch.cm.c_lost_down;
-    duplicated = Metrics.value ch.cm.c_duplicated;
-    retried = Metrics.value ch.cm.c_retried;
-    stale = Metrics.value ch.cm.c_stale;
   }
 
 let add_counters a b =
@@ -451,26 +472,26 @@ let add_counters a b =
 
 let totals t =
   if t.config.channel_metrics then
-    Hashtbl.fold (fun _ ch acc -> add_counters acc (counters_of ch)) t.channels zero_counters
+    Int_tbl.fold (fun _ ch acc -> add_counters acc (counters_of ch.cm)) t.channels zero_counters
   else
     (* All channels share one block; folding it per channel would
        multiply every count by the channel population. *)
-    match t.shared_cm with Some cm -> counters_of_cm cm | None -> zero_counters
+    match t.shared_cm with Some cm -> counters_of cm | None -> zero_counters
 
 let channel_counters t ~src ~dst =
-  match Hashtbl.find_opt t.channels (src.eid, dst.eid) with
-  | Some ch -> counters_of ch
+  match Int_tbl.find_opt t.channels (channel_key src dst) with
+  | Some ch -> counters_of ch.cm
   | None -> zero_counters
 
 let channels t =
-  Hashtbl.fold (fun _ ch acc -> (ch.src, ch.dst, counters_of ch) :: acc) t.channels []
+  Int_tbl.fold (fun _ ch acc -> (ch.src, ch.dst, counters_of ch.cm) :: acc) t.channels []
   |> List.sort (fun (a, b, _) (c, d, _) ->
          match Int.compare a.eid c.eid with 0 -> Int.compare b.eid d.eid | cmp -> cmp)
 
 let delay_percentile t ~p = Window.percentile t.all_window ~p
 
 let channel_delay_percentile t ~src ~dst ~p =
-  match Hashtbl.find_opt t.channels (src.eid, dst.eid) with
+  match Int_tbl.find_opt t.channels (channel_key src dst) with
   | Some ch -> Window.percentile ch.cm.window ~p
   | None -> None
 

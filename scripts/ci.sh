@@ -48,6 +48,18 @@ echo "ci: $total tests run (floor $floor)"
 # against the optimum live in test/test_analysis.ml).
 ./_build/default/bin/lla_cli.exe analyze fig5
 
+# Trace pin: the full trace of the chaos scenario (157 982 records) must
+# keep its digest. It changes with any change of runtime event order or
+# of the transport's random draws; a change that alters them on purpose
+# re-pins it here and says so.
+./_build/default/bin/lla_cli.exe trace chaos --duration 10 -o _build/trace-chaos.jsonl >/dev/null
+trace_md5=$(md5sum _build/trace-chaos.jsonl | cut -d' ' -f1)
+if [ "$trace_md5" != b5276ad6b67ab627a3cc858dbd57aa08 ]; then
+  echo "ci: trace chaos digest is $trace_md5, pinned b5276ad6b67ab627a3cc858dbd57aa08" >&2
+  exit 1
+fi
+echo "ci: trace chaos digest pinned"
+
 # Chaos campaign smoke: 25 fixed-seed randomized fault schedules against
 # the fully-armed deployment. The command exits non-zero on any oracle
 # violation and prints the (shrunk) reproducer path for replay with

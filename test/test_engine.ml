@@ -1,6 +1,6 @@
 (* The engine interface battery: golden traces through Engine_sim (the
-   refactor must be invisible on the legacy path), Engine_rt equivalence,
-   the seeded domains-parallel interleaving battery (replay determinism,
+   refactor must be invisible on the legacy path), the seeded
+   domains-parallel interleaving battery (replay determinism,
    element-wise agreement with the simulator, merged-trace oracles), the
    order-sensitivity repro behind the calibrated span oracle, and
    engine-aware campaign shrinking. *)
@@ -133,13 +133,6 @@ let test_sim_golden_faulted_transport () =
   let legacy = run_legacy ~tconfig ~duration:15_000. () in
   let on_engine, _ = run_on ~tconfig (Reng.sim ()) ~duration:15_000. () in
   check_snapshot_eq "faulted transport" legacy on_engine
-
-let test_rt_matches_sim () =
-  (* The wall-clock stub shares the scheduling core, so at high speedup
-     it must produce the identical event order and results. *)
-  let sim, _ = run_on (Reng.sim ()) ~duration:3_000. () in
-  let rt, _ = run_on (Reng.rt ~speedup:1e9 ()) ~duration:3_000. () in
-  check_snapshot_eq "rt vs sim" sim rt
 
 (* ------------------------------------------------------------------ *)
 (* Domains engine: agreement, determinism, merged oracles               *)
@@ -400,7 +393,6 @@ let () =
             test_sim_golden_traced_resilient;
           Alcotest.test_case "sim engine, faulted transport" `Slow
             test_sim_golden_faulted_transport;
-          Alcotest.test_case "rt engine matches sim" `Quick test_rt_matches_sim;
         ] );
       ( "domains",
         [

@@ -381,6 +381,138 @@ let test_distributed_stop_idempotent () =
     (Lla_runtime.Distributed.price_rounds distributed);
   Alcotest.(check int) "nothing pending" 0 (Lla_sim.Engine.pending engine)
 
+(* ------------------------------------------------------------------ *)
+(* Faulty-runtime pin                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A deployment shaped like perfbench's runtime_faulty: the 6-task
+   paper workload with the default resilience layer, a trace carrying
+   message records and spans into a streaming monitor, a lossy transport
+   (jittered delay, drop, duplicate, reorder, jittered retries,
+   last-write-wins), and one agent and one controller outage, each
+   restarting warm from its checkpoint. Its trace records every send,
+   delivery, loss, price update, allocation, checkpoint and span, so the
+   digest below changes with any change of event order or of the
+   transport's random draws. *)
+
+module Transport = Lla_transport.Transport
+module Monitor = Lla_obs.Monitor
+module Distributed = Lla_runtime.Distributed
+module P = Lla.Problem
+
+let faulty_transport =
+  {
+    Transport.delay = Lla_transport.Delay_model.jittered ~base:1. ~jitter:0.5;
+    faults = { Transport.drop = 0.08; duplicate = 0.04; reorder = 0.15; reorder_spread = 6. };
+    policy =
+      {
+        Transport.retry =
+          Some { Transport.timeout = 40.; backoff = 2.; max_attempts = 6; jitter = 0.4 };
+        last_write_wins = true;
+      };
+    seed = 7;
+    delay_window = 1024;
+    channel_metrics = true;
+  }
+
+let faulty_workload = lazy (Lla_workloads.Paper_sim.scaled ~copies:2 ())
+
+let faulty_optimum =
+  lazy
+    (Lla_baseline.Centralized.solve (Lazy.force faulty_workload)).Lla_baseline.Centralized.utility
+
+type faulty = {
+  engine : Lla_sim.Engine.t;
+  dist : Distributed.t;
+  transport : Transport.t;
+  monitor : Monitor.t;
+  problem : P.t;
+}
+
+(* [sink] sees every trace record before the monitor does. *)
+let deploy_faulty ?sink () =
+  let workload = Lazy.force faulty_workload in
+  let problem = P.compile workload in
+  let engine = Lla_sim.Engine.create () in
+  let obs = Lla_obs.create ~trace_io:true ~spans:true () in
+  Option.iter (Lla_obs.Trace.attach obs.Lla_obs.trace) sink;
+  let transport = Transport.create ~obs ~config:faulty_transport engine in
+  let monitor =
+    Monitor.create ~tasks:(P.n_tasks problem) ~target:(Lazy.force faulty_optimum) ()
+  in
+  Monitor.attach monitor obs.Lla_obs.trace;
+  let dist =
+    Distributed.create ~obs ~resilience:Distributed.default_resilience ~transport engine workload
+  in
+  Transport.schedule_outage transport
+    (Distributed.agent_endpoint dist problem.P.resource_ids.(1))
+    ~at:1_000. ~duration:400.;
+  Transport.schedule_outage transport
+    (Distributed.controller_endpoint dist problem.P.tasks.(2).P.tid)
+    ~at:2_000. ~duration:400.;
+  { engine; dist; transport; monitor; problem }
+
+(* In 10 ms slices, one control period each, as runtime_faulty drives it. *)
+let run_faulty d ~ms =
+  for _ = 1 to int_of_float (ms /. 10.) do
+    Distributed.run d.dist ~duration:10.
+  done
+
+let add_float b x = Buffer.add_int64_le b (Int64.bits_of_float x)
+
+let add_int b n = Buffer.add_int64_le b (Int64.of_int n)
+
+(* Every trace record of 4 s of simulated time, then the
+   transport totals, the engine's and the monitor's counts, and the final
+   latencies and prices, all floats by their bits. [Marshal] writes a
+   record's floats as their raw 8 bytes, so the record part is bit-exact
+   too. *)
+let faulty_digest () =
+  let b = Buffer.create (1 lsl 20) in
+  let sink (r : Lla_obs.Trace.record) =
+    Buffer.add_string b (Marshal.to_string r [ Marshal.No_sharing ])
+  in
+  let d = deploy_faulty ~sink () in
+  run_faulty d ~ms:4_000.;
+  let records = Buffer.length b in
+  let c = Transport.totals d.transport in
+  List.iter (add_int b)
+    [
+      c.sent; c.delivered; c.dropped; c.cut; c.lost_down; c.duplicated; c.retried; c.stale;
+      Lla_sim.Engine.events_fired d.engine; Monitor.alerts_raised d.monitor;
+      Distributed.warm_restores d.dist;
+    ];
+  Array.iter
+    (fun (s : P.subtask) -> add_float b (Distributed.latency d.dist s.P.sid))
+    d.problem.P.subtasks;
+  Array.iter (fun r -> add_float b (Distributed.mu d.dist r)) d.problem.P.resource_ids;
+  let digest = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  (records, c, Lla_sim.Engine.events_fired d.engine, digest)
+
+let test_faulty_runtime_pin () =
+  let records, c, fired, digest = faulty_digest () in
+  Alcotest.(check int) "trace bytes" 7383401 records;
+  Alcotest.(check int) "sent" 34282 c.Transport.sent;
+  Alcotest.(check int) "events fired" 48719 fired;
+  Alcotest.(check string) "faulty runtime digest" "dc9b38b5ea85e8aa2a097b5bd9552598" digest
+
+(* Minor words per control round of the pinned deployment over 3 s of
+   simulated time after a 1 s warm-up. [Gc.minor_words] counts every
+   word allocated, so the figure is deterministic. It reads 1138.1; the
+   budget is that + 10 %. The polymorphic heap, tuple-keyed channel
+   tables and per-attempt closures this runtime once had read 1357.2. *)
+let faulty_words_budget = 1252.
+
+let test_faulty_words_per_round () =
+  let d = deploy_faulty () in
+  let rounds () = Distributed.price_rounds d.dist + Distributed.allocation_rounds d.dist in
+  run_faulty d ~ms:1_000.;
+  let r0 = rounds () and w0 = Gc.minor_words () in
+  run_faulty d ~ms:3_000.;
+  let per_round = (Gc.minor_words () -. w0) /. float_of_int (rounds () - r0) in
+  if per_round > faulty_words_budget then
+    Alcotest.failf "%.1f minor words per round (budget %.0f)" per_round faulty_words_budget
+
 let () =
   Alcotest.run "lla_runtime"
     [
@@ -423,5 +555,7 @@ let () =
           Alcotest.test_case "stop is idempotent" `Quick test_distributed_stop_idempotent;
           Alcotest.test_case "tolerates large delays" `Slow
             test_distributed_with_large_delay_still_converges;
+          Alcotest.test_case "faulty runtime pin" `Quick test_faulty_runtime_pin;
+          Alcotest.test_case "faulty runtime words per round" `Quick test_faulty_words_per_round;
         ] );
     ]

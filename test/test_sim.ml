@@ -107,6 +107,196 @@ let test_engine_max_events () =
   Engine.run engine ~max_events:50 ();
   Alcotest.(check int) "bounded" 50 (Engine.events_fired engine)
 
+(* The regression: a cancelled event at the head of the queue must not
+   let [run_until] fire the next event past its horizon. *)
+let test_engine_run_until_cancelled_head () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let record tag e = log := (tag, Engine.now e) :: !log in
+  let a = Engine.schedule engine ~at:5. (record "a") in
+  ignore (Engine.schedule engine ~at:20. (record "b"));
+  Engine.cancel engine a;
+  Engine.run_until engine 10.;
+  Alcotest.(check (list (pair string (float 0.)))) "nothing past the horizon" [] !log;
+  Alcotest.(check (float 0.)) "clock at horizon" 10. (Engine.now engine);
+  Alcotest.(check int) "b still pending" 1 (Engine.pending engine);
+  ignore (Engine.schedule_after engine ~delay:1. (record "c"));
+  Engine.run engine ();
+  Alcotest.(check (list (pair string (float 0.))))
+    "c fires at 11, before b" [ ("c", 11.); ("b", 20.) ] (List.rev !log)
+
+let noop _ = ()
+
+(* Firing reads the root in place: no option, no boxed time. The probe
+   idiom of the kernel's zero-allocation test: [Gc.minor_words] boxes its
+   own result, so compare against an empty probe. *)
+let test_engine_firing_allocates_nothing () =
+  let engine = Engine.create () in
+  let events =
+    Array.init 1000 (fun i -> Engine.schedule engine ~at:(float_of_int (i * 7 mod 37)) noop)
+  in
+  Array.iteri (fun i ev -> if i mod 5 = 0 then Engine.cancel engine ev) events;
+  let probe f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let empty = probe ignore in
+  let fire_all () =
+    Engine.run_until engine 20.;
+    ignore (Engine.step engine);
+    Engine.run engine ()
+  in
+  let words = probe fire_all in
+  Alcotest.(check int) "every live event fired" 800 (Engine.events_fired engine);
+  if words <> empty then
+    Alcotest.failf "firing 800 events allocated %.0f minor words" (words -. empty)
+
+(* ------------------------------------------------------------------ *)
+(* The queue against a list model                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Random operation sequences against a list model sorted by (time, seq),
+   with [run_until]'s semantics: fire every live event up to the horizon,
+   then set the clock to it. Offsets come from a small set half of the
+   time, so equal times are common. An event scheduled with [spawn]
+   schedules a child 0.25 ms later when it fires. *)
+type op =
+  | At of float * bool
+  | After of float
+  | Cancel of int
+  | Step
+  | Until of float
+  | Next
+
+let print_op = function
+  | At (d, spawn) -> Printf.sprintf "At(+%g%s)" d (if spawn then ", spawn" else "")
+  | After d -> Printf.sprintf "After %g" d
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Step -> "Step"
+  | Until d -> Printf.sprintf "Until(+%g)" d
+  | Next -> "Next"
+
+let arb_ops =
+  let open QCheck.Gen in
+  let offset = oneof [ oneofl [ 0.; 0.25; 0.5; 1.; 2. ]; float_bound_inclusive 5. ] in
+  let op =
+    frequency
+      [
+        (4, map2 (fun d spawn -> At (d, spawn)) offset bool);
+        (2, map (fun d -> After d) offset);
+        (2, map (fun k -> Cancel k) small_nat);
+        (3, return Step);
+        (2, map (fun d -> Until d) offset);
+        (1, return Next);
+      ]
+  in
+  QCheck.make ~print:QCheck.Print.(list print_op) ~shrink:QCheck.Shrink.list
+    (list_size (1 -- 80) op)
+
+(* Ids number the schedules in order, so an event's id is also its seq. *)
+type model_event = { m_time : float; m_id : int; m_spawn : bool }
+
+type model = {
+  mutable clock : float;
+  mutable queue : model_event list;  (* live events *)
+  mutable fired : int;
+  mutable log : int list;  (* fired ids, newest first *)
+  mutable ids : int;
+}
+
+let model_schedule m ~at ~spawn =
+  m.queue <- { m_time = at; m_id = m.ids; m_spawn = spawn } :: m.queue;
+  m.ids <- m.ids + 1
+
+let model_head m =
+  List.fold_left
+    (fun best e ->
+      match best with
+      | Some b when b.m_time < e.m_time || (b.m_time = e.m_time && b.m_id < e.m_id) -> best
+      | _ -> Some e)
+    None m.queue
+
+let model_fire m e =
+  m.queue <- List.filter (fun x -> x.m_id <> e.m_id) m.queue;
+  m.clock <- e.m_time;
+  m.fired <- m.fired + 1;
+  m.log <- e.m_id :: m.log;
+  if e.m_spawn then model_schedule m ~at:(e.m_time +. 0.25) ~spawn:false
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~count:300 ~name:"engine: firing order and state match a (time, seq) model"
+    arb_ops (fun ops ->
+      let m = { clock = 0.; queue = []; fired = 0; log = []; ids = 0 } in
+      let engine = Engine.create () in
+      let handles = ref [||] and log = ref [] in
+      let rec add ~spawn schedule =
+        let id = Array.length !handles in
+        let action e =
+          log := id :: !log;
+          if spawn then add ~spawn:false (Engine.schedule e ~at:(Engine.now e +. 0.25))
+        in
+        let handle = schedule action in
+        handles := Array.append !handles [| handle |]
+      in
+      let live id = List.exists (fun e -> e.m_id = id) m.queue in
+      let agree step_result model_step =
+        step_result = model_step && !log = m.log
+        && Int64.equal (Int64.bits_of_float (Engine.now engine)) (Int64.bits_of_float m.clock)
+        && Engine.pending engine = List.length m.queue
+        && Engine.events_fired engine = m.fired
+        && Engine.next_time engine = Option.map (fun e -> e.m_time) (model_head m)
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun id h -> Engine.cancelled engine h = not (live id))
+                !handles)
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | At (d, spawn) ->
+            let at = Engine.now engine +. d in
+            add ~spawn (Engine.schedule engine ~at);
+            model_schedule m ~at ~spawn;
+            agree true true
+          | After d ->
+            add ~spawn:false (Engine.schedule_after engine ~delay:d);
+            model_schedule m ~at:(m.clock +. d) ~spawn:false;
+            agree true true
+          | Cancel k ->
+            let n = Array.length !handles in
+            if n > 0 then begin
+              let id = k mod n in
+              Engine.cancel engine !handles.(id);
+              m.queue <- List.filter (fun e -> e.m_id <> id) m.queue
+            end;
+            agree true true
+          | Step ->
+            let fired = Engine.step engine in
+            let model_fired =
+              match model_head m with
+              | Some e ->
+                model_fire m e;
+                true
+              | None -> false
+            in
+            agree fired model_fired
+          | Until d ->
+            let horizon = Engine.now engine +. d in
+            Engine.run_until engine horizon;
+            let rec drain () =
+              match model_head m with
+              | Some e when e.m_time <= horizon ->
+                model_fire m e;
+                drain ()
+              | _ -> ()
+            in
+            drain ();
+            m.clock <- horizon;
+            agree true true
+          | Next -> agree true true)
+        ops)
+
 let prop_engine_random_order =
   QCheck.Test.make ~name:"engine: random schedules fire in nondecreasing time order"
     QCheck.(list_of_size Gen.(1 -- 100) (float_bound_inclusive 1000.))
@@ -124,6 +314,62 @@ let prop_engine_random_order =
               (fun (sorted, prev) t -> (sorted && t >= prev, t))
               (true, neg_infinity) fired))
 
+(* ------------------------------------------------------------------ *)
+(* The engine's heap                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [next_time] peeks at the root, [step] pops it. *)
+let test_heap_basic () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let record tag _ = log := tag :: !log in
+  Alcotest.(check (option (float 0.))) "peek empty" None (Engine.next_time engine);
+  Alcotest.(check bool) "pop empty" false (Engine.step engine);
+  List.iter (fun at -> ignore (Engine.schedule engine ~at (record at))) [ 5.; 1.; 3. ];
+  Alcotest.(check int) "size" 3 (Engine.pending engine);
+  Alcotest.(check (option (float 0.))) "peek min" (Some 1.) (Engine.next_time engine);
+  List.iter
+    (fun at ->
+      Alcotest.(check bool) "pop" true (Engine.step engine);
+      Alcotest.(check (float 0.)) "popped the minimum" at (List.hd !log))
+    [ 1.; 3.; 5. ];
+  Alcotest.(check int) "empty again" 0 (Engine.pending engine)
+
+(* Equal times leave the heap in scheduling order, whichever sift moved
+   them. *)
+let test_heap_duplicates () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  List.iteri
+    (fun i at -> ignore (Engine.schedule engine ~at (fun _ -> log := i :: !log)))
+    [ 2.; 2.; 1.; 2.; 1. ];
+  Engine.run engine ();
+  Alcotest.(check (list int)) "drain with duplicates" [ 2; 4; 0; 1; 3 ] (List.rev !log)
+
+let prop_heap_drain_sorted =
+  QCheck.Test.make ~name:"heap: drain returns elements sorted"
+    QCheck.(list (map float_of_int (int_bound 20)))
+    (fun times ->
+      let engine = Engine.create () in
+      let log = ref [] in
+      List.iteri
+        (fun i at -> ignore (Engine.schedule engine ~at (fun _ -> log := (at, i) :: !log)))
+        times;
+      Engine.run engine ();
+      List.rev !log = List.stable_sort compare (List.mapi (fun i at -> (at, i)) times))
+
+let prop_heap_size =
+  QCheck.Test.make ~name:"heap: size tracks pushes and pops"
+    QCheck.(pair (list small_nat) small_nat)
+    (fun (times, pops) ->
+      let engine = Engine.create () in
+      List.iter (fun at -> ignore (Engine.schedule engine ~at:(float_of_int at) noop)) times;
+      let popped = ref 0 in
+      for _ = 1 to pops do
+        if Engine.step engine then incr popped
+      done;
+      Engine.pending engine = List.length times - !popped)
+
 let () =
   Alcotest.run "lla_sim"
     [
@@ -140,6 +386,18 @@ let () =
           Alcotest.test_case "run_until with fresh events" `Quick
             test_engine_run_until_handles_newly_scheduled;
           Alcotest.test_case "max_events bound" `Quick test_engine_max_events;
+          Alcotest.test_case "run_until past a cancelled head" `Quick
+            test_engine_run_until_cancelled_head;
+          Alcotest.test_case "firing allocates nothing" `Quick
+            test_engine_firing_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_engine_random_order;
+          QCheck_alcotest.to_alcotest prop_engine_matches_model;
+        ] );
+      ( "heap",
+        [
+          Alcotest.test_case "basic order" `Quick test_heap_basic;
+          Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
+          QCheck_alcotest.to_alcotest prop_heap_drain_sorted;
+          QCheck_alcotest.to_alcotest prop_heap_size;
         ] );
     ]

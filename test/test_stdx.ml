@@ -12,63 +12,6 @@ let check_float = Alcotest.(check (float 1e-9))
 let check_floatish msg = Alcotest.(check (float 1e-6)) msg
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:Int.compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h);
-  Heap.push h 5;
-  Heap.push h 1;
-  Heap.push h 3;
-  Alcotest.(check int) "size" 3 (Heap.size h);
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 5" (Some 5) (Heap.pop h);
-  Alcotest.(check bool) "empty again" true (Heap.is_empty h)
-
-let test_heap_pop_exn () =
-  let h = Heap.create ~cmp:Int.compare in
-  Alcotest.check_raises "pop_exn on empty" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
-
-let test_heap_duplicates () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.push h) [ 2; 2; 1; 2; 1 ];
-  Alcotest.(check (list int)) "drain with duplicates" [ 1; 1; 2; 2; 2 ] (Heap.drain h)
-
-let test_heap_clear () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Heap.size h);
-  Heap.push h 7;
-  Alcotest.(check (option int)) "usable after clear" (Some 7) (Heap.pop h)
-
-let prop_heap_drain_sorted =
-  QCheck.Test.make ~name:"heap: drain returns elements sorted"
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) xs;
-      Heap.drain h = List.sort Int.compare xs)
-
-let prop_heap_size =
-  QCheck.Test.make ~name:"heap: size tracks pushes and pops"
-    QCheck.(pair (list small_int) small_nat)
-    (fun (xs, pops) ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) xs;
-      let popped = ref 0 in
-      for _ = 1 to pops do
-        if Heap.pop h <> None then incr popped
-      done;
-      Heap.size h = List.length xs - !popped)
-
-(* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -528,14 +471,6 @@ let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 let () =
   Alcotest.run "lla_stdx"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "basic order" `Quick test_heap_basic;
-          Alcotest.test_case "pop_exn raises" `Quick test_heap_pop_exn;
-          Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-        ]
-        @ qcheck [ prop_heap_drain_sorted; prop_heap_size ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
