@@ -423,8 +423,6 @@ let scale_bench ~name ~subtasks ~gate () =
   in
   let build_s = Unix.gettimeofday () -. t0 in
   Printf.printf "  generate     %8.2f s    compile+compact %8.2f s\n" generate_s build_s;
-  Printf.printf "  shards       %8d      (the tick's passes run on this many domains)\n"
-    (Lla_scale.Kernel.shards kernel);
   (* Transient: solve from cold. *)
   let t0 = Unix.gettimeofday () in
   let converged = Lla_scale.Kernel.solve kernel ~max_iterations:10_000 in
@@ -569,7 +567,7 @@ let scale_bench ~name ~subtasks ~gate () =
     [
       ("name", Printf.sprintf "%S" name);
       ("engine", "\"sim\"");
-      ("domains", string_of_int (Lla_scale.Kernel.shards kernel));
+      ("domains", "1");
       ("ocaml", Printf.sprintf "%S" Sys.ocaml_version);
       ("seed", string_of_int seed);
       ("subtasks", string_of_int n_sub);

@@ -832,8 +832,7 @@ let solve_scale_cmd =
       | Ok k -> k
       | Error e -> or_exit (Error (`Msg e))
     in
-    Printf.printf "compile+compact %.2f s, %d kernel shard(s)\n" (Unix.gettimeofday () -. t0)
-      (Lla_scale.Kernel.shards kernel);
+    Printf.printf "compile+compact %.2f s\n" (Unix.gettimeofday () -. t0);
     let t0 = Unix.gettimeofday () in
     let converged = Lla_scale.Kernel.solve kernel ~max_iterations:iterations in
     let dt = Unix.gettimeofday () -. t0 in

@@ -34,6 +34,15 @@ let update_path (problem : Problem.t) p ~lat ~gamma ~lambda =
   end;
   latency
 
+(* Heal well below the watchdog's divergence threshold: a price that is
+   finite but orders of magnitude above the dual scale (chaos campaigns
+   found mu = 1e4 with mu_cap = 1e6) decays only by ~gamma per round, so
+   it cannot recover within a safe-mode dwell and poisons every
+   re-entered optimization — permanent enter/exit thrash. *)
+let heal_resource_price ~mu_cap ~mu0 mu =
+  if (not (Float.is_finite mu)) || mu > Float.min mu_cap (1_000. *. Float.max 1. mu0) then mu0
+  else mu
+
 let update ?obs ?(at = 0.) problem ~lat ~offsets ~steps ~mu ~lambda =
   let n_r = Problem.n_resources problem and n_p = Problem.n_paths problem in
   let share_sums = Array.make n_r 0. and path_latencies = Array.make n_p 0. in

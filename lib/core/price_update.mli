@@ -35,6 +35,14 @@ val update_path : Problem.t -> int -> lat:float array -> gamma:float -> lambda:f
 (** Update [lambda.(p)] in place; returns the path latency observed. Same
     finite-value guards as {!update_resource}. *)
 
+val heal_resource_price : mu_cap:float -> mu0:float -> float -> float
+(** The price-healing rule of safe-mode entry, shared by the distributed
+    runtime and the scale kernel: [mu0] when [mu] is non-finite or above
+    [min mu_cap (1000 * max 1 mu0)], else [mu]. [mu_cap] is the safe-mode
+    watchdog's divergence threshold; healing sets in far below it, since
+    a finite runaway price decays by only about one step per round and
+    would outlast the safe-mode dwell. *)
+
 val update :
   ?obs:Lla_obs.t ->
   ?at:float ->

@@ -828,16 +828,10 @@ let enter_safe_mode t sm ~reason =
   Lla_obs.emit_opt t.obs ~at:(Engine.now t.engine_h)
     (Lla_obs.Trace.Safe_mode_entered { reason; fallback = Safe_mode.fallback_source sm });
   Array.blit (Safe_mode.fallback sm) 0 t.lat 0 (Array.length t.lat);
-  (* Heal well below the watchdog's divergence threshold: a price that is
-     finite but orders of magnitude above the dual scale (chaos campaigns
-     found mu = 1e4 with mu_cap = 1e6) decays only by ~gamma per round, so
-     it cannot recover within a safe-mode dwell and poisons every
-     re-entered optimization — permanent enter/exit thrash. *)
   let mu_cap = (Safe_mode.config sm).Safe_mode.mu_cap in
-  let heal_cap = Float.min mu_cap (1_000. *. Float.max 1. t.config.mu0) in
   Array.iter
     (fun a ->
-      if (not (Float.is_finite a.price)) || a.price > heal_cap then a.price <- t.config.mu0;
+      a.price <- Lla.Price_update.heal_resource_price ~mu_cap ~mu0:t.config.mu0 a.price;
       a.gamma <- initial_gamma (resource_policy t.config.step_policy);
       (* Repair the agent's latency view in place: announcements from down
          controllers may never arrive. *)

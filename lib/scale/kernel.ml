@@ -89,136 +89,6 @@ type kmeters = {
   k_active : Lla_obs.Metrics.gauge;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Shards and the helper domain                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* A tick's three passes are sets of independent per-entity updates, so
-   above [shard_min_subtasks] on a host with two cores or more the
-   kernel splits them between two shards under an owner-computes rule
-   (DESIGN §11): shard [(r lsr 5) land mask] owns resource r and its
-   member slots, shard [(p lsr 9) land mask] owns path p, and [mask] is
-   1 with two shards, 0 with one. Blocks of 32 resources and 512 paths
-   give both shards some of the generator's hot low-id resources, and
-   keep each shard's writes to per-path and per-slot arrays on cache
-   lines of their own. *)
-let shard_min_subtasks = 50_000
-
-let res_block_bits = 5
-
-let path_block_bits = 9
-
-(* The one process-wide helper domain. In each phase of a two-shard
-   tick the caller posts shard 1's pass here, runs shard 0's itself and
-   spins until the posted flag clears. On a 2-core x86 VM a round trip
-   by spinning on one [Atomic] takes under 1 us, and one through a
-   mutex + condvar (Engine_domains' pool) ~15 us at the median and
-   23-25 us at p99 — too much three times per ~200-450 us tick.
-
-   A live domain joins every minor collection's stop-the-world, so the
-   helper retires after [idle_spins] relaxations without work (~70-80
-   ms). Only kernel construction starts it: [Domain.spawn] allocates
-   ~50 words on the caller and takes up to ~1.6 ms, which no tick may
-   pay. A tick that finds no idle helper runs shard 1 after shard 0 on
-   the caller. *)
-module Helper = struct
-  let retired = 0 (* no helper domain *)
-
-  let starting = 1 (* [start] is spawning it *)
-
-  let idle = 2 (* spinning for the next phase *)
-
-  let claimed = 3 (* a caller owns it and is setting [job] *)
-
-  let posted = 4 (* [job] is set or running *)
-
-  let state = Atomic.make retired
-
-  let nop () = ()
-
-  let job = ref nop
-
-  let idle_spins = 2_000_000
-
-  let rec loop spins =
-    if Atomic.get state = posted then begin
-      !job ();
-      (* drop the closure at once: it holds the last phase's kernel *)
-      job := nop;
-      Atomic.set state idle;
-      loop 0
-    end
-    else if spins < idle_spins then begin
-      Domain.cpu_relax ();
-      loop (spins + 1)
-    end
-    else if not (Atomic.compare_and_set state idle retired) then loop 0
-
-  let start () =
-    if Atomic.compare_and_set state retired starting then
-      match Domain.spawn (fun () -> loop 0) with
-      | (_ : unit Domain.t) -> Atomic.set state idle
-      | exception _ -> Atomic.set state retired
-
-  (* [false] when no helper is idle: retired, starting, or running a
-     phase for another kernel on another domain *)
-  let post f =
-    Atomic.get state = idle
-    && Atomic.compare_and_set state idle claimed
-    && begin
-         job := f;
-         Atomic.set state posted;
-         true
-       end
-
-  (* Waits for the posted flag to clear, not for [idle]: the helper may
-     retire the moment it has finished. *)
-  let wait () =
-    while Atomic.get state = posted do
-      Domain.cpu_relax ()
-    done
-end
-
-(* One shard's queues, counters and outboxes. A push aimed at the
-   peer's subtask, resource or path goes into an outbox, which the peer
-   drains at the start of its next phase: allocate -> [ob_path] ->
-   resource prices -> [ob_hot] -> path prices -> [ob_sub] -> the next
-   tick's allocate. Each outbox holds the exact worst case of its phase,
-   counted at construction. A one-shard kernel is its own peer, and its
-   outboxes stay empty. *)
-type shard = {
-  id : int;
-  peer : int;
-  (* dirty-set queues. An id is in the queue for tick [k] iff its mark
-     equals [k]; resources and paths use two buffers (the current tick's
-     queue is scanned while the next tick's fills), subtasks one (their
-     queue is drained before any push for the next tick happens). *)
-  sub_q : int array;
-  mutable sub_count : int;
-  mutable res_q : int array;
-  mutable res_count : int;
-  mutable res_q2 : int array;
-  mutable res_count2 : int;
-  mutable path_q : int array;
-  mutable path_count : int;
-  mutable path_q2 : int array;
-  mutable path_count2 : int;
-  (* 0: running sum, 1: movement of this shard's last allocate pass;
-     padded so the two shards' running sums never share a cache line *)
-  scratch : float array;
-  mutable guards : int;
-  mutable touch_sub : int;
-  mutable touch_res : int;
-  mutable touch_path : int;
-  ob_path : int array;  (* peer paths the allocate pass dirtied, deduplicated *)
-  mutable n_ob_path : int;
-  ob_hot : int array;  (* (p lsl 2) lor (hot-count delta + 1); queue p iff >= 1 *)
-  mutable n_ob_hot : int;
-  ob_sub : int array;  (* peer slots Eq. 9 requeued for the next tick *)
-  mutable n_ob_sub : int;
-  sent : int array;  (* per path: the last tick it entered [ob_path] *)
-}
-
 (* Allocation discipline for the tick: everything the three passes touch
    is a flat [float array] / [int array] cell or an immediate record
    field, so one tick allocates nothing. In particular:
@@ -229,8 +99,7 @@ type shard = {
      reproduce the stdlib semantics on every value the tick can see
      (finiteness via [x -. x = 0.]; NaN propagates through the clamp
      because every comparison with NaN is false; the projection
-     [if 0. >= v then 0. else v] maps -0. to +0. like [Float.max 0. v]);
-   - the helper's jobs are closures built at construction. *)
+     [if 0. >= v then 0. else v] maps -0. to +0. like [Float.max 0. v]). *)
 type t = {
   problem : P.t;
   config : config;
@@ -256,9 +125,8 @@ type t = {
   congested : bool array;
   gamma_r : float array;
   rs_off : int array;  (* resource r owns slots rs_off.(r) .. rs_off.(r+1)-1 *)
-  rp_off : int array;  (* resource -> distinct path ids (CSR) ... *)
+  rp_off : int array;  (* resource -> distinct path ids (CSR) *)
   rp_idx : int array;
-  rp_mid : int array;  (* ... the owner's paths before rp_mid.(r), the peer's from it *)
   (* path state *)
   lambda : float array;
   gamma_p : float array;
@@ -289,35 +157,40 @@ type t = {
   g_init_p : float;
   g_mult_p : float;
   g_cap_p : float;
-  (* shards: [mask] is shard count - 1, [slot_owner] the shard of each
-     slot's resource, one byte a slot so Eq. 9's owner test stays in
-     cache *)
-  mask : int;
-  shards : shard array;
-  slot_owner : Bytes.t;
-  (* Queue marks, written by the owner only. The [*_dirty] stamps are
-     finer than queue membership: they record that the cached sum itself
-     must be recomputed this tick, not merely that the price update must
-     run. *)
+  (* dirty-set queues. An id is in the queue for tick [k] iff its mark
+     equals [k]; resources and paths use two buffers (the current tick's
+     queue is scanned while the next tick's fills), subtasks one (their
+     queue is drained before any push for the next tick happens). The
+     [*_dirty] stamps are finer than queue membership: they record that
+     the cached sum itself must be recomputed this tick, not merely that
+     the price update must run. *)
+  sub_q : int array;
+  mutable sub_count : int;
   sub_mark : int array;
+  mutable res_q : int array;
+  mutable res_count : int;
+  mutable res_q2 : int array;
+  mutable res_count2 : int;
   res_mark : int array;
   res_dirty : int array;
+  mutable path_q : int array;
+  mutable path_count : int;
+  mutable path_q2 : int array;
+  mutable path_count2 : int;
   path_mark : int array;
   path_dirty : int array;
-  (* tick bookkeeping, summed over the shards by [finish] *)
+  (* tick bookkeeping *)
   mutable tick : int;
-  moved : float array;  (* 0: movement of the last tick *)
+  mutable guards : int;
+  scratch : float array;  (* 0: running sum, 1: movement of the last tick *)
   mutable touch_sub : int;
   mutable touch_res : int;
   mutable touch_path : int;
   mutable cum_sub : int;
   mutable cum_res : int;
   mutable cum_path : int;
-  (* shard 1's passes as the helper runs them, and the profiling thunks,
-     preallocated so a tick allocates no closures *)
-  mutable job_alloc : unit -> unit;
-  mutable job_res : unit -> unit;
-  mutable job_path : unit -> unit;
+  (* profiling thunks, preallocated so a profiled tick allocates no
+     closures either *)
   mutable th_tick : unit -> unit;
   mutable th_prof : unit -> unit;
   mutable km : kmeters option;  (* Some iff built with [?obs] *)
@@ -328,14 +201,12 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 (* The passes use unchecked array access: every index they dereference is
-   a CSR entry, a slot of a resource's range, a queue element or an
-   outbox entry, and all are validated by construction — [of_problem]
-   only stores ids below the family's length, the resource ranges
-   partition the slots, queue counts never exceed the shard's share of
-   the family because the mark arrays dedup every push, and outbox
-   counts never exceed the worst cases [of_problem] sized them for.
-   Bounds checks would cost ~30% of the tick on these loops and can
-   never fire. *)
+   a CSR entry, a slot of a resource's range or a queue element, and all
+   are validated by construction — [of_problem] only stores ids below
+   the family's length, the resource ranges partition the slots, and
+   queue counts never exceed the family's length because the mark arrays
+   dedup every push. Bounds checks would cost ~30% of the tick on these
+   loops and can never fire. *)
 (* Primitive externals, not [let]-aliases of [Array.unsafe_get]: a [let]
    rebinding eta-expands the primitive into a generic function, and every
    float access then goes through [caml_apply] with a boxed result —
@@ -346,30 +217,15 @@ external ug : 'a array -> int -> 'a = "%array_unsafe_get"
 
 external us : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
-(* Each pass below runs on one shard and writes only what the shard
-   owns. Counters live in local variables and are written back once. *)
-
 (* Closed-form allocation (Allocation.closed_form at offset 0) for every
    queued subtask; queues the resources and paths whose sums changed. *)
-let alloc_pass t sh =
+let alloc_pass t =
   let tick = t.tick in
-  let own = sh.id and mask = t.mask in
-  let sc = sh.scratch and sub_q = sh.sub_q in
-  (* the subtasks the peer's Eq. 9 requeued for this tick *)
-  let peer = ug t.shards sh.peer in
-  let n = ref sh.sub_count in
-  for k = 0 to peer.n_ob_sub - 1 do
-    let i = ug peer.ob_sub k in
-    if ug t.sub_mark i <> tick then begin
-      us t.sub_mark i tick;
-      us sub_q !n i;
-      incr n
-    end
-  done;
-  peer.n_ob_sub <- 0;
-  let n = !n in
-  let guards = ref sh.guards in
-  let res_count = ref sh.res_count and path_count = ref sh.path_count and sent = ref 0 in
+  let sc = t.scratch and sub_q = t.sub_q in
+  let res_q = t.res_q and path_q = t.path_q in
+  let n = t.sub_count in
+  let guards = ref t.guards in
+  let res_count = ref t.res_count and path_count = ref t.path_count in
   us sc 1 0.;
   (* safe-mode dwell: every latency is held at the clamped fallback, so
      the pass reduces to draining the queue. The price passes keep
@@ -411,66 +267,46 @@ let alloc_pass t sh =
       let denom = if lat' >= 1e-9 then lat' else 1e-9 in
       let m = Float.abs (lat' -. old) /. denom in
       if m > ug sc 1 then us sc 1 m;
-      (* the share on i's resource and the latency of i's paths moved;
-         the resource is ours, a path may be the peer's *)
+      (* the share on i's resource and the latency of i's paths moved *)
       let r = ug t.sub_res i in
       us t.res_dirty r tick;
       if ug t.res_mark r <> tick then begin
         us t.res_mark r tick;
-        us sh.res_q !res_count r;
+        us res_q !res_count r;
         incr res_count
       end;
       for e = start to stop do
         let p = ug t.sp_idx e in
-        if (p lsr path_block_bits) land mask = own then begin
-          us t.path_dirty p tick;
-          if ug t.path_mark p <> tick then begin
-            us t.path_mark p tick;
-            us sh.path_q !path_count p;
-            incr path_count
-          end
-        end
-        else if ug sh.sent p <> tick then begin
-          us sh.sent p tick;
-          us sh.ob_path !sent p;
-          incr sent
+        us t.path_dirty p tick;
+        if ug t.path_mark p <> tick then begin
+          us t.path_mark p tick;
+          us path_q !path_count p;
+          incr path_count
         end
       done
     end
   done;
-  sh.guards <- !guards;
-  sh.res_count <- !res_count;
-  sh.path_count <- !path_count;
-  sh.n_ob_path <- !sent;
-  sh.touch_sub <- n;
-  sh.sub_count <- 0
+  t.guards <- !guards;
+  t.res_count <- !res_count;
+  t.path_count <- !path_count;
+  t.touch_sub <- n;
+  t.sub_count <- 0
 
 (* Eq. 8 (Price_update.update_resource) for every queued resource:
    recompute the share sum iff some member latency moved, integrate the
    slack into mu, maintain the congestion flags / hot-path counters /
    adaptive step, and queue dependents. *)
-let resource_pass t sh =
+let resource_pass t =
   let tick = t.tick in
   let next = tick + 1 in
-  let sc = sh.scratch in
-  (* the paths whose members the peer's allocate pass moved *)
-  let peer = ug t.shards sh.peer in
-  let path_count = ref sh.path_count in
-  for k = 0 to peer.n_ob_path - 1 do
-    let p = ug peer.ob_path k in
-    us t.path_dirty p tick;
-    if ug t.path_mark p <> tick then begin
-      us t.path_mark p tick;
-      us sh.path_q !path_count p;
-      incr path_count
-    end
-  done;
-  peer.n_ob_path <- 0;
-  let n = sh.res_count in
-  let guards = ref sh.guards in
-  let sub_count = ref sh.sub_count and res_count2 = ref sh.res_count2 and hot = ref 0 in
+  let sc = t.scratch and sub_q = t.sub_q in
+  let res_q = t.res_q and res_q2 = t.res_q2 and path_q = t.path_q in
+  let n = t.res_count in
+  let guards = ref t.guards in
+  let sub_count = ref t.sub_count and res_count2 = ref t.res_count2 in
+  let path_count = ref t.path_count in
   for k = 0 to n - 1 do
-    let r = ug sh.res_q k in
+    let r = ug res_q k in
     if not (ug t.mu r -. ug t.mu r = 0.) then begin
       incr guards;
       us t.mu r 0.
@@ -503,7 +339,7 @@ let resource_pass t sh =
         for i = rs_start to rs_stop do
           if ug t.sub_mark i <> next then begin
             us t.sub_mark i next;
-            us sh.sub_q !sub_count i;
+            us sub_q !sub_count i;
             incr sub_count
           end
         done
@@ -518,22 +354,16 @@ let resource_pass t sh =
     (* a congestion flip moves the hot count of every path through r, and
        every path through a congested resource updates this very tick:
        its step size doubles even when its latency is unchanged *)
-    if now || d <> 0 then begin
-      let mid = ug t.rp_mid r in
-      for e = ug t.rp_off r to mid - 1 do
+    if now || d <> 0 then
+      for e = ug t.rp_off r to ug t.rp_off (r + 1) - 1 do
         let p = ug t.rp_idx e in
         if d <> 0 then us t.path_hot p (ug t.path_hot p + d);
         if now && ug t.path_mark p <> tick then begin
           us t.path_mark p tick;
-          us sh.path_q !path_count p;
+          us path_q !path_count p;
           incr path_count
         end
       done;
-      for e = mid to ug t.rp_off (r + 1) - 1 do
-        us sh.ob_hot !hot ((ug t.rp_idx e lsl 2) lor (d + 1));
-        incr hot
-      done
-    end;
     if t.adaptive_r then
       us t.gamma_r r
         (if now then
@@ -543,43 +373,28 @@ let resource_pass t sh =
     (* a live price keeps integrating its slack until it hits 0 *)
     if ug t.mu r > 0. && ug t.res_mark r <> next then begin
       us t.res_mark r next;
-      us sh.res_q2 !res_count2 r;
+      us res_q2 !res_count2 r;
       incr res_count2
     end
   done;
-  sh.guards <- !guards;
-  sh.sub_count <- !sub_count;
-  sh.res_count2 <- !res_count2;
-  sh.path_count <- !path_count;
-  sh.n_ob_hot <- !hot;
-  sh.touch_res <- n
+  t.guards <- !guards;
+  t.sub_count <- !sub_count;
+  t.res_count2 <- !res_count2;
+  t.path_count <- !path_count;
+  t.touch_res <- n
 
 (* Eq. 9 (Price_update.update_path) plus the path half of
    Step_size.observe for every queued path. *)
-let path_pass t sh =
+let path_pass t =
   let tick = t.tick in
   let next = tick + 1 in
-  let own = sh.id in
-  let sc = sh.scratch in
-  (* the peer's Eq. 8 hot-count deltas and congestion pushes *)
-  let peer = ug t.shards sh.peer in
-  let path_count = ref sh.path_count in
-  for k = 0 to peer.n_ob_hot - 1 do
-    let x = ug peer.ob_hot k in
-    let p = x lsr 2 and code = x land 3 in
-    if code <> 1 then us t.path_hot p (ug t.path_hot p + code - 1);
-    if code >= 1 && ug t.path_mark p <> tick then begin
-      us t.path_mark p tick;
-      us sh.path_q !path_count p;
-      incr path_count
-    end
-  done;
-  peer.n_ob_hot <- 0;
-  let n = !path_count in
-  let guards = ref sh.guards in
-  let sub_count = ref sh.sub_count and path_count2 = ref sh.path_count2 and sent = ref 0 in
+  let sc = t.scratch and sub_q = t.sub_q in
+  let path_q = t.path_q and path_q2 = t.path_q2 in
+  let n = t.path_count in
+  let guards = ref t.guards in
+  let sub_count = ref t.sub_count and path_count2 = ref t.path_count2 in
   for k = 0 to n - 1 do
-    let p = ug sh.path_q k in
+    let p = ug path_q k in
     if not (ug t.lambda p -. ug t.lambda p = 0.) then begin
       incr guards;
       us t.lambda p 0.
@@ -606,16 +421,10 @@ let path_pass t sh =
         us t.lambda p l';
         for e = ps_start to ps_stop do
           let i = ug t.ps_idx e in
-          if Char.code (Bytes.unsafe_get t.slot_owner i) = own then begin
-            if ug t.sub_mark i <> next then begin
-              us t.sub_mark i next;
-              us sh.sub_q !sub_count i;
-              incr sub_count
-            end
-          end
-          else begin
-            us sh.ob_sub !sent i;
-            incr sent
+          if ug t.sub_mark i <> next then begin
+            us t.sub_mark i next;
+            us sub_q !sub_count i;
+            incr sub_count
           end
         done
       end
@@ -642,66 +451,35 @@ let path_pass t sh =
       && ug t.path_mark p <> next
     then begin
       us t.path_mark p next;
-      us sh.path_q2 !path_count2 p;
+      us path_q2 !path_count2 p;
       incr path_count2
     end
   done;
-  sh.guards <- !guards;
-  sh.sub_count <- !sub_count;
-  sh.path_count <- n;
-  sh.path_count2 <- !path_count2;
-  sh.n_ob_sub <- !sent;
-  sh.touch_path <- n
-
-(* One phase of a tick: shard 0 on the calling domain and shard 1 on the
-   helper, or both on the caller when no helper is idle. Each shard
-   writes only what it owns and reads only what no shard writes in the
-   phase, so either way the phase writes the same bits. *)
-let phase t pass job =
-  let sh0 = ug t.shards 0 in
-  if t.mask = 0 then pass t sh0
-  else if Helper.post job then begin
-    pass t sh0;
-    Helper.wait ()
-  end
-  else begin
-    pass t sh0;
-    pass t (ug t.shards 1)
-  end
+  t.guards <- !guards;
+  t.sub_count <- !sub_count;
+  t.path_count2 <- !path_count2;
+  t.touch_path <- n
 
 let finish t =
-  let ts = ref 0 and tr = ref 0 and tp = ref 0 in
-  us t.moved 0 0.;
-  for s = 0 to t.mask do
-    let sh = ug t.shards s in
-    ts := !ts + sh.touch_sub;
-    tr := !tr + sh.touch_res;
-    tp := !tp + sh.touch_path;
-    (* the max over shards of the per-shard maxima; NaN never enters *)
-    if ug sh.scratch 1 > ug t.moved 0 then us t.moved 0 (ug sh.scratch 1);
-    let q = sh.res_q in
-    sh.res_q <- sh.res_q2;
-    sh.res_q2 <- q;
-    sh.res_count <- sh.res_count2;
-    sh.res_count2 <- 0;
-    let q = sh.path_q in
-    sh.path_q <- sh.path_q2;
-    sh.path_q2 <- q;
-    sh.path_count <- sh.path_count2;
-    sh.path_count2 <- 0
-  done;
-  t.touch_sub <- !ts;
-  t.touch_res <- !tr;
-  t.touch_path <- !tp;
-  t.cum_sub <- t.cum_sub + !ts;
-  t.cum_res <- t.cum_res + !tr;
-  t.cum_path <- t.cum_path + !tp;
+  t.cum_sub <- t.cum_sub + t.touch_sub;
+  t.cum_res <- t.cum_res + t.touch_res;
+  t.cum_path <- t.cum_path + t.touch_path;
+  let q = t.res_q in
+  t.res_q <- t.res_q2;
+  t.res_q2 <- q;
+  t.res_count <- t.res_count2;
+  t.res_count2 <- 0;
+  let q = t.path_q in
+  t.path_q <- t.path_q2;
+  t.path_q2 <- q;
+  t.path_count <- t.path_count2;
+  t.path_count2 <- 0;
   t.tick <- t.tick + 1
 
 let tick t =
-  phase t alloc_pass t.job_alloc;
-  phase t resource_pass t.job_res;
-  phase t path_pass t.job_path;
+  alloc_pass t;
+  resource_pass t;
+  path_pass t;
   finish t
 
 let step t = t.th_tick ()
@@ -715,43 +493,31 @@ let run t ~iterations =
 (* Queue pushes between ticks                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Out-of-band mutations run between ticks, on the calling domain with
-   the helper at rest. After [finish], the upcoming tick's number is
-   [t.tick] and an id is queued for it iff its mark equals [t.tick] — so
-   pushing onto the owner's queue with mark [t.tick] targets exactly the
-   next tick, and the mark dedup keeps every queue within the owner's
-   share of its family. An outbox entry still pending from the last path
-   pass is dropped by the same dedup when its owner drains it. These
-   helpers are not used by the three passes (which inline their pushes
-   against [tick]/[next]). *)
-let slot_shard t i = t.shards.(Char.code (Bytes.get t.slot_owner i))
-
-let res_shard t r = t.shards.((r lsr res_block_bits) land t.mask)
-
-let path_shard t p = t.shards.((p lsr path_block_bits) land t.mask)
-
+(* After [finish], the upcoming tick's number is [t.tick] and an id is
+   queued for it iff its mark equals [t.tick] — so pushing with mark
+   [t.tick] targets exactly the next tick, and the mark dedup keeps every
+   queue within its family's length. The between-tick mutations below
+   push through these; the three passes inline their pushes against
+   [tick]/[next]. *)
 let queue_sub t i =
   if t.sub_mark.(i) <> t.tick then begin
-    let sh = slot_shard t i in
     t.sub_mark.(i) <- t.tick;
-    sh.sub_q.(sh.sub_count) <- i;
-    sh.sub_count <- sh.sub_count + 1
+    t.sub_q.(t.sub_count) <- i;
+    t.sub_count <- t.sub_count + 1
   end
 
 let queue_res t r =
   if t.res_mark.(r) <> t.tick then begin
-    let sh = res_shard t r in
     t.res_mark.(r) <- t.tick;
-    sh.res_q.(sh.res_count) <- r;
-    sh.res_count <- sh.res_count + 1
+    t.res_q.(t.res_count) <- r;
+    t.res_count <- t.res_count + 1
   end
 
 let queue_path t p =
   if t.path_mark.(p) <> t.tick then begin
-    let sh = path_shard t p in
     t.path_mark.(p) <- t.tick;
-    sh.path_q.(sh.path_count) <- p;
-    sh.path_count <- sh.path_count + 1
+    t.path_q.(t.path_count) <- p;
+    t.path_count <- t.path_count + 1
   end
 
 let dirty_res t r =
@@ -763,12 +529,9 @@ let dirty_path t p =
   queue_path t p
 
 let requeue_all t =
-  Array.iter
-    (fun sh ->
-      sh.sub_count <- 0;
-      sh.res_count <- 0;
-      sh.path_count <- 0)
-    t.shards;
+  t.sub_count <- 0;
+  t.res_count <- 0;
+  t.path_count <- 0;
   (* every mark moves off [t.tick] first, so each push below lands *)
   Array.fill t.sub_mark 0 t.n_sub (t.tick - 1);
   Array.fill t.res_mark 0 t.n_res (t.tick - 1);
@@ -783,7 +546,7 @@ let requeue_all t =
     dirty_path t p
   done
 
-let guard_events t = Array.fold_left (fun acc sh -> acc + sh.guards) 0 t.shards
+let guard_events t = t.guards
 
 (* ------------------------------------------------------------------ *)
 (* Clearing-price start                                                *)
@@ -805,7 +568,7 @@ let guard_events t = Array.fold_left (fun acc sh -> acc + sh.guards) 0 t.shards
    of affine terms. [root] keeps a bracket around the step and bisects
    whenever Newton leaves it. The pass runs once, before the first tick,
    so it may allocate; it borrows [t.lat] for the per-slot pressures,
-   the marks for its dirty sets, and shard 0's scratch for the slope. *)
+   the marks for its dirty sets, and [t.scratch] for the slope. *)
 
 (* A constant cap on the block-coordinate rounds. Measured on generated
    scenarios of 800 to 10^5 subtasks: 1 round where no path is priced,
@@ -983,7 +746,8 @@ let clear_path t pr qs sc p =
    moved marks its paths for the same round, and a path whose price
    moved marks its members' resources, and the other paths through its
    members, for round k + 1. Entities are visited in ascending id
-   order, so the result does not depend on the shard count. *)
+   order, and a path's pressures read the prices of the paths cleared
+   before it, so that order fixes the result to the bit. *)
 let clear_prices t =
   let pr = t.lat in
   for i = 0 to t.n_sub - 1 do
@@ -993,7 +757,7 @@ let clear_prices t =
   for p = 0 to t.n_path - 1 do
     longest := max !longest (t.ps_off.(p + 1) - t.ps_off.(p))
   done;
-  let qs = Array.make !longest 0. and sc = t.shards.(0).scratch in
+  let qs = Array.make !longest 0. and sc = t.scratch in
   Array.fill t.res_mark 0 t.n_res 1;
   Array.fill t.path_mark 0 t.n_path 1;
   let round = ref 1 and pending = ref true in
@@ -1123,20 +887,8 @@ let of_problem ?obs ?(config = default_config) (problem : P.t) =
       (fun p (info : P.path) ->
         Array.iteri (fun e i -> ps_idx.(ps_off.(p) + e) <- idx.(i)) info.P.subtask_indices)
       problem.P.paths;
-    let n_shards =
-      if n_sub >= shard_min_subtasks && Domain.recommended_domain_count () >= 2 then 2 else 1
-    in
-    let mask = n_shards - 1 in
-    let res_owner r = (r lsr res_block_bits) land mask in
-    let path_owner p = (p lsr path_block_bits) land mask in
-    let slot_owner = Bytes.init n_sub (fun j -> Char.chr (res_owner sub_res.(j))) in
-    let rp_off, rp_idx, rp_mid =
-      (* Invert path_resources (distinct by construction), each resource's
-         own paths first: Eq. 8's congestion walk then runs over the
-         owner's paths and the peer's in two loops instead of testing each
-         path's owner, a branch the predictor misses half the time. The
-         order of a resource's paths changes no float, only which queue a
-         push lands in. *)
+    let rp_off, rp_idx =
+      (* invert path_resources (distinct by construction) *)
       let counts = Array.make n_res 0 in
       Array.iter
         (fun (p : P.path) ->
@@ -1148,73 +900,17 @@ let of_problem ?obs ?(config = default_config) (problem : P.t) =
       done;
       let ids = Array.make off.(n_res) 0 in
       let fill = Array.copy off in
-      let place ours =
-        Array.iteri
-          (fun p (info : P.path) ->
-            Array.iter
-              (fun r ->
-                if (path_owner p = res_owner r) = ours then begin
-                  ids.(fill.(r)) <- p;
-                  fill.(r) <- fill.(r) + 1
-                end)
-              info.P.path_resources)
-          problem.P.paths
-      in
-      place true;
-      let mid = Array.sub fill 0 n_res in
-      place false;
-      (off, ids, mid)
+      Array.iteri
+        (fun p (info : P.path) ->
+          Array.iter
+            (fun r ->
+              ids.(fill.(r)) <- p;
+              fill.(r) <- fill.(r) + 1)
+            info.P.path_resources)
+        problem.P.paths;
+      (off, ids)
     in
     let crit = Array.map (fun (p : P.path) -> p.P.critical_time) problem.P.paths in
-    (* per shard: owned slots, resources and paths, and the outbox worst
-       cases — own-resource -> peer-path and own-path -> peer-slot
-       incidences (each owned entity is visited at most once per pass);
-       [ob_path] is deduplicated, so the peer's path count bounds it *)
-    let own_sub = Array.make n_shards 0 and own_res = Array.make n_shards 0 in
-    let own_path = Array.make n_shards 0 in
-    let hot_cap = Array.make n_shards 0 and sub_cap = Array.make n_shards 0 in
-    for r = 0 to n_res - 1 do
-      let s = res_owner r in
-      own_res.(s) <- own_res.(s) + 1;
-      own_sub.(s) <- own_sub.(s) + rs_off.(r + 1) - rs_off.(r);
-      hot_cap.(s) <- hot_cap.(s) + rp_off.(r + 1) - rp_mid.(r)
-    done;
-    for p = 0 to n_path - 1 do
-      let s = path_owner p in
-      own_path.(s) <- own_path.(s) + 1;
-      for e = ps_off.(p) to ps_off.(p + 1) - 1 do
-        if Char.code (Bytes.get slot_owner ps_idx.(e)) <> s then sub_cap.(s) <- sub_cap.(s) + 1
-      done
-    done;
-    let shard s =
-      let peer = s lxor mask in
-      {
-        id = s;
-        peer;
-        sub_q = Array.make own_sub.(s) 0;
-        sub_count = 0;
-        res_q = Array.make own_res.(s) 0;
-        res_count = 0;
-        res_q2 = Array.make own_res.(s) 0;
-        res_count2 = 0;
-        path_q = Array.make own_path.(s) 0;
-        path_count = 0;
-        path_q2 = Array.make own_path.(s) 0;
-        path_count2 = 0;
-        scratch = Array.make 16 0.;
-        guards = 0;
-        touch_sub = 0;
-        touch_res = 0;
-        touch_path = 0;
-        ob_path = Array.make (if peer = s then 0 else own_path.(peer)) 0;
-        n_ob_path = 0;
-        ob_hot = Array.make hot_cap.(s) 0;
-        n_ob_hot = 0;
-        ob_sub = Array.make sub_cap.(s) 0;
-        n_ob_sub = 0;
-        sent = (if peer = s then [||] else Array.make n_path (-1));
-      }
-    in
     let t =
       {
         problem;
@@ -1239,7 +935,6 @@ let of_problem ?obs ?(config = default_config) (problem : P.t) =
         rs_off;
         rp_off;
         rp_idx;
-        rp_mid;
         lambda = Array.make n_path config.lambda0;
         gamma_p = Array.make n_path g_init_p;
         path_lat = Array.make n_path 0.;
@@ -1265,25 +960,30 @@ let of_problem ?obs ?(config = default_config) (problem : P.t) =
         g_init_p;
         g_mult_p;
         g_cap_p;
-        mask;
-        shards = Array.init n_shards shard;
-        slot_owner;
+        sub_q = Array.make n_sub 0;
+        sub_count = 0;
         sub_mark = Array.make n_sub 0;
+        res_q = Array.make n_res 0;
+        res_count = 0;
+        res_q2 = Array.make n_res 0;
+        res_count2 = 0;
         res_mark = Array.make n_res 0;
         res_dirty = Array.make n_res 0;
+        path_q = Array.make n_path 0;
+        path_count = 0;
+        path_q2 = Array.make n_path 0;
+        path_count2 = 0;
         path_mark = Array.make n_path 0;
         path_dirty = Array.make n_path 0;
         tick = 0;
-        moved = Array.make 1 0.;
+        guards = 0;
+        scratch = Array.make 2 0.;
         touch_sub = 0;
         touch_res = 0;
         touch_path = 0;
         cum_sub = 0;
         cum_res = 0;
         cum_path = 0;
-        job_alloc = Helper.nop;
-        job_res = Helper.nop;
-        job_path = Helper.nop;
         th_tick = (fun () -> ());
         th_prof = (fun () -> ());
         km = None;
@@ -1292,13 +992,6 @@ let of_problem ?obs ?(config = default_config) (problem : P.t) =
     if config.price_init = Clearing then clear_prices t;
     (* tick 0 visits everything: queues full, every sum dirty *)
     requeue_all t;
-    if n_shards = 2 then begin
-      let sh = t.shards.(1) in
-      t.job_alloc <- (fun () -> alloc_pass t sh);
-      t.job_res <- (fun () -> resource_pass t sh);
-      t.job_path <- (fun () -> path_pass t sh);
-      Helper.start ()
-    end;
     (match obs with
     | None -> t.th_tick <- (fun () -> tick t)
     | Some o ->
@@ -1322,9 +1015,9 @@ let of_problem ?obs ?(config = default_config) (problem : P.t) =
       in
       t.km <- Some m;
       let p = o.Lla_obs.profile in
-      let th_alloc () = phase t alloc_pass t.job_alloc in
-      let th_res () = phase t resource_pass t.job_res in
-      let th_path () = phase t path_pass t.job_path in
+      let th_alloc () = alloc_pass t in
+      let th_res () = resource_pass t in
+      let th_path () = path_pass t in
       t.th_prof <-
         (fun () ->
           Lla_obs.Profile.time p "allocate" th_alloc;
@@ -1475,20 +1168,14 @@ let set_frozen t frozen = t.frozen <- frozen
 
 let frozen t = t.frozen
 
-(* Safe-mode entry, with the same healing discipline as
-   Distributed.enter_safe_mode: enact the fallback latencies (clamped to
-   the live bounds, retired blocks untouched), heal non-finite or
-   runaway prices down to mu0 / 0, reset the step sizes, and mark
-   everything dirty so every cache is rebuilt from the clamped state on
-   the next tick. *)
-let enter_fallback t ?heal_above ~lat:fallback () =
+(* Safe-mode entry: enact the fallback latencies (clamped to the live
+   bounds, retired blocks untouched), heal resource prices by the rule
+   Distributed.enter_safe_mode uses and non-finite path prices to 0,
+   reset the step sizes, and mark everything dirty so every cache is
+   rebuilt from the clamped state on the next tick. *)
+let enter_fallback t ~mu_cap ~lat:fallback =
   if Array.length fallback <> t.n_sub then
     invalid_arg "Kernel.enter_fallback: fallback length mismatch";
-  let heal_cap =
-    match heal_above with
-    | Some v -> v
-    | None -> Float.min 1e6 (1000. *. Float.max 1. t.config.mu0)
-  in
   for i = 0 to t.n_sub - 1 do
     if t.active.(t.problem.P.subtasks.(i).P.task) then begin
       let j = t.idx.(i) in
@@ -1499,8 +1186,7 @@ let enter_fallback t ?heal_above ~lat:fallback () =
     end
   done;
   for r = 0 to t.n_res - 1 do
-    let m = t.mu.(r) in
-    if (not (Float.is_finite m)) || m > heal_cap then t.mu.(r) <- t.config.mu0;
+    t.mu.(r) <- Lla.Price_update.heal_resource_price ~mu_cap ~mu0:t.config.mu0 t.mu.(r);
     t.gamma_r.(r) <- t.g_init_r
   done;
   for p = 0 to t.n_path - 1 do
@@ -1592,9 +1278,7 @@ let n_paths t = t.n_path
 
 let iteration t = t.tick
 
-let movement t = t.moved.(0)
-
-let shards t = t.mask + 1
+let movement t = t.scratch.(1)
 
 (* Problem.total_utility over the active tasks, reading each latency
    through [idx] instead of building a problem-ordered copy: the same
@@ -1623,7 +1307,7 @@ let publish_metrics t ~at =
   | None -> ()
   | Some m ->
     Lla_obs.Metrics.set_at m.k_util ~at (utility t);
-    Lla_obs.Metrics.set_at m.k_move ~at t.moved.(0);
+    Lla_obs.Metrics.set_at m.k_move ~at t.scratch.(1);
     Lla_obs.Metrics.set_at m.k_active ~at (float_of_int (t.n_task - t.n_inactive))
 
 let lat_array t = Array.map (fun j -> t.lat.(j)) t.idx
@@ -1680,7 +1364,7 @@ let solve t ~max_iterations =
   let result = ref None in
   while !result = None && t.tick < max_iterations do
     step t;
-    if t.moved.(0) <= t.config.movement_tolerance then incr still else still := 0;
+    if t.scratch.(1) <= t.config.movement_tolerance then incr still else still := 0;
     if !still >= window && feasible t then result := Some t.tick
   done;
   !result

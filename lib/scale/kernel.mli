@@ -5,9 +5,8 @@
     [float array]s plus three CSR adjacencies (subtask→paths,
     resource→paths, path→subtasks), and one tick —
     closed-form allocation, Eq. 8 resource prices, Eq. 9 path prices,
-    adaptive step sizes — runs with {b zero allocation} on the calling
-    domain (minor-words delta 0 when built without [?obs]; the property
-    suite asserts this), and the helper domain below allocates nothing.
+    adaptive step sizes — runs with {b zero allocation} (minor-words
+    delta 0 when built without [?obs]; the property suite asserts this).
 
     The tick is {b incremental}: dirty sets track which subtasks,
     resources and paths can possibly change this iteration, and
@@ -30,22 +29,6 @@
     problem's own. The internal order changes no iterate bit (DESIGN
     §11).
 
-    From 50 000 subtasks on a host with at least two cores, a tick runs
-    on {b two shards} ({!shards}). Shard [(r lsr 5) land 1] owns
-    resource [r] and its member subtasks, shard [(p lsr 9) land 1] owns
-    path [p], and each of the three passes runs as one phase: shard 0
-    on the calling domain, shard 1 on one process-wide {b helper
-    domain}. A shard writes only what it owns; a push aimed at the
-    other shard's entity waits in a preallocated outbox until the owner
-    drains it at the start of its next phase. Kernel construction starts
-    the helper. It spins for the next phase and {b retires} after ~70 ms
-    without one, since a live domain joins every minor collection; a
-    tick that finds no idle helper runs both shards on the caller.
-    Either way every update is the one-shard kernel's, so iterates,
-    tick counts, touch counts and utilities are bit-identical (DESIGN
-    §11). A kernel must not be ticked, or changed between ticks, from
-    two domains at once.
-
     Scope: the kernel requires the closed-form allocation structure —
     every task utility linear (constant slope) and every share function
     reciprocal, which {!Generator} always emits and {!of_problem}
@@ -59,7 +42,7 @@
     hooks} the soak harness drives: price poisoning, capacity mutation
     and latency disturbance ({!poison_price}, {!set_capacity},
     {!disturb_latency}), plus a clamped-fallback safe-mode entry with
-    the same price-healing discipline as [Distributed.enter_safe_mode]
+    the same price-healing rule as [Distributed.enter_safe_mode]
     ({!enter_fallback}, {!set_frozen}). *)
 
 (** Where {!of_problem} starts the price iterate. *)
@@ -145,11 +128,6 @@ val n_subtasks : t -> int
 val n_resources : t -> int
 
 val n_paths : t -> int
-
-val shards : t -> int
-(** How many shards the tick's passes are split into: 2 when the problem
-    has at least 50 000 subtasks and [Domain.recommended_domain_count ()]
-    is at least 2, otherwise 1. Fixed at construction. *)
 
 val step : t -> unit
 (** One LLA tick over the current dirty sets. *)
@@ -277,14 +255,15 @@ val disturb_latency : t -> int -> float -> unit
     bounds (no-op on retired blocks) — an exogenous disturbance the
     optimizer then heals. *)
 
-val enter_fallback : t -> ?heal_above:float -> lat:float array -> unit -> unit
+val enter_fallback : t -> mu_cap:float -> lat:float array -> unit
 (** Safe-mode entry with [Distributed.enter_safe_mode]'s discipline:
     clamp every active subtask's latency to [lat] (projected onto its
-    bounds, non-finite entries to the upper bound), heal non-finite or
-    above-[heal_above] resource prices back to [mu0] (default cap:
-    [min 1e6 (1000 * max 1 mu0)]) and non-finite path prices to 0, reset
-    both step-size families, and mark everything dirty so the caches are
-    rebuilt from the clamped state. Typically followed by
+    bounds, non-finite entries to the upper bound), heal resource prices
+    by {!Lla.Price_update.heal_resource_price} under the caller's
+    watchdog cap [mu_cap] (back to [mu0] when non-finite or above
+    [min mu_cap (1000 * max 1 mu0)]) and non-finite path prices to 0,
+    reset both step-size families, and mark everything dirty so the
+    caches are rebuilt from the clamped state. Typically followed by
     [set_frozen t true] for the dwell. *)
 
 val set_frozen : t -> bool -> unit

@@ -189,6 +189,7 @@ let run ?obs ?monitor ?engine ?journal ?on_progress config =
         ignore (Kernel.solve kernel ~max_iterations:config.warmstart_iterations);
 
         let tol = config.safe_mode.Safe_mode.infeasibility_tolerance in
+        let mu_cap = config.safe_mode.Safe_mode.mu_cap in
         let emit now event = Lla_obs.emit_opt obs ~at:(float_of_int now) event in
         (* A supplied streaming monitor rides along at the health cadence
            (utility + Eq. 3/4 feasibility) and gets each Lla_baseline
@@ -248,7 +249,7 @@ let run ?obs ?monitor ?engine ?journal ?on_progress config =
 
         let freeze now ~owner ~reason =
           emit now (Trace.Safe_mode_entered { reason; fallback = Safe_mode.fallback_source safe });
-          Kernel.enter_fallback kernel ~lat:fallback_lat ();
+          Kernel.enter_fallback kernel ~mu_cap ~lat:fallback_lat;
           Kernel.set_frozen kernel true;
           frozen_by := owner;
           incr safe_entries;
@@ -505,7 +506,7 @@ let run ?obs ?monitor ?engine ?journal ?on_progress config =
                 emit now
                   (Trace.Safe_mode_entered
                      { reason; fallback = Safe_mode.fallback_source safe });
-                Kernel.enter_fallback kernel ~lat:fallback_lat ();
+                Kernel.enter_fallback kernel ~mu_cap ~lat:fallback_lat;
                 incr safe_entries;
                 frozen_by := `Machine
               end

@@ -294,6 +294,24 @@ let test_price_update_guards_nonfinite_lat () =
     true
     (congestion.Lla.Price_update.guards >= 2)
 
+(* Safe-mode entry's heal rule: a non-finite price, or one above
+   min mu_cap (1000 * max 1 mu0), goes back to mu0; any other is kept. *)
+let test_heal_resource_price () =
+  let heal = Lla.Price_update.heal_resource_price in
+  let check what expect got = Alcotest.(check (float 0.)) what expect got in
+  check "nan" 1. (heal ~mu_cap:1e6 ~mu0:1. Float.nan);
+  check "+inf" 1. (heal ~mu_cap:1e6 ~mu0:1. Float.infinity);
+  check "-inf" 1. (heal ~mu_cap:1e6 ~mu0:1. Float.neg_infinity);
+  check "at the 1000 * mu0 cap" 1000. (heal ~mu_cap:1e6 ~mu0:1. 1000.);
+  check "above the 1000 * mu0 cap" 1. (heal ~mu_cap:1e6 ~mu0:1. 1000.5);
+  check "below the cap" 0.25 (heal ~mu_cap:1e6 ~mu0:1. 0.25);
+  check "mu0 below 1 still caps at 1000" 999. (heal ~mu_cap:1e6 ~mu0:0.5 999.);
+  check "mu0 below 1, above the cap" 0.5 (heal ~mu_cap:1e6 ~mu0:0.5 1001.);
+  check "cap scales with mu0" 4000. (heal ~mu_cap:1e6 ~mu0:5. 4000.);
+  check "above 1000 * mu0" 5. (heal ~mu_cap:1e6 ~mu0:5. 5001.);
+  check "watchdog cap below 1000 * mu0" 1. (heal ~mu_cap:100. ~mu0:1. 150.);
+  check "at the watchdog cap" 100. (heal ~mu_cap:100. ~mu0:1. 100.)
+
 let test_price_update_heals_poisoned_mu () =
   (* An already non-finite multiplier is healed to 0 before the gradient
      step, so one poisoned price cannot stick forever. *)
@@ -878,6 +896,7 @@ let () =
             test_price_update_guards_nonfinite_lat;
           Alcotest.test_case "poisoned multiplier healed" `Quick
             test_price_update_heals_poisoned_mu;
+          Alcotest.test_case "safe-mode heal rule" `Quick test_heal_resource_price;
         ] );
       ( "step-size",
         [

@@ -218,7 +218,8 @@ let test_kernel_enter_fallback_heals () =
   ignore (Kernel.solve k ~max_iterations:5_000);
   Kernel.poison_price k 0 Float.infinity;
   Kernel.poison_price k 1 1e11;
-  Kernel.enter_fallback k ~lat:(Safe_mode.fallback sm) ();
+  Kernel.enter_fallback k ~mu_cap:(Safe_mode.config sm).Safe_mode.mu_cap
+    ~lat:(Safe_mode.fallback sm);
   Kernel.set_frozen k true;
   let mu = Kernel.mu_array k in
   Alcotest.(check bool) "prices healed" true (all_finite mu);
