@@ -453,8 +453,8 @@ let scale_bench ~name ~subtasks ~gate () =
     else Printf.printf "               0 subtasks touched/tick\n"
   in
   Printf.printf
-    "  solve        %8.2f s    %d ticks to feasible convergence (%.0f ticks/s)\n" solve_s
-    iterations (1. /. solve_tick_s);
+    "  solve        %8.2f ms   %d ticks to feasible convergence (%.0f ticks/s)\n"
+    (solve_s *. 1e3) iterations (1. /. solve_tick_s);
   Printf.printf "  transient    %8.2f ms/tick  (%.1f ns/subtask/iter)\n" (solve_tick_s *. 1e3)
     (solve_tick_s *. 1e9 /. float_of_int n_sub);
   print_split ~tick_s:solve_tick_s ~per_tick:(float_of_int (touched ()) /. float_of_int iterations);
@@ -577,7 +577,7 @@ let scale_bench ~name ~subtasks ~gate () =
       ("generate_s", Printf.sprintf "%.3f" generate_s);
       ("build_s", Printf.sprintf "%.3f" build_s);
       ("converged_iterations", string_of_int iterations);
-      ("solve_s", Printf.sprintf "%.3f" solve_s);
+      ("solve_s", Printf.sprintf "%.6f" solve_s);
       ("transient_iterations_per_s", Printf.sprintf "%.1f" (1. /. solve_tick_s));
       ( "transient_ns_per_subtask_per_iter",
         Printf.sprintf "%.1f" (solve_tick_s *. 1e9 /. float_of_int n_sub) );
@@ -794,7 +794,6 @@ let run_recovery_smoke () =
   let module K = Lla_scale.Kernel in
   let module J = Lla_durable.Journal in
   let module R = Lla_durable.Recovery in
-  let module Jsonl = Lla_obs.Jsonl in
   let subtasks = 2_000 and seed = 42 in
   print_string
     (Lla_experiments.Report.header
@@ -826,31 +825,6 @@ let run_recovery_smoke () =
     go 1
   in
   let initial_ticks = solve_ticks () in
-  (* journal the converged iterate with the soak harness's codec *)
-  let floats a = Jsonl.Arr (List.map (fun x -> Jsonl.Num x) (Array.to_list a)) in
-  let kernel_line () =
-    Jsonl.to_string
-      (Jsonl.Obj
-         [
-           ("kind", Jsonl.Str "kernel");
-           ("at", Jsonl.Num (float_of_int (K.iteration kernel)));
-           ("iteration", Jsonl.Num (float_of_int (K.iteration kernel)));
-           ("lat", floats (K.lat_array kernel));
-           ("mu", floats (K.mu_array kernel));
-           ("lambda", floats (K.lambda_array kernel));
-         ])
-  in
-  let float_array_field name json =
-    match Option.bind (Jsonl.member name json) Jsonl.arr with
-    | None -> None
-    | Some items ->
-      let rec collect acc = function
-        | [] -> Some (Array.of_list (List.rev acc))
-        | item :: rest -> (
-          match Jsonl.num item with Some v -> collect (v :: acc) rest | None -> None)
-      in
-      collect [] items
-  in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "lla_bench_recovery" in
   (if Sys.file_exists dir then
      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir));
@@ -859,7 +833,8 @@ let run_recovery_smoke () =
       ~config:{ J.default_config with J.max_segment_bytes = 64 * 1024 * 1024 }
       (J.Store.file ~dir)
   in
-  let line = kernel_line () in
+  (* journal the converged iterate with the soak harness's codec *)
+  let line = Lla_soak.Soak.encode_iterate ~at:(K.iteration kernel) kernel in
   let record_bytes = String.length line in
   let appends = 64 in
   let t0 = Unix.gettimeofday () in
@@ -879,18 +854,11 @@ let run_recovery_smoke () =
   K.crash_reset kernel;
   let latest = ref None in
   let apply line =
-    match Jsonl.parse line with
-    | Error _ -> false
-    | Ok json -> (
-      match
-        ( float_array_field "lat" json,
-          float_array_field "mu" json,
-          float_array_field "lambda" json )
-      with
-      | Some lat, Some mu, Some lambda ->
-        latest := Some (lat, mu, lambda);
-        true
-      | _ -> false)
+    match Lla_soak.Soak.decode_iterate line with
+    | Some state ->
+      latest := Some state;
+      true
+    | None -> false
   in
   let t0 = Unix.gettimeofday () in
   let report = R.replay journal ~apply in

@@ -1,5 +1,4 @@
-module Engine = Lla_sim.Engine
-module Reng = Lla_runtime.Engine
+module Engine = Lla_runtime.Engine
 module Transport = Lla_transport.Transport
 module Distributed = Lla_runtime.Distributed
 module Rng = Lla_stdx.Rng
@@ -116,12 +115,11 @@ let validate_indices (problem : Lla.Problem.t) (sched : Schedule.t) =
 
 (* Fault and jitter windows may overlap; rather than trying to unwind
    them in closing order we precompute every window boundary and, at each
-   one, set the transport to the element-wise max of all windows active
-   at that instant (plus the transport's configured base faults).
-   Parameterized over how a write is scheduled and applied so the same
-   boundary computation drives the single-transport engine path and the
-   all-shard-transports domains path. *)
-let apply_windows_via ~schedule_at ~set_faults ~set_jitter ~base (events : Schedule.event list) =
+   one, set every shard transport to the element-wise max of all windows
+   active at that instant (plus the transport's configured base faults).
+   Each write runs as an injection, so on a domains engine it lands with
+   every shard at rest. *)
+let schedule_windows dist (events : Schedule.event list) =
   let fault_windows =
     List.filter_map
       (function
@@ -134,6 +132,7 @@ let apply_windows_via ~schedule_at ~set_faults ~set_jitter ~base (events : Sched
         | Schedule.Jitter { at; duration; spread } -> Some (at, at +. duration, spread) | _ -> None)
       events
   in
+  let base = Transport.active_faults (Distributed.transport dist) in
   let faults_at t0 =
     List.fold_left
       (fun (acc : Transport.faults) (s, e, f) ->
@@ -154,21 +153,21 @@ let apply_windows_via ~schedule_at ~set_faults ~set_jitter ~base (events : Sched
   let boundaries windows =
     List.sort_uniq Float.compare (List.concat_map (fun (s, e, _) -> [ s; e ]) windows)
   in
-  List.iter (fun b -> schedule_at b (fun () -> set_faults (faults_at b))) (boundaries fault_windows);
-  List.iter (fun b -> schedule_at b (fun () -> set_jitter (jitter_at b))) (boundaries jitter_windows)
-
-let apply_windows engine transport (events : Schedule.event list) =
-  apply_windows_via
-    ~schedule_at:(fun b f -> ignore (Engine.schedule engine ~at:b (fun _ -> f ())))
-    ~set_faults:(Transport.set_faults transport)
-    ~set_jitter:(Transport.set_extra_jitter transport)
-    ~base:(Transport.active_faults transport) events
+  List.iter
+    (fun b ->
+      Distributed.schedule_injection dist ~at:b (fun () ->
+          Distributed.set_faults_all dist (faults_at b)))
+    (boundaries fault_windows);
+  List.iter
+    (fun b ->
+      Distributed.schedule_injection dist ~at:b (fun () ->
+          Distributed.set_extra_jitter_all dist (jitter_at b)))
+    (boundaries jitter_windows)
 
 (* Judge a drained run: final latencies/offsets, Eq. 3/4 excesses, and
-   the oracle verdicts. Shared verbatim between the engine paths — the
-   only inputs that differ are where the records, outage counts and the
-   final clock come from. *)
-let finish ~oracle ~merged ~sched ~workload ~problem ~dist ~records ~outages ~end_time =
+   the oracle verdicts. A multi-shard run's records are the merge of the
+   per-shard streams, judged with the order-calibrated oracles. *)
+let judge ~oracle ~sched ~workload ~problem h dist =
   let subtask_id i = problem.Lla.Problem.subtasks.(i).Lla.Problem.sid in
   let n_sub = Lla.Problem.n_subtasks problem in
   let lat = Array.init n_sub (fun i -> Distributed.latency dist (subtask_id i)) in
@@ -190,13 +189,19 @@ let finish ~oracle ~merged ~sched ~workload ~problem ~dist ~records ~outages ~en
       Float.max !max_path_violation
         (relative_excess l problem.Lla.Problem.paths.(p).Lla.Problem.critical_time)
   done;
+  let outages =
+    Array.fold_left
+      (fun acc tr ->
+        List.fold_left (fun acc ep -> acc + Transport.outages tr ep) acc (Transport.endpoints tr))
+      0 (Distributed.transports dist)
+  in
   let setup = sched.Schedule.setup in
   let cs = Distributed.crash_stats dist in
   let outcome =
     {
-      Oracle.records;
+      Oracle.records = Distributed.merged_records dist;
       last_fault_end = Schedule.last_fault_end sched;
-      end_time;
+      end_time = Engine.now h;
       final_utility = Distributed.utility dist;
       optimum_utility = optimum_utility sched.Schedule.workload workload;
       in_safe_mode = Distributed.in_safe_mode dist;
@@ -222,173 +227,79 @@ let finish ~oracle ~merged ~sched ~workload ~problem ~dist ~records ~outages ~en
           };
     }
   in
-  Ok { schedule = sched; outcome; verdicts = Oracle.evaluate ~config:oracle ~merged outcome }
+  {
+    schedule = sched;
+    outcome;
+    verdicts = Oracle.evaluate ~config:oracle ~merged:(Engine.shards h > 1) outcome;
+  }
 
-(* Domains-parallel execution of a schedule: same workload, setup and
-   events, deployed with [Distributed.create_on] on an
-   [Engine_domains]. Faults, partitions and outages flow through the
-   per-shard transports (shadow endpoints included); poisons, spikes and
-   window boundaries run as barrier ops; the oracles judge the merged
-   trace with the order-calibrated variant. *)
-let run_schedule_domains ~oracle ~domains (sched : Schedule.t) =
-  let* workload = workload_of_name sched.Schedule.workload in
-  let problem = Lla.Problem.compile workload in
-  let* () = validate_indices problem sched in
-  let setup = sched.Schedule.setup in
-  let engine_h = Reng.domains ~domains () in
-  let obs = Lla_obs.create () in
-  let tconfig = { Transport.default_config with Transport.seed = setup.Schedule.transport_seed } in
-  let config =
-    { Distributed.default_config with Distributed.step_policy = step_policy_of_setup setup }
-  in
-  let journal = journal_of_schedule ~obs sched in
-  let dist =
-    match resilience_of_setup setup with
-    | Some resilience ->
-        Distributed.create_on ~obs ~config ~resilience ?journal ~transport_config:tconfig engine_h
-          workload
-    | None -> Distributed.create_on ~obs ~config ~transport_config:tconfig engine_h workload
-  in
-  let result =
-    apply_windows_via
-      ~schedule_at:(fun b f -> Distributed.schedule_injection dist ~at:b f)
-      ~set_faults:(Distributed.set_faults_all dist)
-      ~set_jitter:(Distributed.set_extra_jitter_all dist)
-      ~base:(Transport.active_faults (Distributed.transports dist).(0))
-      sched.Schedule.events;
-    List.iter
-      (fun e ->
-        match e with
-        | Schedule.Faults _ | Schedule.Jitter _ -> ()
-        | Schedule.Partition { at; duration; agents; controllers } ->
-            Distributed.partition dist ~at ~duration ~agents ~controllers
-        | Schedule.Outage { at; duration; target } ->
-            let tr, ep =
-              match target with
-              | Schedule.Agent i ->
-                  Distributed.agent_home dist problem.Lla.Problem.resource_ids.(i)
-              | Schedule.Controller i ->
-                  Distributed.controller_home dist problem.Lla.Problem.tasks.(i).Lla.Problem.tid
-            in
-            Transport.schedule_outage tr ep ~at ~duration
-        | Schedule.Price_poison { at; resource; value } ->
-            let rid = problem.Lla.Problem.resource_ids.(resource) in
-            Distributed.schedule_injection dist ~at (fun () ->
-                Distributed.poison_price dist rid value)
-        | Schedule.Error_spike { at; duration; subtask; magnitude } ->
-            let sid = problem.Lla.Problem.subtasks.(subtask).Lla.Problem.sid in
-            Distributed.schedule_injection dist ~at (fun () ->
-                Distributed.set_error_offset dist sid magnitude);
-            Distributed.schedule_injection dist ~at:(at +. duration) (fun () ->
-                Distributed.set_error_offset dist sid 0.)
-        | Schedule.Node_crash { at } ->
-            (* barrier op: every shard is at rest when the node dies *)
-            Distributed.schedule_injection dist ~at (fun () -> Distributed.crash_restart dist)
-        | Schedule.Storage_faults { at; duration; storage } -> (
-            match journal with
-            | None -> ()
-            | Some j ->
-                let store = Journal.store j in
-                Distributed.schedule_injection dist ~at (fun () ->
-                    Journal.Store.set_faults store storage);
-                Distributed.schedule_injection dist ~at:(at +. duration) (fun () ->
-                    Journal.Store.set_faults store Journal.Store.no_faults)))
-      sched.Schedule.events;
-    Distributed.run dist ~duration:(Schedule.duration sched);
-    Distributed.stop dist;
-    Reng.drain engine_h;
-    let outages =
-      Array.fold_left
-        (fun acc tr ->
-          List.fold_left (fun acc ep -> acc + Transport.outages tr ep) acc (Transport.endpoints tr))
-        0 (Distributed.transports dist)
-    in
-    finish ~oracle ~merged:true ~sched ~workload ~problem ~dist
-      ~records:(Distributed.merged_records dist) ~outages ~end_time:(Reng.now engine_h)
-  in
-  (* Worker domains are a bounded OS resource: always release them, even
-     though [result] is built eagerly above. *)
-  Reng.shutdown engine_h;
-  result
-
+(* One deployment body for both engines: [Distributed.create_on] homes
+   every actor on a shard transport (the single one on the sim engine),
+   and every event goes through the engine-generic hooks — injections
+   run with every shard at rest, partitions cut real and shadow
+   endpoints alike, outages hit the target's home transport. *)
 let run_schedule ?(oracle = Oracle.default_config) ?(engine = (`Sim : engine))
     (sched : Schedule.t) =
-  match engine with
-  | `Domains domains -> run_schedule_domains ~oracle ~domains sched
-  | `Sim ->
   let* workload = workload_of_name sched.Schedule.workload in
   let problem = Lla.Problem.compile workload in
   let* () = validate_indices problem sched in
+  let h = match engine with `Sim -> Engine.sim () | `Domains domains -> Engine.domains ~domains () in
+  (* Worker domains are a bounded OS resource: release them on every path. *)
+  Fun.protect ~finally:(fun () -> Engine.shutdown h) @@ fun () ->
   let setup = sched.Schedule.setup in
-  let engine = Engine.create () in
   let obs = Lla_obs.create () in
-  let sink, collected = Lla_obs.Trace.memory_sink () in
-  Lla_obs.Trace.attach obs.Lla_obs.trace sink;
-  let tconfig = { Transport.default_config with Transport.seed = setup.Schedule.transport_seed } in
-  let transport = Transport.create ~obs ~config:tconfig engine in
+  let transport_config =
+    { Transport.default_config with Transport.seed = setup.Schedule.transport_seed }
+  in
   let config =
     { Distributed.default_config with Distributed.step_policy = step_policy_of_setup setup }
   in
   let journal = journal_of_schedule ~obs sched in
-  let dist =
-    match resilience_of_setup setup with
-    | Some resilience ->
-        Distributed.create ~obs ~config ~resilience ?journal ~transport engine workload
-    | None -> Distributed.create ~obs ~config ~transport engine workload
-  in
-  let agent_ep i = Distributed.agent_endpoint dist problem.Lla.Problem.resource_ids.(i) in
-  let controller_ep i =
-    Distributed.controller_endpoint dist problem.Lla.Problem.tasks.(i).Lla.Problem.tid
-  in
-  let subtask_id i = problem.Lla.Problem.subtasks.(i).Lla.Problem.sid in
-  apply_windows engine transport sched.Schedule.events;
+  let resilience = resilience_of_setup setup in
+  let dist = Distributed.create_on ~obs ~config ?resilience ?journal ~transport_config h workload in
+  schedule_windows dist sched.Schedule.events;
   List.iter
     (fun e ->
       match e with
       | Schedule.Faults _ | Schedule.Jitter _ -> ()
       | Schedule.Partition { at; duration; agents; controllers } ->
-          let group_a = List.map agent_ep agents @ List.map controller_ep controllers in
-          let in_a ep = List.memq ep group_a in
-          let group_b = List.filter (fun ep -> not (in_a ep)) (Transport.endpoints transport) in
-          Transport.partition transport ~at ~duration ~group_a ~group_b
+          Distributed.partition dist ~at ~duration ~agents ~controllers
       | Schedule.Outage { at; duration; target } ->
-          let ep =
-            match target with Schedule.Agent i -> agent_ep i | Schedule.Controller i -> controller_ep i
+          let tr, ep =
+            match target with
+            | Schedule.Agent i -> Distributed.agent_home dist problem.Lla.Problem.resource_ids.(i)
+            | Schedule.Controller i ->
+                Distributed.controller_home dist problem.Lla.Problem.tasks.(i).Lla.Problem.tid
           in
-          Transport.schedule_outage transport ep ~at ~duration
+          Transport.schedule_outage tr ep ~at ~duration
       | Schedule.Price_poison { at; resource; value } ->
           let rid = problem.Lla.Problem.resource_ids.(resource) in
-          ignore (Engine.schedule engine ~at (fun _ -> Distributed.poison_price dist rid value))
+          Distributed.schedule_injection dist ~at (fun () -> Distributed.poison_price dist rid value)
       | Schedule.Error_spike { at; duration; subtask; magnitude } ->
-          let sid = subtask_id subtask in
-          ignore (Engine.schedule engine ~at (fun _ -> Distributed.set_error_offset dist sid magnitude));
-          ignore
-            (Engine.schedule engine ~at:(at +. duration) (fun _ ->
-                 Distributed.set_error_offset dist sid 0.))
+          let sid = problem.Lla.Problem.subtasks.(subtask).Lla.Problem.sid in
+          Distributed.schedule_injection dist ~at (fun () ->
+              Distributed.set_error_offset dist sid magnitude);
+          Distributed.schedule_injection dist ~at:(at +. duration) (fun () ->
+              Distributed.set_error_offset dist sid 0.)
       | Schedule.Node_crash { at } ->
-          ignore (Engine.schedule engine ~at (fun _ -> Distributed.crash_restart dist))
+          Distributed.schedule_injection dist ~at (fun () -> Distributed.crash_restart dist)
       | Schedule.Storage_faults { at; duration; storage } -> (
           match journal with
           | None -> ()
           | Some j ->
               let store = Journal.store j in
-              ignore (Engine.schedule engine ~at (fun _ -> Journal.Store.set_faults store storage));
-              ignore
-                (Engine.schedule engine ~at:(at +. duration) (fun _ ->
-                     Journal.Store.set_faults store Journal.Store.no_faults))))
+              Distributed.schedule_injection dist ~at (fun () ->
+                  Journal.Store.set_faults store storage);
+              Distributed.schedule_injection dist ~at:(at +. duration) (fun () ->
+                  Journal.Store.set_faults store Journal.Store.no_faults)))
     sched.Schedule.events;
   Distributed.run dist ~duration:(Schedule.duration sched);
   Distributed.stop dist;
   (* Drain: deliver in-flight messages and fire any fault events scheduled
      past the horizon (outage restarts, window closings) so the run ends
      in a quiescent, fully healed state. *)
-  Engine.run engine ();
-  let outages =
-    List.fold_left (fun acc ep -> acc + Transport.outages transport ep) 0
-      (Transport.endpoints transport)
-  in
-  finish ~oracle ~merged:false ~sched ~workload ~problem ~dist ~records:(collected ()) ~outages
-    ~end_time:(Engine.now engine)
+  Engine.drain h;
+  Ok (judge ~oracle ~sched ~workload ~problem h dist)
 
 (* ---------- generator ---------- *)
 

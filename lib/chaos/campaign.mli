@@ -39,10 +39,12 @@ val run_schedule :
     The offline optimum ({!Lla_baseline.Centralized}) is computed once
     per workload name and cached for the process lifetime.
 
-    Under [`Domains n] the transport-level events apply to every shard
-    transport (fault/jitter windows via barrier ops, partitions across
-    real and shadow endpoints, outages on the target's home transport),
-    and the run drains and joins its worker domains before judging. *)
+    Both engines run one deployment body: {!Lla_runtime.Distributed.create_on}
+    on the chosen engine, with the transport-level events applied to
+    every shard transport (fault/jitter windows and the other timed
+    writes as injections, partitions across real and shadow endpoints,
+    outages on the target's home transport). The engine is shut down,
+    joining any worker domains, on every path out, a raise included. *)
 
 val generate : ?fragile:bool -> seed:int -> unit -> Schedule.t
 (** Sample a random schedule on the ["base"] workload: 1–4 events drawn

@@ -6,6 +6,12 @@ type congestion = {
   guards : int;
 }
 
+let resource_step ~mu ~gamma ~capacity ~used =
+  Float.max 0. (mu -. (gamma *. (capacity -. used)))
+
+let path_step ~lambda ~gamma ~latency ~critical_time =
+  Float.max 0. (lambda -. (gamma *. (1. -. (latency /. critical_time))))
+
 (* Dual ascent is defenceless against a poisoned iterate: one NaN latency
    makes a share sum NaN, and [max 0 nan = nan] then keeps the price NaN
    forever. Both update functions therefore never *write* a non-finite
@@ -17,19 +23,18 @@ let update_resource (problem : Problem.t) r ~lat ~offsets ~gamma ~mu =
   if not (Float.is_finite mu.(r)) then mu.(r) <- 0.;
   let used = Problem.share_sum problem r ~lat ~offsets in
   if Float.is_finite used then begin
-    let slack = problem.capacities.(r) -. used in
-    let next = Float.max 0. (mu.(r) -. (gamma *. slack)) in
+    let next = resource_step ~mu:mu.(r) ~gamma ~capacity:problem.capacities.(r) ~used in
     if Float.is_finite next then mu.(r) <- next
   end;
   used
 
 let update_path (problem : Problem.t) p ~lat ~gamma ~lambda =
   if not (Float.is_finite lambda.(p)) then lambda.(p) <- 0.;
-  let info = problem.paths.(p) in
   let latency = Problem.path_latency problem p ~lat in
   if Float.is_finite latency then begin
-    let slack = 1. -. (latency /. info.critical_time) in
-    let next = Float.max 0. (lambda.(p) -. (gamma *. slack)) in
+    let next =
+      path_step ~lambda:lambda.(p) ~gamma ~latency ~critical_time:problem.paths.(p).critical_time
+    in
     if Float.is_finite next then lambda.(p) <- next
   end;
   latency

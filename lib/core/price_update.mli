@@ -24,6 +24,16 @@ type congestion = {
           into [mu] or [lambda]. *)
 }
 
+val resource_step : mu:float -> gamma:float -> capacity:float -> used:float -> float
+(** Eq. 8 for one resource: [max 0 (mu - gamma (capacity - used))].
+    Plain arithmetic with no guard; {!update_resource} and the
+    distributed runtime's price agents both step through it. *)
+
+val path_step : lambda:float -> gamma:float -> latency:float -> critical_time:float -> float
+(** Eq. 9 for one path: [max 0 (lambda - gamma (1 - latency / critical_time))].
+    Plain arithmetic with no guard; {!update_path} and the distributed
+    runtime's task controllers both step through it. *)
+
 val update_resource :
   Problem.t -> int -> lat:float array -> offsets:float array -> gamma:float -> mu:float array ->
   float

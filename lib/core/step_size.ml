@@ -25,10 +25,17 @@ let components = function
   | Split { resource; path } -> (resource, path)
   | (Fixed _ | Adaptive _) as p -> (p, p)
 
-let initial_of = function
+let initial = function
   | Fixed g -> g
   | Adaptive { initial; _ } -> initial
-  | Split _ -> assert false (* excluded by [split] *)
+  | Split _ -> invalid_arg "Step_size.initial: Split has one step per family"
+
+let adapt policy gamma ~congested =
+  match policy with
+  | Fixed g -> g
+  | Adaptive { initial; multiplier; cap } ->
+    if congested then Float.min cap (gamma *. multiplier) else initial
+  | Split _ -> invalid_arg "Step_size.adapt: Split has one step per family"
 
 type t = {
   policy : policy;
@@ -42,8 +49,8 @@ let create problem policy =
   {
     policy;
     problem;
-    gamma_r = Array.make (Problem.n_resources problem) (initial_of resource);
-    gamma_p = Array.make (Problem.n_paths problem) (initial_of path);
+    gamma_r = Array.make (Problem.n_resources problem) (initial resource);
+    gamma_p = Array.make (Problem.n_paths problem) (initial path);
   }
 
 let resource_gamma t r = t.gamma_r.(r)
@@ -52,28 +59,17 @@ let path_gamma t p = t.gamma_p.(p)
 
 let observe t ~congested_resources =
   let resource, path = components t.policy in
-  (match resource with
-  | Fixed _ | Split _ -> ()
-  | Adaptive { initial; multiplier; cap } ->
-    Array.iteri
-      (fun r congested ->
-        if congested then t.gamma_r.(r) <- Float.min cap (t.gamma_r.(r) *. multiplier)
-        else t.gamma_r.(r) <- initial)
-      congested_resources);
-  match path with
-  | Fixed _ | Split _ -> ()
-  | Adaptive { initial; multiplier; cap } ->
-    (* A path is sped up while any resource it traverses is congested, and
-       reverts once all of them are uncongested ("as soon as r becomes
-       uncongested, revert"). *)
-    Array.iteri
-      (fun p (info : Problem.path) ->
-        let any_congested =
-          Array.exists (fun r -> congested_resources.(r)) info.path_resources
-        in
-        if any_congested then t.gamma_p.(p) <- Float.min cap (t.gamma_p.(p) *. multiplier)
-        else t.gamma_p.(p) <- initial)
-      t.problem.paths
+  Array.iteri
+    (fun r congested -> t.gamma_r.(r) <- adapt resource t.gamma_r.(r) ~congested)
+    congested_resources;
+  (* A path is sped up while any resource it traverses is congested, and
+     reverts once all of them are uncongested ("as soon as r becomes
+     uncongested, revert"). *)
+  Array.iteri
+    (fun p (info : Problem.path) ->
+      let congested = Array.exists (fun r -> congested_resources.(r)) info.path_resources in
+      t.gamma_p.(p) <- adapt path t.gamma_p.(p) ~congested)
+    t.problem.paths
 
 let rec policy_name = function
   | Fixed g -> Printf.sprintf "fixed(%g)" g

@@ -42,6 +42,21 @@ val components : policy -> policy * policy
 (** [(resource, path)] components of a policy: the two halves of a
     [Split], or the policy itself twice. Neither result is a [Split]. *)
 
+(** {1 The per-entity rule}
+
+    One resource's or one path's step under a non-[Split] policy (one of
+    the {!components}). {!observe} applies it to every entity, and the
+    distributed runtime's agents and controllers apply it to their own.
+    Both raise [Invalid_argument] on a [Split]. *)
+
+val initial : policy -> float
+(** The step an entity starts from, and returns to after a reset. *)
+
+val adapt : policy -> float -> congested:bool -> float
+(** The next step after one that saw [congested]: a fixed step stays; an
+    adaptive one multiplies up to its cap while congested and reverts to
+    its initial value otherwise. *)
+
 type t
 
 val create : Problem.t -> policy -> t

@@ -83,6 +83,78 @@ module Streak = struct
   let current t = t.acc
 end
 
+(* Windowed oscillation: relative spread of the last [window] samples
+   plus a direction-reversal count, so a monotone transient (large
+   spread, no reversals) does not read as a limit cycle. *)
+module Oscillation = struct
+  type t = {
+    threshold : float;
+    min_reversals : int;
+    ring : float array;
+    mutable pos : int;
+    mutable len : int;
+  }
+
+  let create ~window ~threshold ~min_reversals =
+    if window < 4 then invalid_arg "Monitor.Oscillation.create: window < 4";
+    { threshold; min_reversals; ring = Array.make window 0.; pos = 0; len = 0 }
+
+  let push t v =
+    if Float.is_finite v then begin
+      t.ring.(t.pos) <- v;
+      t.pos <- (t.pos + 1) mod Array.length t.ring;
+      if t.len < Array.length t.ring then t.len <- t.len + 1
+    end
+
+  let reset t =
+    t.pos <- 0;
+    t.len <- 0
+
+  let oscillating t =
+    t.len = Array.length t.ring
+    &&
+    let n = Array.length t.ring in
+    let start = t.pos in
+    let v k = t.ring.((start + k) mod n) in
+    let lo = ref infinity and hi = ref neg_infinity and sum = ref 0. in
+    for k = 0 to n - 1 do
+      let x = v k in
+      if x < !lo then lo := x;
+      if x > !hi then hi := x;
+      sum := !sum +. x
+    done;
+    let mean = !sum /. float_of_int n in
+    let spread = (!hi -. !lo) /. Float.max 1. (Float.abs mean) in
+    spread > t.threshold
+    &&
+    let reversals = ref 0 and dir = ref 0 and prev = ref (v 0) in
+    for k = 1 to n - 1 do
+      let x = v k in
+      let d = compare x !prev in
+      if d <> 0 then begin
+        if !dir <> 0 && d <> !dir then incr reversals;
+        dir := d
+      end;
+      prev := x
+    done;
+    !reversals >= t.min_reversals
+
+  (* Summed in slot order, not chronologically: the value is quoted in
+     [Alert_raised] records, so its rounding is part of the trace. *)
+  let spread t =
+    if t.len = 0 then 0.
+    else begin
+      let lo = ref infinity and hi = ref neg_infinity and sum = ref 0. in
+      for k = 0 to t.len - 1 do
+        let x = t.ring.(k) in
+        if x < !lo then lo := x;
+        if x > !hi then hi := x;
+        sum := !sum +. x
+      done;
+      (!hi -. !lo) /. Float.max 1. (Float.abs (!sum /. float_of_int t.len))
+    end
+end
+
 module Probe = struct
   type t = { t0 : float; buf : Fbuf.t }
 
@@ -175,10 +247,7 @@ type t = {
   latest : (int, float) Hashtbl.t;  (* task -> latest local utility *)
   mutable latest_sum : float;
   mutable saw_iteration : bool;
-  (* oscillation window *)
-  ring : float array;
-  mutable ring_pos : int;
-  mutable ring_len : int;
+  osc : Oscillation.t;
   (* Eq. 3/4 state *)
   res : (int, res_state) Hashtbl.t;
   mutable res_order : int list;  (* reverse first-seen *)
@@ -211,7 +280,6 @@ let mk_alert config ~name ~severity ~enter =
   }
 
 let create ?(config = default_config) ?target ?baseline ?tasks () =
-  if config.oscillation_window < 4 then invalid_arg "Monitor.create: oscillation_window < 4";
   {
     config;
     emit = None;
@@ -221,9 +289,9 @@ let create ?(config = default_config) ?target ?baseline ?tasks () =
     latest = Hashtbl.create 64;
     latest_sum = 0.;
     saw_iteration = false;
-    ring = Array.make config.oscillation_window 0.;
-    ring_pos = 0;
-    ring_len = 0;
+    osc =
+      Oscillation.create ~window:config.oscillation_window
+        ~threshold:config.oscillation_threshold ~min_reversals:config.min_reversals;
     res = Hashtbl.create 16;
     res_order = [];
     res_bad = 0;
@@ -279,62 +347,14 @@ let observe_alert t a ~at ~ok ~value =
     end
   end
 
-(* Windowed oscillation, the Safe_mode shape: relative spread of the
-   last [oscillation_window] utility samples plus a direction-reversal
-   count, so a monotone transient (large spread, no reversals) does not
-   read as a limit cycle. *)
-let oscillating t =
-  t.ring_len = Array.length t.ring
-  &&
-  let n = Array.length t.ring in
-  let start = t.ring_pos in
-  let v k = t.ring.((start + k) mod n) in
-  let lo = ref infinity and hi = ref neg_infinity and sum = ref 0. in
-  for k = 0 to n - 1 do
-    let x = v k in
-    if x < !lo then lo := x;
-    if x > !hi then hi := x;
-    sum := !sum +. x
-  done;
-  let mean = !sum /. float_of_int n in
-  let spread = (!hi -. !lo) /. Float.max 1. (Float.abs mean) in
-  spread > t.config.oscillation_threshold
-  &&
-  let reversals = ref 0 and dir = ref 0 and prev = ref (v 0) in
-  for k = 1 to n - 1 do
-    let x = v k in
-    let d = compare x !prev in
-    if d <> 0 then begin
-      if !dir <> 0 && d <> !dir then incr reversals;
-      dir := d
-    end;
-    prev := x
-  done;
-  !reversals >= t.config.min_reversals
-
-let ring_spread t =
-  if t.ring_len = 0 then 0.
-  else begin
-    let lo = ref infinity and hi = ref neg_infinity and sum = ref 0. in
-    for k = 0 to t.ring_len - 1 do
-      let x = t.ring.(k) in
-      if x < !lo then lo := x;
-      if x > !hi then hi := x;
-      sum := !sum +. x
-    done;
-    (!hi -. !lo) /. Float.max 1. (Float.abs (!sum /. float_of_int t.ring_len))
-  end
-
 let observe_utility t ~at v =
   Fbuf.push t.series ~at v;
   (match t.settle with Some s -> Settle.observe s ~at v | None -> ());
-  if Float.is_finite v then begin
-    t.ring.(t.ring_pos) <- v;
-    t.ring_pos <- (t.ring_pos + 1) mod Array.length t.ring;
-    if t.ring_len < Array.length t.ring then t.ring_len <- t.ring_len + 1
-  end;
+  Oscillation.push t.osc v;
   observe_alert t t.a_div ~at ~ok:(Float.is_finite v) ~value:v;
-  observe_alert t t.a_osc ~at ~ok:(not (oscillating t)) ~value:(ring_spread t);
+  observe_alert t t.a_osc ~at
+    ~ok:(not (Oscillation.oscillating t.osc))
+    ~value:(Oscillation.spread t.osc);
   match t.baseline with
   | Some b ->
     let d = drift ~baseline:b v in

@@ -21,8 +21,10 @@
     load series, and {!oscillation} {e is} [Analyze.oscillation] over
     the retained series (property tests in [test/test_monitor.ml] hold
     both directions). The soak harness's rolling-health oracles are
-    expressed over the same primitives ({!Streak}, {!Probe}), so soak
-    and live monitoring share one detector implementation.
+    expressed over the same primitives ({!Streak}, {!Probe}), and
+    [Lla_runtime.Safe_mode] trips on a {!Streak} and an {!Oscillation},
+    so soak, watchdog and live monitoring share one detector
+    implementation.
 
     A monitor can be fed two ways, freely mixed:
     - {!attach} it to a {!Trace.t}: the sink decodes [Iteration] /
@@ -74,6 +76,33 @@ module Streak : sig
   (** Zero the streak (grace windows). *)
 
   val current : t -> int
+end
+
+(** Windowed oscillation over the last [window] finite samples: the
+    window oscillates when it is full, its relative spread
+    [(max - min) / max 1 |mean|] exceeds [threshold], and its trajectory
+    reverses direction at least [min_reversals] times (a monotone
+    transient has spread but no reversals). The monitor's
+    [oscillation] alert and [Lla_runtime.Safe_mode]'s oscillation trip
+    both read one. *)
+module Oscillation : sig
+  type t
+
+  val create : window:int -> threshold:float -> min_reversals:int -> t
+  (** @raise Invalid_argument when [window < 4]. *)
+
+  val push : t -> float -> unit
+  (** Add a sample, overwriting the oldest once full; non-finite samples
+      are skipped. *)
+
+  val reset : t -> unit
+  (** Empty the window: it cannot oscillate again until it has refilled. *)
+
+  val oscillating : t -> bool
+
+  val spread : t -> float
+  (** The relative spread of the samples held (0 when empty), the value
+      the [oscillation] alert quotes. *)
 end
 
 (** A reconvergence probe: collect the trajectory after a disturbance,

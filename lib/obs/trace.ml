@@ -371,16 +371,26 @@ let merge streams =
   (* (at, stream index, seq): the same total order the deterministic-merge
      engine imposes on cross-shard deliveries. List.stable_sort on the
      tagged concatenation keeps equal keys (impossible by construction:
-     (stream, seq) is unique) in input order anyway. *)
-  let tagged =
-    List.concat (List.mapi (fun shard rs -> List.map (fun r -> (shard, r)) rs) streams)
+     (stream, seq) is unique) in input order anyway. A lone stream that
+     is already in (at, seq) order, as a single-engine run's is, is its
+     own merge and skips the sort's copies. *)
+  let rec ordered = function
+    | (a : record) :: (b :: _ as rest) ->
+      (match Float.compare a.at b.at with 0 -> a.seq < b.seq | c -> c < 0) && ordered rest
+    | _ -> true
   in
-  let cmp (sa, (ra : record)) (sb, (rb : record)) =
-    match Float.compare ra.at rb.at with
-    | 0 -> ( match Int.compare sa sb with 0 -> Int.compare ra.seq rb.seq | c -> c)
-    | c -> c
-  in
-  List.map snd (List.stable_sort cmp tagged)
+  match streams with
+  | [ rs ] when ordered rs -> rs
+  | _ ->
+    let tagged =
+      List.concat (List.mapi (fun shard rs -> List.map (fun r -> (shard, r)) rs) streams)
+    in
+    let cmp (sa, (ra : record)) (sb, (rb : record)) =
+      match Float.compare ra.at rb.at with
+      | 0 -> ( match Int.compare sa sb with 0 -> Int.compare ra.seq rb.seq | c -> c)
+      | c -> c
+    in
+    List.map snd (List.stable_sort cmp tagged)
 
 (* --- decoding (inverse of record_to_json) ----------------------------- *)
 

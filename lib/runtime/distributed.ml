@@ -196,22 +196,7 @@ let home t gid =
     (c.c_ctx, c.controller_endpoint)
 
 (* Price agents run Eq. 8, so they take the resource component of a
-   [Split]; controllers run Eq. 9 and take the path component. The
-   wrappers below resolve the family before dispatching, so the two
-   matches only ever see non-[Split] components. *)
-let initial_gamma policy =
-  match (policy : Lla.Step_size.policy) with
-  | Lla.Step_size.Fixed g -> g
-  | Lla.Step_size.Adaptive { initial; _ } -> initial
-  | Lla.Step_size.Split _ -> assert false
-
-let adapt policy gamma ~congested =
-  match (policy : Lla.Step_size.policy) with
-  | Lla.Step_size.Fixed g -> g
-  | Lla.Step_size.Adaptive { initial; multiplier; cap } ->
-    if congested then Float.min cap (gamma *. multiplier) else initial
-  | Lla.Step_size.Split _ -> assert false
-
+   [Split]; controllers run Eq. 9 and take the path component. *)
 let resource_policy policy = fst (Lla.Step_size.components policy)
 let path_policy policy = snd (Lla.Step_size.components policy)
 
@@ -220,7 +205,7 @@ let path_policy policy = snd (Lla.Step_size.components policy)
    Latency messages (§4.1 asynchrony made crash-tolerant). *)
 let reset_agent t (a : agent) =
   a.price <- t.config.mu0;
-  a.gamma <- initial_gamma (resource_policy t.config.step_policy);
+  a.gamma <- Lla.Step_size.initial (resource_policy t.config.step_policy);
   a.a_in_span <- None;
   a.a_prev_span <- None;
   Array.iteri (fun slot i -> a.lat_view.(slot) <- t.problem.subtasks.(i).lat_hi) a.local_subtasks
@@ -236,7 +221,7 @@ let reset_controller t (c : controller) =
   Array.fill c.congested_view 0 (Array.length c.congested_view) false;
   Array.iter (fun p -> c.lambda.(p) <- 0.) t.problem.tasks.(c.task).path_indices;
   Array.fill c.gamma_p 0 (Array.length c.gamma_p)
-    (initial_gamma (path_policy t.config.step_policy))
+    (Lla.Step_size.initial (path_policy t.config.step_policy))
 
 (* Warm restart: rebuild from the last accepted checkpoint instead of from
    mu0, skipping the cold-convergence transient. Falls back to the cold
@@ -370,7 +355,7 @@ let create_internal ?obs ?monitor ?journal ~config ~resilience ~engine_h ~bases 
           resource = r;
           a_ctx = ctx;
           price = config.mu0;
-          gamma = initial_gamma (resource_policy config.step_policy);
+          gamma = Lla.Step_size.initial (resource_policy config.step_policy);
           lat_view = Array.map (fun i -> lat.(i)) local;
           local_subtasks = local;
           controllers;
@@ -391,7 +376,7 @@ let create_internal ?obs ?monitor ?journal ~config ~resilience ~engine_h ~bases 
           gamma_p =
             Array.make
               (Array.length problem.tasks.(ti).path_indices)
-              (initial_gamma (path_policy config.step_policy));
+              (Lla.Step_size.initial (path_policy config.step_policy));
           lat;
           controller_endpoint =
             Transport.endpoint ctx.sc_transport ~name:(Printf.sprintf "controller:%d" ti);
@@ -686,8 +671,8 @@ let agent_tick t (a : agent) =
   else begin
     let congested = !used > cap +. 1e-12 in
     let step = a.gamma in
-    a.price <- Float.max 0. (a.price -. (a.gamma *. (cap -. !used)));
-    a.gamma <- adapt (resource_policy t.config.step_policy) a.gamma ~congested;
+    a.price <- Lla.Price_update.resource_step ~mu:a.price ~gamma:step ~capacity:cap ~used:!used;
+    a.gamma <- Lla.Step_size.adapt (resource_policy t.config.step_policy) step ~congested;
     Lla_obs.emit_opt ctx.sc_obs ~at:(Lla_sim.Engine.now ctx.sc_core)
       (Lla_obs.Trace.Price_updated
          {
@@ -745,12 +730,12 @@ let controller_tick t (c : controller) =
     Array.iteri
       (fun local p ->
         let path = t.problem.paths.(p) in
-        let latency =
-          Array.fold_left (fun acc i -> acc +. c.lat.(i)) 0. path.subtask_indices
-        in
-        let slack = 1. -. (latency /. path.critical_time) in
+        let latency = Lla.Problem.path_latency t.problem p ~lat:c.lat in
         let step = c.gamma_p.(local) in
-        let next = Float.max 0. (c.lambda.(p) -. (step *. slack)) in
+        let next =
+          Lla.Price_update.path_step ~lambda:c.lambda.(p) ~gamma:step ~latency
+            ~critical_time:path.critical_time
+        in
         (* Same guard as Price_update.update_path: never store a poisoned
            multiplier. *)
         if Float.is_finite next then begin
@@ -768,8 +753,7 @@ let controller_tick t (c : controller) =
           Array.exists (fun r -> c.congested_view.(r)) path.path_resources
         in
         c.gamma_p.(local) <-
-          adapt (path_policy t.config.step_policy) c.gamma_p.(local)
-            ~congested:any_congested)
+          Lla.Step_size.adapt (path_policy t.config.step_policy) step ~congested:any_congested)
       info.path_indices;
     let guards = ref 0 in
     prof ctx "solve" (fun () ->
@@ -832,7 +816,7 @@ let enter_safe_mode t sm ~reason =
   Array.iter
     (fun a ->
       a.price <- Lla.Price_update.heal_resource_price ~mu_cap ~mu0:t.config.mu0 a.price;
-      a.gamma <- initial_gamma (resource_policy t.config.step_policy);
+      a.gamma <- Lla.Step_size.initial (resource_policy t.config.step_policy);
       (* Repair the agent's latency view in place: announcements from down
          controllers may never arrive. *)
       Array.iteri (fun slot i -> a.lat_view.(slot) <- t.lat.(i)) a.local_subtasks)

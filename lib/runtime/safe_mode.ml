@@ -38,6 +38,9 @@ type event =
   | Entered of { reason : string }
   | Exited
 
+module Streak = Lla_obs.Monitor.Streak
+module Oscillation = Lla_obs.Monitor.Oscillation
+
 type t = {
   config : config;
   obs : Lla_obs.t option;
@@ -47,10 +50,8 @@ type t = {
   fallback_guaranteed : bool;
   mutable state : state;
   mutable grace : int;  (* detector-silence observations remaining *)
-  mutable violation_streak : int;
-  window : float array;  (* utility ring buffer *)
-  mutable window_len : int;
-  mutable window_pos : int;
+  violations : Streak.t;  (* consecutive violating observations *)
+  utilities : Oscillation.t;
   prev_mu : float array;
   mutable settled_streak : int;
   mutable entries : int;
@@ -95,8 +96,14 @@ let select_fallback (problem : Lla.Problem.t) =
 let create ?obs ?(config = default_config) problem =
   if config.violation_rounds <= 0 || config.settle_rounds <= 0 then
     invalid_arg "Safe_mode.create: non-positive round count";
-  if config.oscillation_window < 4 then
-    invalid_arg "Safe_mode.create: oscillation_window < 4";
+  (* A streak trips once it exceeds its budget, so a budget one short of
+     [violation_rounds] trips on exactly the [violation_rounds]-th
+     consecutive violation. *)
+  let violations = Streak.create ~budget:(config.violation_rounds - 1) in
+  let utilities =
+    Oscillation.create ~window:config.oscillation_window
+      ~threshold:config.oscillation_threshold ~min_reversals:config.min_reversals
+  in
   let fallback, fallback_source, fallback_guaranteed = select_fallback problem in
   {
     config;
@@ -107,10 +114,8 @@ let create ?obs ?(config = default_config) problem =
     fallback_guaranteed;
     state = Optimizing;
     grace = config.warmup_rounds;
-    violation_streak = 0;
-    window = Array.make config.oscillation_window 0.;
-    window_len = 0;
-    window_pos = 0;
+    violations;
+    utilities;
     (* infinity: the first observation can never look settled. *)
     prev_mu = Array.make (Lla.Problem.n_resources problem) infinity;
     settled_streak = 0;
@@ -133,54 +138,6 @@ let fallback_guaranteed t = t.fallback_guaranteed
 let entries t = t.entries
 
 let exits t = t.exits
-
-let push_utility t u =
-  t.window.(t.window_pos) <- u;
-  t.window_pos <- (t.window_pos + 1) mod Array.length t.window;
-  if t.window_len < Array.length t.window then t.window_len <- t.window_len + 1
-
-let reset_optimizing_detectors t =
-  t.violation_streak <- 0;
-  t.window_len <- 0;
-  t.window_pos <- 0
-
-(* Chronological fold over the ring buffer. *)
-let fold_window t f init =
-  let n = Array.length t.window in
-  let start = (t.window_pos - t.window_len + n) mod n in
-  let acc = ref init in
-  for k = 0 to t.window_len - 1 do
-    acc := f !acc t.window.((start + k) mod n)
-  done;
-  !acc
-
-let oscillating t =
-  t.window_len = Array.length t.window
-  &&
-  let lo, hi, sum =
-    fold_window t
-      (fun (lo, hi, sum) u -> (Float.min lo u, Float.max hi u, sum +. u))
-      (infinity, neg_infinity, 0.)
-  in
-  let mean = sum /. float_of_int t.window_len in
-  let spread = (hi -. lo) /. Float.max 1. (Float.abs mean) in
-  spread > t.config.oscillation_threshold
-  &&
-  (* Count direction reversals of the utility trajectory: a monotone
-     transient has a large spread but ~no reversals. *)
-  let _, _, reversals =
-    fold_window t
-      (fun (prev, dir, count) u ->
-        match prev with
-        | None -> (Some u, 0, count)
-        | Some p ->
-          let d = compare u p in
-          if d = 0 then (Some u, dir, count)
-          else if dir <> 0 && d <> dir then (Some u, d, count + 1)
-          else (Some u, d, count))
-      (None, 0, 0)
-  in
-  reversals >= t.config.min_reversals
 
 let violating t ~lat ~offsets =
   let p = t.problem in
@@ -213,6 +170,11 @@ let enter t ~now ~reason =
   t.state <- Safe { since = now; reason };
   t.entries <- t.entries + 1;
   t.settled_streak <- 0;
+  (* Nothing feeds the trip detectors while safe, so emptying them here
+     makes the re-entered optimization start from an empty streak and
+     window. *)
+  Streak.reset t.violations;
+  Oscillation.reset t.utilities;
   Some (Entered { reason })
 
 let observe_optimizing t ~now ~mu ~utility ~violating_now =
@@ -231,13 +193,13 @@ let observe_optimizing t ~now ~mu ~utility ~violating_now =
     enter t ~now
       ~reason:(if price_blown then "price divergence" else "non-finite utility")
   else begin
-    push_utility t utility;
-    if (not silent) && violating_now () then t.violation_streak <- t.violation_streak + 1
-    else t.violation_streak <- 0;
-    if t.violation_streak >= t.config.violation_rounds then
-      enter t ~now ~reason:"sustained infeasibility"
-    else if (not silent) && oscillating t then enter t ~now ~reason:"utility oscillation"
-    else None
+    Oscillation.push t.utilities utility;
+    match Streak.observe t.violations ~ok:(silent || not (violating_now ())) ~step:1 with
+    | Some _ -> enter t ~now ~reason:"sustained infeasibility"
+    | None ->
+      if (not silent) && Oscillation.oscillating t.utilities then
+        enter t ~now ~reason:"utility oscillation"
+      else None
   end
 
 let observe_safe t ~now ~since ~mu =
@@ -260,7 +222,6 @@ let observe_safe t ~now ~since ~mu =
     t.state <- Optimizing;
     t.exits <- t.exits + 1;
     t.grace <- t.config.reentry_grace_rounds;
-    reset_optimizing_detectors t;
     Some Exited
   end
   else None
@@ -270,10 +231,7 @@ let observe_core t ~now ~mu ~utility ~violating_now =
     invalid_arg "Safe_mode.observe: mu length mismatch";
   let event =
     match t.state with
-    | Optimizing ->
-      let e = observe_optimizing t ~now ~mu ~utility ~violating_now in
-      (match e with Some (Entered _) -> reset_optimizing_detectors t | _ -> ());
-      e
+    | Optimizing -> observe_optimizing t ~now ~mu ~utility ~violating_now
     | Safe { since; _ } -> observe_safe t ~now ~since ~mu
   in
   (* Track prices across observations for the settle detector. *)

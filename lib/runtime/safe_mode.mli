@@ -18,11 +18,16 @@
       total utility — unconditional, even during warmup;
     - sustained infeasibility: [violation_rounds] consecutive observations
       with some resource share sum above [B_r (1 + tol)] or some path
-      above [C (1 + tol)];
+      above [C (1 + tol)], counted by a {!Lla_obs.Monitor.Streak};
     - utility oscillation: over a full [oscillation_window] of
       observations, relative spread above [oscillation_threshold] {e and}
       at least [min_reversals] direction reversals (a monotone transient
-      has spread but no reversals).
+      has spread but no reversals), read from a
+      {!Lla_obs.Monitor.Oscillation} window, the detector behind the
+      monitor's [oscillation] alert.
+
+    Entry empties the streak and the window, so after an exit both
+    start over.
 
     The infeasibility and oscillation detectors are silent for the first
     [warmup_rounds] observations after {!create}: a cold start on a
@@ -70,8 +75,9 @@ type config = {
           default 10 ms watchdog period). *)
   reentry_grace_rounds : int;
       (** detector-silence observations after a safe-mode exit (default
-          50 = 0.5 s): shorter than [warmup_rounds] because the system
-          re-enters optimization from a feasible, settled point. *)
+          500 = 5 s, equal to [warmup_rounds]): entry resets prices and
+          the controllers' dual state, so the re-entered optimization
+          repeats a full cold transient (see above). *)
   settle_threshold : float;
       (** max relative per-price movement for an observation to count as
           settled. *)

@@ -295,7 +295,9 @@ let alloc_pass t =
 (* Eq. 8 (Price_update.update_resource) for every queued resource:
    recompute the share sum iff some member latency moved, integrate the
    slack into mu, maintain the congestion flags / hot-path counters /
-   adaptive step, and queue dependents. *)
+   adaptive step, and queue dependents. The step and its adaptation are
+   [Price_update.resource_step] and [Step_size.adapt] written out in
+   place: a call across modules boxes its float arguments (DESIGN §11). *)
 let resource_pass t =
   let tick = t.tick in
   let next = tick + 1 in
@@ -384,7 +386,8 @@ let resource_pass t =
   t.touch_res <- n
 
 (* Eq. 9 (Price_update.update_path) plus the path half of
-   Step_size.observe for every queued path. *)
+   Step_size.observe for every queued path, [Price_update.path_step] and
+   [Step_size.adapt] written out in place like the resource pass's. *)
 let path_pass t =
   let tick = t.tick in
   let next = tick + 1 in

@@ -158,6 +158,45 @@ let status_kb key =
       close_in ic;
       !v
 
+(* Journal codec for the kernel iterate: one JSONL record per cadence
+   point, replayed last-write-wins at recovery. The encode allocates
+   freely, so journal windows are marked [heavy] like baseline
+   recomputes. *)
+let encode_iterate ~at kernel =
+  let floats a = Jsonl.Arr (List.map (fun x -> Jsonl.Num x) (Array.to_list a)) in
+  Jsonl.to_string
+    (Jsonl.Obj
+       [
+         ("kind", Jsonl.Str "kernel");
+         ("at", Jsonl.Num (float_of_int at));
+         ("iteration", Jsonl.Num (float_of_int (Kernel.iteration kernel)));
+         ("lat", floats (Kernel.lat_array kernel));
+         ("mu", floats (Kernel.mu_array kernel));
+         ("lambda", floats (Kernel.lambda_array kernel));
+       ])
+
+let decode_iterate line =
+  let floats name json =
+    match Option.bind (Jsonl.member name json) Jsonl.arr with
+    | None -> None
+    | Some items ->
+        let rec collect acc = function
+          | [] -> Some (Array.of_list (List.rev acc))
+          | item :: rest -> (
+              match Jsonl.num item with Some v -> collect (v :: acc) rest | None -> None)
+        in
+        collect [] items
+  in
+  match Jsonl.parse line with
+  | Error _ -> None
+  | Ok json -> (
+      match Option.bind (Jsonl.member "kind" json) Jsonl.str with
+      | Some "kernel" -> (
+          match (floats "lat" json, floats "mu" json, floats "lambda" json) with
+          | Some lat, Some mu, Some lambda -> Some (lat, mu, lambda)
+          | _ -> None)
+      | _ -> None)
+
 let run ?obs ?monitor ?engine ?journal ?on_progress config =
   if config.horizon <= 0 then Error "Soak.run: non-positive horizon"
   else if config.watchdog_every <= 0 || config.health_every <= 0 then
@@ -267,51 +306,6 @@ let run ?obs ?monitor ?engine ?journal ?on_progress config =
           start_probe now
         in
 
-        (* Journal codec for the kernel iterate: one JSONL record per
-           cadence point, replayed last-write-wins at recovery. The
-           encode allocates freely, so journal windows are marked
-           [heavy] like baseline recomputes. *)
-        let floats a = Jsonl.Arr (List.map (fun x -> Jsonl.Num x) (Array.to_list a)) in
-        let kernel_line now =
-          Jsonl.to_string
-            (Jsonl.Obj
-               [
-                 ("kind", Jsonl.Str "kernel");
-                 ("at", Jsonl.Num (float_of_int now));
-                 ("iteration", Jsonl.Num (float_of_int (Kernel.iteration kernel)));
-                 ("lat", floats (Kernel.lat_array kernel));
-                 ("mu", floats (Kernel.mu_array kernel));
-                 ("lambda", floats (Kernel.lambda_array kernel));
-               ])
-        in
-        let float_array_field name json =
-          match Option.bind (Jsonl.member name json) Jsonl.arr with
-          | None -> None
-          | Some items ->
-              let rec collect acc = function
-                | [] -> Some (Array.of_list (List.rev acc))
-                | item :: rest -> (
-                    match Jsonl.num item with
-                    | Some v -> collect (v :: acc) rest
-                    | None -> None)
-              in
-              collect [] items
-        in
-        let parse_kernel_line line =
-          match Jsonl.parse line with
-          | Error _ -> None
-          | Ok json -> (
-              match Option.bind (Jsonl.member "kind" json) Jsonl.str with
-              | Some "kernel" -> (
-                  match
-                    ( float_array_field "lat" json,
-                      float_array_field "mu" json,
-                      float_array_field "lambda" json )
-                  with
-                  | Some lat, Some mu, Some lambda -> Some (lat, mu, lambda)
-                  | _ -> None)
-              | _ -> None)
-        in
         (* The drill: the store loses its unsynced tail (torn per its
            fault config), RAM is gone ([Kernel.crash_reset]), then the
            node restarts warm from the last good journaled iterate — or
@@ -333,7 +327,7 @@ let run ?obs ?monitor ?engine ?journal ?on_progress config =
             | Some j -> (
                 let latest = ref None in
                 let apply line =
-                  match parse_kernel_line line with
+                  match decode_iterate line with
                   | Some state ->
                       latest := Some state;
                       true
@@ -667,7 +661,7 @@ let run ?obs ?monitor ?engine ?journal ?on_progress config =
                  && now mod config.journal_every = 0
                  && !frozen_by = `None && !recovering = None ->
               heavy := true;
-              Journal.append j (kernel_line now)
+              Journal.append j (encode_iterate ~at:now kernel)
           | _ -> ());
           if config.baseline_every > 0 && now = !next_base then begin
             next_base := now + config.baseline_every;

@@ -165,5 +165,16 @@ val run :
     entries. The caller keeps ownership: shut a domains engine down
     after the run. *)
 
+val encode_iterate : at:int -> Lla_scale.Kernel.t -> string
+(** The journal record of the kernel's current iterate: one JSONL line
+    of kind ["kernel"] carrying [at], the kernel's iteration and its
+    [lat], [mu] and [lambda] arrays. {!run} journals one at every
+    [journal_every] cadence point. *)
+
+val decode_iterate : string -> (float array * float array * float array) option
+(** [(lat, mu, lambda)] of a line {!encode_iterate} wrote; [None] for
+    anything else (unparsable, another kind, a missing or non-numeric
+    array). Finiteness is left to {!Lla_scale.Kernel.restore_iterate}. *)
+
 val render : report -> string
 (** Multi-line human-readable summary. *)

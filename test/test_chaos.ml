@@ -406,6 +406,43 @@ let test_crash_schedule_end_to_end () =
         (r.Oracle.crash_warm + r.Oracle.crash_cold));
     Alcotest.(check bool) "run ends out of safe mode" false o.Oracle.in_safe_mode
 
+(* The campaign runner pinned bit for bit on the default sim engine:
+   per generated schedule, the record count and the MD5 of the records'
+   JSONL form, the final utility and end time as hex floats, and a pass
+   from every oracle. Any change to the deployment wiring, the event
+   order or the actors' arithmetic moves one of them. *)
+let campaign_pins =
+  [
+    (42, 74_871, "47fb069f6eedd401181b5886e2d418c3", "0x1.700c071c9ecfp+7", "0x1.1942p+15");
+    (43, 79_005, "3f04d9786f14384a085b7c22d430c5fd", "0x1.70b2087303febp+7", "0x1.1942p+15");
+    (44, 72_431, "4e75980131f93cbe8a87c26418d4f5ab", "0x1.70e3cd1fe24e3p+7", "0x1.1942p+15");
+  ]
+
+let test_campaign_pinned () =
+  List.iter
+    (fun (seed, n_records, md5, utility, end_time) ->
+      let label what = Printf.sprintf "seed %d %s" seed what in
+      match Campaign.run_schedule (Campaign.generate ~seed ()) with
+      | Error e -> Alcotest.fail (label e)
+      | Ok exec ->
+        let o = exec.Campaign.outcome in
+        let buf = Buffer.create (1 lsl 20) in
+        List.iter
+          (fun r ->
+            Buffer.add_string buf (Lla_obs.Trace.record_to_string r);
+            Buffer.add_char buf '\n')
+          o.Oracle.records;
+        Alcotest.(check int) (label "records") n_records (List.length o.Oracle.records);
+        Alcotest.(check string) (label "records md5") md5
+          (Digest.to_hex (Digest.string (Buffer.contents buf)));
+        Alcotest.(check string) (label "final utility") utility
+          (Printf.sprintf "%h" o.Oracle.final_utility);
+        Alcotest.(check string) (label "end time") end_time (Printf.sprintf "%h" o.Oracle.end_time);
+        List.iter
+          (fun v -> Alcotest.(check (list string)) (label v.Oracle.oracle) [] v.Oracle.violations)
+          exec.Campaign.verdicts)
+    campaign_pins
+
 let test_run_schedule_rejects_bad_indices () =
   let s =
     Schedule.make ~workload:"base" ~horizon:1_000. ~settle:0.
@@ -453,6 +490,7 @@ let () =
         [
           Alcotest.test_case "healthy runs pass" `Slow test_healthy_campaign_passes;
           Alcotest.test_case "byte-identical summaries" `Slow test_campaign_deterministic;
+          Alcotest.test_case "runner pinned on seeds 42-44" `Slow test_campaign_pinned;
           Alcotest.test_case "fragile violation shrinks and replays" `Slow
             test_fragile_violation_shrinks_and_replays;
           Alcotest.test_case "bad schedules rejected before running" `Quick

@@ -246,7 +246,12 @@ let test_price_update_directions () =
   check_close "mu falls" 0.9 mu.(0);
   let mu = [| 0.05; 0. |] in
   ignore (Lla.Price_update.update_resource p 0 ~lat ~offsets ~gamma:1. ~mu);
-  check_close "projection at zero" 0. mu.(0)
+  check_close "projection at zero" 0. mu.(0);
+  (* The per-resource step alone: same rule, no guards. *)
+  check_close "resource_step rises" 1.3
+    (Lla.Price_update.resource_step ~mu:1. ~gamma:1. ~capacity:0.5 ~used:0.8);
+  check_close "resource_step projects" 0.
+    (Lla.Price_update.resource_step ~mu:0.05 ~gamma:1. ~capacity:0.5 ~used:0.1)
 
 let test_path_price_directions () =
   let w = tiny_workload ~critical_time:40. () in
@@ -259,7 +264,11 @@ let test_path_price_directions () =
   (* Path latency 20 < C: lambda falls, projected at zero. *)
   let lambda = [| 0.1 |] in
   ignore (Lla.Price_update.update_path p 0 ~lat:[| 10.; 10. |] ~gamma:1. ~lambda);
-  check_close "lambda projected" 0. lambda.(0)
+  check_close "lambda projected" 0. lambda.(0);
+  check_close "path_step rises" 1.25
+    (Lla.Price_update.path_step ~lambda:1. ~gamma:1. ~latency:50. ~critical_time:40.);
+  check_close "path_step projects" 0.
+    (Lla.Price_update.path_step ~lambda:0.1 ~gamma:1. ~latency:20. ~critical_time:40.)
 
 let test_price_update_congestion_flags () =
   let w = tiny_workload ~availability:0.5 ~critical_time:40. () in
@@ -352,17 +361,24 @@ let test_allocation_guards_nonfinite_mu () =
 
 let test_step_size_fixed () =
   let p = Lla.Problem.compile (tiny_workload ()) in
-  let steps = Lla.Step_size.create p (Lla.Step_size.fixed 0.7) in
+  let policy = Lla.Step_size.fixed 0.7 in
+  let steps = Lla.Step_size.create p policy in
   check_close "resource gamma" 0.7 (Lla.Step_size.resource_gamma steps 0);
   check_close "path gamma" 0.7 (Lla.Step_size.path_gamma steps 0);
   Lla.Step_size.observe steps ~congested_resources:[| true; true |];
-  check_close "fixed ignores congestion" 0.7 (Lla.Step_size.resource_gamma steps 0)
+  check_close "fixed ignores congestion" 0.7 (Lla.Step_size.resource_gamma steps 0);
+  (* The per-entity rule behind [create] and [observe]. *)
+  check_close "initial" 0.7 (Lla.Step_size.initial policy);
+  check_close "adapt keeps a fixed step" 0.7 (Lla.Step_size.adapt policy 0.7 ~congested:true)
 
 let test_step_size_adaptive_doubles_and_resets () =
   let p = Lla.Problem.compile (tiny_workload ()) in
-  let steps =
-    Lla.Step_size.create p (Lla.Step_size.adaptive ~initial:1.0 ~multiplier:2. ~cap:8. ())
-  in
+  let policy = Lla.Step_size.adaptive ~initial:1.0 ~multiplier:2. ~cap:8. () in
+  let steps = Lla.Step_size.create p policy in
+  check_close "initial" 1. (Lla.Step_size.initial policy);
+  check_close "adapt doubles" 4. (Lla.Step_size.adapt policy 2. ~congested:true);
+  check_close "adapt caps" 8. (Lla.Step_size.adapt policy 6. ~congested:true);
+  check_close "adapt reverts" 1. (Lla.Step_size.adapt policy 8. ~congested:false);
   Lla.Step_size.observe steps ~congested_resources:[| true; false |];
   check_close "congested doubles" 2. (Lla.Step_size.resource_gamma steps 0);
   check_close "uncongested resets" 1. (Lla.Step_size.resource_gamma steps 1);
@@ -381,7 +397,16 @@ let test_step_size_validation () =
       ignore (Lla.Step_size.fixed 0.));
   Alcotest.check_raises "multiplier <= 1"
     (Invalid_argument "Step_size.adaptive: multiplier <= 1") (fun () ->
-      ignore (Lla.Step_size.adaptive ~initial:1. ~multiplier:1. ()))
+      ignore (Lla.Step_size.adaptive ~initial:1. ~multiplier:1. ()));
+  let split =
+    Lla.Step_size.split ~resource:(Lla.Step_size.fixed 1.) ~path:(Lla.Step_size.fixed 2.)
+  in
+  Alcotest.check_raises "initial of a split"
+    (Invalid_argument "Step_size.initial: Split has one step per family") (fun () ->
+      ignore (Lla.Step_size.initial split));
+  Alcotest.check_raises "adapt of a split"
+    (Invalid_argument "Step_size.adapt: Split has one step per family") (fun () ->
+      ignore (Lla.Step_size.adapt split 1. ~congested:true))
 
 (* ------------------------------------------------------------------ *)
 (* Solver                                                              *)

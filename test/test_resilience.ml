@@ -291,6 +291,81 @@ let test_safe_mode_oscillation_after_warmup_only () =
       true
       (i > quick_safe_config.Safe_mode.warmup_rounds)
 
+(* The trip detectors' exact semantics, driven through [observe_signals]
+   with one scripted observation per step: the warmup silence, the
+   violation streak's budget (the trip lands on exactly the
+   [violation_rounds]-th consecutive violation), the streak and the
+   utility window both restarting from empty after every entry and exit
+   (also when another trip cut them short), and the oscillation trip
+   waiting for a full refilled window. A zero re-entry grace leaves the
+   resets as the only thing between an exit and a stale trip. *)
+let test_safe_mode_detector_semantics () =
+  let problem = base_problem () in
+  let config =
+    {
+      Safe_mode.default_config with
+      Safe_mode.violation_rounds = 3;
+      warmup_rounds = 2;
+      reentry_grace_rounds = 0;
+      oscillation_window = 8;
+      min_reversals = 4;
+      settle_rounds = 2;
+      min_safe_time = 0.;
+    }
+  in
+  let sm = Safe_mode.create ~config problem in
+  let mu = Array.make (Lla.Problem.n_resources problem) 1. in
+  let rep n step = List.init n (fun _ -> step) in
+  let quiet kind = (kind, "-") in
+  let trip = "entered: sustained infeasibility" in
+  let osc_trip = "entered: utility oscillation" in
+  let blown = "entered: price divergence" in
+  let script =
+    List.concat
+      [
+        (* warmup silence, then v - 1 violations and a feasible sample *)
+        rep 4 (quiet `Violating);
+        [ quiet `Feasible ];
+        rep 2 (quiet `Violating);
+        [ (`Violating, trip); quiet `Feasible; (`Feasible, "exited") ];
+        (* a price trip cuts a streak short; it restarts from zero *)
+        rep 2 (quiet `Violating);
+        [ (`Blown, blown) ];
+        rep 2 (quiet `Feasible);
+        [ (`Feasible, "exited") ];
+        rep 2 (quiet `Violating);
+        [ (`Violating, trip); quiet `Feasible; (`Feasible, "exited") ];
+        (* the oscillation trip needs a full window after the exit *)
+        rep 7 (quiet `Oscillating);
+        [ (`Oscillating, osc_trip); quiet `Feasible; (`Feasible, "exited") ];
+        (* a partial window dropped by an entry does not count *)
+        rep 5 (quiet `Oscillating);
+        [ (`Blown, blown) ];
+        rep 2 (quiet `Feasible);
+        [ (`Feasible, "exited") ];
+        rep 7 (quiet `Oscillating);
+        [ (`Oscillating, osc_trip) ];
+      ]
+  in
+  let show = function
+    | None -> "-"
+    | Some (Safe_mode.Entered { reason }) -> "entered: " ^ reason
+    | Some Safe_mode.Exited -> "exited"
+  in
+  List.iteri
+    (fun i (kind, expected) ->
+      let n = i + 1 in
+      mu.(0) <- (if kind = `Blown then nan else 1.);
+      let utility = if kind = `Oscillating && n mod 2 = 1 then 50. else 100. in
+      let feasible = kind <> `Violating in
+      let got =
+        Safe_mode.observe_signals sm ~now:(10. *. float_of_int n) ~mu ~feasible ~utility
+      in
+      Alcotest.(check string) (Printf.sprintf "observation %d" n) expected (show got))
+    script;
+  Alcotest.(check int) "entries" 6 (Safe_mode.entries sm);
+  Alcotest.(check int) "exits" 5 (Safe_mode.exits sm)
+
 let test_safe_mode_fallback_feasible () =
   let problem =
     Lla.Problem.compile
@@ -686,6 +761,7 @@ let () =
             test_safe_mode_trips_on_non_finite;
           Alcotest.test_case "oscillation detector respects warmup" `Quick
             test_safe_mode_oscillation_after_warmup_only;
+          Alcotest.test_case "detector semantics pinned" `Quick test_safe_mode_detector_semantics;
           Alcotest.test_case "fallback is feasible" `Quick test_safe_mode_fallback_feasible;
         ] );
       ( "integration",
