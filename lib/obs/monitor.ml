@@ -3,6 +3,8 @@
    compact (unboxed, doubling) buffer through the offline Analyze code,
    so the two tiers cannot drift apart. *)
 
+module Int_tbl = Lla_stdx.Int_tbl
+
 (* --- growable unboxed float pairs ------------------------------------- *)
 
 module Fbuf = struct
@@ -244,15 +246,15 @@ type t = {
   series : Fbuf.t;
   settle : Settle.t option;
   tasks : int option;
-  latest : (int, float) Hashtbl.t;  (* task -> latest local utility *)
+  latest : float Int_tbl.t;  (* task -> latest local utility *)
   mutable latest_sum : float;
   mutable saw_iteration : bool;
   osc : Oscillation.t;
   (* Eq. 3/4 state *)
-  res : (int, res_state) Hashtbl.t;
+  res : res_state Int_tbl.t;
   mutable res_order : int list;  (* reverse first-seen *)
   mutable res_bad : int;  (* resources currently infeasible *)
-  path_bad : (int, unit) Hashtbl.t;
+  path_bad : unit Int_tbl.t;
   mutable baseline : float option;
   (* alert bus, fixed order *)
   a_eq3 : alert;
@@ -286,16 +288,16 @@ let create ?(config = default_config) ?target ?baseline ?tasks () =
     series = Fbuf.create ();
     settle = Option.map (fun target -> Settle.create ~tolerance:config.tolerance ~target ()) target;
     tasks;
-    latest = Hashtbl.create 64;
+    latest = Int_tbl.create 64;
     latest_sum = 0.;
     saw_iteration = false;
     osc =
       Oscillation.create ~window:config.oscillation_window
         ~threshold:config.oscillation_threshold ~min_reversals:config.min_reversals;
-    res = Hashtbl.create 16;
+    res = Int_tbl.create 16;
     res_order = [];
     res_bad = 0;
-    path_bad = Hashtbl.create 16;
+    path_bad = Int_tbl.create 16;
     baseline;
     a_eq3 = mk_alert config ~name:"eq3_sustained" ~severity:Critical ~enter:config.sustain_budget;
     a_eq4 = mk_alert config ~name:"eq4_sustained" ~severity:Critical ~enter:config.sustain_budget;
@@ -362,11 +364,11 @@ let observe_utility t ~at v =
   | None -> ()
 
 let res_state t resource =
-  match Hashtbl.find_opt t.res resource with
-  | Some st -> st
-  | None ->
+  match Int_tbl.find t.res resource with
+  | st -> st
+  | exception Not_found ->
     let st = { ep_open = None; eps_rev = []; infeasible = false } in
-    Hashtbl.add t.res resource st;
+    Int_tbl.add t.res resource st;
     t.res_order <- resource :: t.res_order;
     st
 
@@ -391,10 +393,10 @@ let observe_load t ~at ~resource ~load =
 
 let observe_path_slack t ~at ~path ~latency ~critical_time =
   let bad = latency > critical_time *. (1. +. t.config.infeasibility_tolerance) in
-  if bad then Hashtbl.replace t.path_bad path () else Hashtbl.remove t.path_bad path;
+  if bad then Int_tbl.replace t.path_bad path () else Int_tbl.remove t.path_bad path;
   observe_alert t t.a_eq4 ~at
-    ~ok:(Hashtbl.length t.path_bad = 0)
-    ~value:(float_of_int (Hashtbl.length t.path_bad))
+    ~ok:(Int_tbl.length t.path_bad = 0)
+    ~value:(float_of_int (Int_tbl.length t.path_bad))
 
 let observe_feasible t ~at ~resources_ok ~paths_ok =
   observe_alert t t.a_eq3 ~at ~ok:resources_ok ~value:(if resources_ok then 0. else 1.);
@@ -418,11 +420,11 @@ let sink t (r : Trace.record) =
       (* Rebuild the global objective as Series.utility does, but with
          the expected task count supplied up front: sample once every
          task has reported, keeping a running sum (O(1) per event). *)
-      let prev = Hashtbl.find_opt t.latest task in
-      Hashtbl.replace t.latest task utility;
-      t.latest_sum <- t.latest_sum +. utility -. Option.value ~default:0. prev;
+      let prev = match Int_tbl.find t.latest task with u -> u | exception Not_found -> 0. in
+      Int_tbl.replace t.latest task utility;
+      t.latest_sum <- t.latest_sum +. utility -. prev;
       match t.tasks with
-      | Some n when Hashtbl.length t.latest >= n ->
+      | Some n when Int_tbl.length t.latest >= n ->
         observe_utility t ~at:r.Trace.at t.latest_sum
       | _ -> ()
     end
@@ -459,7 +461,7 @@ let oscillation t = Analyze.oscillation (Fbuf.to_series t.series)
 let dispersion t = Analyze.dispersion (Fbuf.to_series t.series)
 
 let overload_episodes t ~resource =
-  match Hashtbl.find_opt t.res resource with
+  match Int_tbl.find_opt t.res resource with
   | None -> []
   | Some st ->
     List.rev (match st.ep_open with None -> st.eps_rev | Some ep -> ep :: st.eps_rev)

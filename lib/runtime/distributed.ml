@@ -77,8 +77,9 @@ type shard_ctx = {
      remote actor this shard sends to. The source-side transport applies
      its faults/partitions/staleness on the src->shadow channel; the
      payload then crosses the barrier and checks the real destination's
-     liveness on its home shard. Lazily created per destination. *)
-  sc_shadows : (int, Transport.endpoint) Hashtbl.t;
+     liveness on its home shard. Lazily created per destination, and
+     indexed by the destination's global id. *)
+  sc_shadows : Transport.endpoint option array;
   (* Internal trace sink reader ([create_on] with [?obs] only): feeds
      {!merged_records} for oracles over the whole deployment. *)
   sc_reader : (unit -> Lla_obs.Trace.record list) option;
@@ -139,6 +140,7 @@ type t = {
   controllers : controller array;
   offsets : float array;
   lat : float array;  (* controller-written latency vector *)
+  lat_slot : int array;  (* subtask -> its slot in its agent's [lat_view] *)
   lambda : float array;  (* controller-written path multipliers *)
   agent_ticks : Lla_sim.Engine.event_id option array;
   controller_ticks : Lla_sim.Engine.event_id option array;
@@ -337,7 +339,7 @@ let create_internal ?obs ?monitor ?journal ~config ~resilience ~engine_h ~bases 
           sc_meters = mk_meters registry;
           sc_checkpoint = checkpoint;
           sc_health = None;
-          sc_shadows = Hashtbl.create 16;
+          sc_shadows = Array.make (n_resources + n_tasks) None;
           sc_reader = reader;
         })
       bases
@@ -439,6 +441,10 @@ let create_internal ?obs ?monitor ?journal ~config ~resilience ~engine_h ~bases 
       controllers;
       offsets = Array.make n_subtasks 0.;
       lat;
+      lat_slot =
+        (let slots = Array.make n_subtasks 0 in
+         Array.iter (Array.iteri (fun slot i -> slots.(i) <- slot)) problem.by_resource;
+         slots);
       lambda;
       agent_ticks = Array.make n_resources None;
       controller_ticks = Array.make n_tasks None;
@@ -542,13 +548,13 @@ let send ?key ?span t ~from:(ctx : shard_ctx) ~src ~src_gid ~dst_gid apply =
   if dst_ctx == ctx then Transport.send_traced ?key ?span ctx.sc_transport ~src ~dst:dst_ep apply
   else begin
     let shadow =
-      match Hashtbl.find_opt ctx.sc_shadows dst_gid with
+      match ctx.sc_shadows.(dst_gid) with
       | Some ep -> ep
       | None ->
         let ep =
           Transport.endpoint ctx.sc_transport ~name:(Transport.endpoint_name dst_ep)
         in
-        Hashtbl.add ctx.sc_shadows dst_gid ep;
+        ctx.sc_shadows.(dst_gid) <- Some ep;
         ep
     in
     let channel = (src_gid * t.n_actors) + dst_gid in
@@ -601,11 +607,10 @@ let spans_on (ctx : shard_ctx) =
 let announce_latency ?span t (c : controller) i =
   let s = t.problem.subtasks.(i) in
   let a = t.agents.(s.resource) in
-  let value = c.lat.(i) in
+  let value = c.lat.(i) and slot = t.lat_slot.(i) in
   send t ~key:i ?span ~from:c.c_ctx ~src:c.controller_endpoint
     ~src_gid:(t.n_resources + c.task) ~dst_gid:a.resource (fun sp ->
-      (* Locate the agent's slot for this subtask. *)
-      Array.iteri (fun slot j -> if j = i then a.lat_view.(slot) <- value) a.local_subtasks;
+      a.lat_view.(slot) <- value;
       match sp with Some ctx -> a.a_in_span <- Some ctx | None -> ())
 
 let checkpoint_due period ~now last =
@@ -654,24 +659,25 @@ let agent_tick t (a : agent) =
     a.price <- t.config.mu0
   end;
   let used = ref 0. in
-  Array.iteri
-    (fun slot i ->
-      used :=
-        !used +. Lla.Problem.effective_share t.problem i ~lat:a.lat_view.(slot) ~offset:t.offsets.(i))
-    a.local_subtasks;
+  for slot = 0 to Array.length a.local_subtasks - 1 do
+    let i = a.local_subtasks.(slot) in
+    used :=
+      !used +. Lla.Problem.effective_share t.problem i ~lat:a.lat_view.(slot) ~offset:t.offsets.(i)
+  done;
+  let used = !used in
   let cap = t.problem.capacities.(a.resource) in
   (* A poisoned latency announcement must not become a non-finite price:
      skip the price update (keep broadcasting the last good price) and
      count the event. *)
-  if not (Float.is_finite !used) then begin
+  if not (Float.is_finite used) then begin
     Lla_obs.Metrics.incr ctx.sc_meters.m_guards;
     Lla_obs.emit_opt ctx.sc_obs ~at:(Lla_sim.Engine.now ctx.sc_core)
       (Lla_obs.Trace.Guard_fired { site = "distributed.agent" })
   end
   else begin
-    let congested = !used > cap +. 1e-12 in
+    let congested = used > cap +. 1e-12 in
     let step = a.gamma in
-    a.price <- Lla.Price_update.resource_step ~mu:a.price ~gamma:step ~capacity:cap ~used:!used;
+    a.price <- Lla.Price_update.resource_step ~mu:a.price ~gamma:step ~capacity:cap ~used;
     a.gamma <- Lla.Step_size.adapt (resource_policy t.config.step_policy) step ~congested;
     Lla_obs.emit_opt ctx.sc_obs ~at:(Lla_sim.Engine.now ctx.sc_core)
       (Lla_obs.Trace.Price_updated
@@ -679,7 +685,7 @@ let agent_tick t (a : agent) =
            resource = a.resource;
            mu = a.price;
            step;
-           share_sum = !used;
+           share_sum = used;
            capacity = cap;
            congested;
          });
@@ -1004,9 +1010,9 @@ let partition t ~at ~duration ~agents ~controllers =
          the cut would otherwise bypass it. *)
       for gid = 0 to t.n_actors - 1 do
         let hctx, hep = home t gid in
-        if hctx != ctx && not (Hashtbl.mem ctx.sc_shadows gid) then
-          Hashtbl.add ctx.sc_shadows gid
-            (Transport.endpoint ctx.sc_transport ~name:(Transport.endpoint_name hep))
+        if hctx != ctx && Option.is_none ctx.sc_shadows.(gid) then
+          ctx.sc_shadows.(gid) <-
+            Some (Transport.endpoint ctx.sc_transport ~name:(Transport.endpoint_name hep))
       done;
       let group_a = ref [] in
       Array.iter
@@ -1018,7 +1024,10 @@ let partition t ~at ~duration ~agents ~controllers =
           if c.c_ctx == ctx && in_a.(t.n_resources + c.task) then
             group_a := c.controller_endpoint :: !group_a)
         t.controllers;
-      Hashtbl.iter (fun gid ep -> if in_a.(gid) then group_a := ep :: !group_a) ctx.sc_shadows;
+      Array.iteri
+        (fun gid ep ->
+          match ep with Some ep when in_a.(gid) -> group_a := ep :: !group_a | _ -> ())
+        ctx.sc_shadows;
       let ga = !group_a in
       let gb =
         List.filter (fun ep -> not (List.memq ep ga)) (Transport.endpoints ctx.sc_transport)

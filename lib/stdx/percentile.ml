@@ -13,14 +13,26 @@ let exact samples ~p =
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
   end
 
+(* Below [capacity], [data] holds the samples in order from index 0 and
+   doubles when full; at [capacity] it becomes the ring. A transport
+   keeps one window per channel, most of which see few samples in a
+   short deployment, and a full-size float array per window would be
+   allocated straight in the major heap, whose collector is paced by
+   the words allocated there. *)
 module Window = struct
-  type t = { data : float array; mutable total : int }
+  type t = { capacity : int; mutable data : float array; mutable total : int }
 
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Percentile.Window.create: capacity <= 0";
-    { data = Array.make capacity 0.; total = 0 }
+    { capacity; data = Array.make (Stdlib.min capacity 16) 0.; total = 0 }
 
   let add t x =
+    let len = Array.length t.data in
+    if t.total = len && len < t.capacity then begin
+      let data = Array.make (Stdlib.min (2 * len) t.capacity) 0. in
+      Array.blit t.data 0 data 0 len;
+      t.data <- data
+    end;
     t.data.(t.total mod Array.length t.data) <- x;
     t.total <- t.total + 1
 

@@ -15,7 +15,9 @@ module Window : sig
   type t
 
   val create : capacity:int -> t
-  (** Keeps the most recent [capacity] samples (circular buffer). *)
+  (** Keeps the most recent [capacity] samples (circular buffer). The
+      buffer starts at 16 samples and doubles up to [capacity] as
+      samples arrive, so a window that sees few samples stays small. *)
 
   val add : t -> float -> unit
 

@@ -2,7 +2,6 @@ module Engine = Lla_sim.Engine
 module Rng = Lla_stdx.Rng
 module Window = Lla_stdx.Percentile.Window
 module Metrics = Lla_obs.Metrics
-module Int_tbl = Lla_stdx.Int_tbl
 
 type faults = {
   drop : float;
@@ -41,14 +40,6 @@ let default_config =
     channel_metrics = true;
   }
 
-type endpoint = {
-  eid : int;
-  name : string;
-  mutable up : bool;
-  mutable crashes : int;
-  mutable restart_hooks : (unit -> unit) list;  (* reversed registration order *)
-}
-
 type counters = {
   sent : int;
   delivered : int;
@@ -63,13 +54,29 @@ type counters = {
 let zero_counters =
   { sent = 0; delivered = 0; dropped = 0; cut = 0; lost_down = 0; duplicated = 0; retried = 0; stale = 0 }
 
+(* An endpoint's channels out, ascending by destination id: [out.(k)]
+   leads to the endpoint whose id is [out_dst.(k)], for [k < n_out]. A
+   send finds its channel by binary search over this row: it reads only
+   ints, hashes nothing, and costs memory in proportion to the channels
+   that exist, not to the number of endpoints. *)
+type endpoint = {
+  eid : int;
+  name : string;
+  mutable up : bool;
+  mutable crashes : int;
+  mutable restart_hooks : (unit -> unit) list;  (* reversed registration order *)
+  mutable out_dst : int array;
+  mutable out : channel array;
+  mutable n_out : int;
+}
+
 (* Per-channel counter block + delay window. With [config.channel_metrics]
    (the default) every channel gets its own, labelled [src]/[dst] (the
    [_id] labels keep channels distinct even when endpoint names collide);
    with it off, all channels of the transport share one aggregate block —
    a memory valve for 10^5-channel scale scenarios, where per-channel
    registry records would dominate the heap. *)
-type chan_metrics = {
+and chan_metrics = {
   c_sent : Metrics.counter;
   c_delivered : Metrics.counter;
   c_dropped : Metrics.counter;
@@ -82,13 +89,18 @@ type chan_metrics = {
 }
 
 (* A directed (src, dst) link, created lazily on first send. Counters live
-   in the metrics registry (shared with [obs] when supplied). *)
-type channel = {
+   in the metrics registry (shared with [obs] when supplied). For
+   last-write-wins, [lww.(k - lww_base)] is the newest applied seq of
+   message key [k] (-1: none yet). The window grows on demand to cover
+   each new key; a channel's keys cluster (the subtask indices of one
+   task on one resource, or one resource index), so it stays small. *)
+and channel = {
   src : endpoint;
   dst : endpoint;
   mutable link_delay : Delay_model.t option;  (* overrides the transport default *)
   mutable next_seq : int;
-  applied : int Int_tbl.t;  (* message key -> newest applied seq *)
+  mutable lww_base : int;
+  mutable lww : int array;
   cm : chan_metrics;
 }
 
@@ -109,7 +121,7 @@ type t = {
   delay_h : Metrics.histogram;
   mutable n_endpoints : int;
   mutable endpoint_list : endpoint list;  (* reversed registration order *)
-  channels : channel Int_tbl.t;  (* by [channel_key] *)
+  mutable channel_list : channel list;  (* reversed creation order *)
   mutable partitions : partition_spec list;
   all_window : Window.t;
   (* Live fault state, initialized from [config] and mutable so chaos
@@ -153,7 +165,7 @@ let create ?obs ?(config = default_config) engine =
         ~help:"End-to-end delay of delivered messages (all channels).";
     n_endpoints = 0;
     endpoint_list = [];
-    channels = Int_tbl.create 64;
+    channel_list = [];
     partitions = [];
     all_window = Window.create ~capacity:config.delay_window;
     faults = config.faults;
@@ -203,7 +215,18 @@ let trace_delivered t ch delay =
       (Lla_obs.Trace.Transport_delivered { src = ch.src.name; dst = ch.dst.name; delay })
 
 let endpoint t ~name =
-  let e = { eid = t.n_endpoints; name; up = true; crashes = 0; restart_hooks = [] } in
+  let e =
+    {
+      eid = t.n_endpoints;
+      name;
+      up = true;
+      crashes = 0;
+      restart_hooks = [];
+      out_dst = [||];
+      out = [||];
+      n_out = 0;
+    }
+  in
   t.n_endpoints <- t.n_endpoints + 1;
   t.endpoint_list <- e :: t.endpoint_list;
   e
@@ -244,27 +267,53 @@ let channel_cm t src dst =
       t.shared_cm <- Some cm;
       cm
 
-(* Endpoint ids count up from 0 and stay far below 2^31, so the pair
-   packs into one int. *)
-let channel_key src dst = (src.eid lsl 31) lor dst.eid
+(* The position of [dst] in [src]'s row, or [-(k + 1)] when it has no
+   channel there and [k] is where one would go. *)
+let out_slot src dst =
+  let lo = ref 0 and hi = ref (src.n_out - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let d = src.out_dst.(mid) in
+    if d = dst.eid then found := mid else if d < dst.eid then lo := mid + 1 else hi := mid - 1
+  done;
+  if !found >= 0 then !found else -(!lo + 1)
+
+let find_channel src dst =
+  let k = out_slot src dst in
+  if k >= 0 then Some src.out.(k) else None
 
 let channel t src dst =
-  let key = channel_key src dst in
-  match Int_tbl.find t.channels key with
-  | ch -> ch
-  | exception Not_found ->
+  let k = out_slot src dst in
+  if k >= 0 then src.out.(k)
+  else begin
     let ch =
       {
         src;
         dst;
         link_delay = None;
         next_seq = 0;
-        applied = Int_tbl.create 8;
+        lww_base = 0;
+        lww = [||];
         cm = channel_cm t src dst;
       }
     in
-    Int_tbl.add t.channels key ch;
+    let k = -(k + 1) and n = src.n_out in
+    if n = Array.length src.out then begin
+      let cap = Int.max 4 (2 * n) in
+      let out_dst = Array.make cap 0 and out = Array.make cap ch in
+      Array.blit src.out_dst 0 out_dst 0 n;
+      Array.blit src.out 0 out 0 n;
+      src.out_dst <- out_dst;
+      src.out <- out
+    end;
+    Array.blit src.out_dst k src.out_dst (k + 1) (n - k);
+    Array.blit src.out k src.out (k + 1) (n - k);
+    src.out_dst.(k) <- dst.eid;
+    src.out.(k) <- ch;
+    src.n_out <- n + 1;
+    t.channel_list <- ch :: t.channel_list;
     ch
+  end
 
 let set_link_delay t ~src ~dst model = (channel t src dst).link_delay <- Some model
 
@@ -344,6 +393,40 @@ let delivery_span t ch span =
     Some (Lla_obs.Span.forward ctx ~id)
   | _ -> None
 
+(* Widen [ch]'s last-write-wins window to cover [key]: at least double
+   it, towards the side [key] lies on. *)
+let cover ch key =
+  let len = Array.length ch.lww in
+  if len = 0 then begin
+    ch.lww <- Array.make 8 (-1);
+    ch.lww_base <- key
+  end
+  else begin
+    let lo = Int.min key ch.lww_base and hi = Int.max key (ch.lww_base + len - 1) in
+    let len' = Int.max (2 * len) (hi - lo + 1) in
+    let base' = if key < ch.lww_base then ch.lww_base + len - len' else ch.lww_base in
+    let lww = Array.make len' (-1) in
+    Array.blit ch.lww 0 lww (ch.lww_base - base') len;
+    ch.lww <- lww;
+    ch.lww_base <- base'
+  end
+
+(* Last-write-wins: is [seq] no newer than the newest applied seq of
+   [key] on [ch]? If it is newer, it becomes the newest. *)
+let stale ch key seq =
+  let i = key - ch.lww_base in
+  if i >= 0 && i < Array.length ch.lww then
+    if ch.lww.(i) >= seq then true
+    else begin
+      ch.lww.(i) <- seq;
+      false
+    end
+  else begin
+    cover ch key;
+    ch.lww.(key - ch.lww_base) <- seq;
+    false
+  end
+
 (* Attempt [n] (from 0) of [m] was lost: count and trace it, and
    schedule attempt [n + 1] when the retry policy allows and the sender
    is up. *)
@@ -378,12 +461,7 @@ and deliver m ~n ~delay =
   else begin
     let stale =
       match m.key with
-      | Some k when t.config.policy.last_write_wins -> (
-        match Int_tbl.find ch.applied k with
-        | newest when newest >= m.seq -> true
-        | _ | (exception Not_found) ->
-          Int_tbl.replace ch.applied k m.seq;
-          false)
+      | Some k when t.config.policy.last_write_wins -> stale ch k m.seq
       | _ -> false
     in
     if stale then begin
@@ -472,28 +550,24 @@ let add_counters a b =
 
 let totals t =
   if t.config.channel_metrics then
-    Int_tbl.fold (fun _ ch acc -> add_counters acc (counters_of ch.cm)) t.channels zero_counters
+    List.fold_left (fun acc ch -> add_counters acc (counters_of ch.cm)) zero_counters t.channel_list
   else
     (* All channels share one block; folding it per channel would
        multiply every count by the channel population. *)
     match t.shared_cm with Some cm -> counters_of cm | None -> zero_counters
 
-let channel_counters t ~src ~dst =
-  match Int_tbl.find_opt t.channels (channel_key src dst) with
-  | Some ch -> counters_of ch.cm
-  | None -> zero_counters
+let channel_counters _t ~src ~dst =
+  match find_channel src dst with Some ch -> counters_of ch.cm | None -> zero_counters
 
 let channels t =
-  Int_tbl.fold (fun _ ch acc -> (ch.src, ch.dst, counters_of ch.cm) :: acc) t.channels []
+  List.map (fun ch -> (ch.src, ch.dst, counters_of ch.cm)) t.channel_list
   |> List.sort (fun (a, b, _) (c, d, _) ->
          match Int.compare a.eid c.eid with 0 -> Int.compare b.eid d.eid | cmp -> cmp)
 
 let delay_percentile t ~p = Window.percentile t.all_window ~p
 
-let channel_delay_percentile t ~src ~dst ~p =
-  match Int_tbl.find_opt t.channels (channel_key src dst) with
-  | Some ch -> Window.percentile ch.cm.window ~p
-  | None -> None
+let channel_delay_percentile _t ~src ~dst ~p =
+  match find_channel src dst with Some ch -> Window.percentile ch.cm.window ~p | None -> None
 
 let pp_counters fmt c =
   Format.fprintf fmt

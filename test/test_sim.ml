@@ -297,6 +297,211 @@ let prop_engine_matches_model =
           | Next -> agree true true)
         ops)
 
+(* ------------------------------------------------------------------ *)
+(* Deep queues                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The queue of a runtime_faulty deployment: hundreds of far-future
+   outage pairs scheduled up front, sub-ms deliveries in runs at one
+   time (each may spawn a follow-up delivery 0.3 ms later), retries
+   40-640 ms out, and cancels of live, fired and already-cancelled ids.
+   [Reuse] fires the head, schedules at once, so the new event can take
+   the fired one's storage, and then cancels the fired id: that must
+   neither cancel nor revive the new event. The model is a set ordered
+   by (time, id). *)
+type deep_op =
+  | Burst of int * float * bool
+  | Retry of int  (* 40 * 2^j ms out *)
+  | Outage of float * float  (* at now + s and now + s + duration *)
+  | Cancel_live of int
+  | Cancel_fired of int
+  | Cancel_cancelled of int
+  | Reuse of float
+  | Steps of int
+  | Advance of float
+
+let print_deep_op = function
+  | Burst (n, d, spawn) -> Printf.sprintf "Burst(%d, +%g%s)" n d (if spawn then ", spawn" else "")
+  | Retry j -> Printf.sprintf "Retry %d" j
+  | Outage (s, dur) -> Printf.sprintf "Outage(+%g, %g)" s dur
+  | Cancel_live k -> Printf.sprintf "Cancel_live %d" k
+  | Cancel_fired k -> Printf.sprintf "Cancel_fired %d" k
+  | Cancel_cancelled k -> Printf.sprintf "Cancel_cancelled %d" k
+  | Reuse d -> Printf.sprintf "Reuse(+%g)" d
+  | Steps n -> Printf.sprintf "Steps %d" n
+  | Advance d -> Printf.sprintf "Advance(+%g)" d
+
+let arb_deep =
+  let open QCheck.Gen in
+  let sub_ms = oneof [ oneofl [ 0.; 0.25; 0.5 ]; float_bound_exclusive 1. ] in
+  let op =
+    frequency
+      [
+        (6, map3 (fun n d spawn -> Burst (n, d, spawn)) (1 -- 12) sub_ms bool);
+        (3, map (fun j -> Retry j) (0 -- 4));
+        (1, map2 (fun s dur -> Outage (s, dur)) (float_range 1_000. 30_000.) (float_range 100. 1_000.));
+        (2, map (fun k -> Cancel_live k) nat);
+        (1, map (fun k -> Cancel_fired k) nat);
+        (1, map (fun k -> Cancel_cancelled k) nat);
+        (1, map (fun d -> Reuse d) sub_ms);
+        (4, map (fun n -> Steps n) (1 -- 8));
+        (2, map (fun d -> Advance d) (oneof [ float_bound_inclusive 5.; float_range 40. 700. ]));
+      ]
+  in
+  let outages = list_size (150 -- 400) (pair (float_range 1_000. 60_000.) (float_range 100. 1_000.)) in
+  QCheck.make
+    ~print:(fun (outages, ops) ->
+      Printf.sprintf "%d outage pairs; %s" (List.length outages)
+        (String.concat "; " (List.map print_deep_op ops)))
+    (pair outages (list_size (100 -- 400) op))
+
+module Queue_model = Set.Make (struct
+  type t = float * int
+
+  let compare (a, i) (b, j) = match Float.compare a b with 0 -> Int.compare i j | c -> c
+end)
+
+let prop_engine_deep_queue =
+  QCheck.Test.make ~count:60 ~name:"engine: deep runtime-shaped queues match the (time, seq) model"
+    arb_deep (fun (outages, ops) ->
+      let cap = (2 * List.length outages) + (24 * List.length ops) + 1 in
+      (* model: 0 live, 1 fired, 2 cancelled *)
+      let state = Array.make cap 0 and spawns = Array.make cap false and times = Array.make cap 0. in
+      let live = ref Queue_model.empty and clock = ref 0. and ids = ref 0 in
+      let model_log = ref [] in
+      let model_add ~at ~spawn =
+        let id = !ids in
+        incr ids;
+        spawns.(id) <- spawn;
+        times.(id) <- at;
+        live := Queue_model.add (at, id) !live
+      in
+      let model_fire () =
+        match Queue_model.min_elt_opt !live with
+        | None -> None
+        | Some ((at, id) as e) ->
+          live := Queue_model.remove e !live;
+          state.(id) <- 1;
+          clock := at;
+          model_log := id :: !model_log;
+          if spawns.(id) then model_add ~at:(at +. 0.3) ~spawn:false;
+          Some id
+      in
+      let model_cancel id =
+        if state.(id) = 0 then begin
+          state.(id) <- 2;
+          live := Queue_model.remove (times.(id), id) !live
+        end
+      in
+      (* engine *)
+      let engine = Engine.create () in
+      let handles = Array.make cap None and n_handles = ref 0 and log = ref [] in
+      let rec add ~at ~spawn =
+        let id = !n_handles in
+        incr n_handles;
+        let action e =
+          log := id :: !log;
+          if spawn then add ~at:(Engine.now e +. 0.3) ~spawn:false
+        in
+        handles.(id) <- Some (Engine.schedule engine ~at action)
+      in
+      let cancel id = Option.iter (Engine.cancel engine) handles.(id) in
+      let schedule ~delay ~spawn =
+        add ~at:(Engine.now engine +. delay) ~spawn;
+        model_add ~at:(!clock +. delay) ~spawn
+      in
+      let nth_with st k =
+        let matching = List.filter (fun id -> state.(id) = st) (List.init !ids Fun.id) in
+        match matching with [] -> None | l -> Some (List.nth l (k mod List.length l))
+      in
+      let statuses_agree () =
+        !n_handles = !ids
+        && List.for_all
+             (fun id ->
+               match handles.(id) with
+               | Some h -> Engine.cancelled engine h = (state.(id) <> 0)
+               | None -> false)
+             (List.init !ids Fun.id)
+      in
+      let peak = ref 0 in
+      let agree () =
+        peak := max !peak (Engine.pending engine);
+        Int64.equal (Int64.bits_of_float (Engine.now engine)) (Int64.bits_of_float !clock)
+        && Engine.pending engine = Queue_model.cardinal !live
+        && Engine.events_fired engine = List.length !model_log
+        && Engine.next_time engine = Option.map fst (Queue_model.min_elt_opt !live)
+      in
+      List.iter (fun (s, dur) -> schedule ~delay:s ~spawn:false; schedule ~delay:(s +. dur) ~spawn:false) outages;
+      let ok =
+        agree ()
+        && List.for_all
+             (fun op ->
+               let step_agrees () =
+                 let fired = Engine.step engine in
+                 fired = Option.is_some (model_fire ())
+               in
+               let ok =
+                 match op with
+                 | Burst (n, d, spawn) ->
+                   for _ = 1 to n do
+                     schedule ~delay:d ~spawn
+                   done;
+                   true
+                 | Retry j ->
+                   schedule ~delay:(40. *. (2. ** float_of_int j)) ~spawn:false;
+                   true
+                 | Outage (s, dur) ->
+                   schedule ~delay:s ~spawn:false;
+                   schedule ~delay:(s +. dur) ~spawn:false;
+                   true
+                 | Cancel_live k ->
+                   let l = Queue_model.elements !live in
+                   (if l <> [] then
+                      let _, id = List.nth l (k mod List.length l) in
+                      cancel id;
+                      model_cancel id);
+                   statuses_agree ()
+                 | Cancel_fired k ->
+                   Option.iter cancel (nth_with 1 k);
+                   statuses_agree ()
+                 | Cancel_cancelled k ->
+                   Option.iter cancel (nth_with 2 k);
+                   statuses_agree ()
+                 | Reuse d -> (
+                   let fired = Engine.step engine in
+                   match model_fire () with
+                   | Some id when fired ->
+                     schedule ~delay:d ~spawn:false;
+                     cancel id;
+                     statuses_agree ()
+                   | Some _ -> false
+                   | None -> not fired)
+                 | Steps n ->
+                   let ok = ref true in
+                   for _ = 1 to n do
+                     ok := !ok && step_agrees ()
+                   done;
+                   !ok
+                 | Advance d ->
+                   let horizon = Engine.now engine +. d in
+                   Engine.run_until engine horizon;
+                   let horizon' = !clock +. d in
+                   let rec drain () =
+                     match Queue_model.min_elt_opt !live with
+                     | Some (at, _) when at <= horizon' ->
+                       ignore (model_fire ());
+                       drain ()
+                     | _ -> ()
+                   in
+                   drain ();
+                   clock := horizon';
+                   true
+               in
+               ok && agree ())
+             ops
+      in
+      ok && !log = !model_log && statuses_agree () && !peak >= 300)
+
 let prop_engine_random_order =
   QCheck.Test.make ~name:"engine: random schedules fire in nondecreasing time order"
     QCheck.(list_of_size Gen.(1 -- 100) (float_bound_inclusive 1000.))
@@ -392,6 +597,7 @@ let () =
             test_engine_firing_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_engine_random_order;
           QCheck_alcotest.to_alcotest prop_engine_matches_model;
+          QCheck_alcotest.to_alcotest prop_engine_deep_queue;
         ] );
       ( "heap",
         [

@@ -275,6 +275,36 @@ let test_window_clear () =
   Percentile.Window.clear w;
   Alcotest.(check int) "cleared" 0 (Percentile.Window.count w)
 
+(* The window against a list of the samples since the last clear: it
+   holds the newest [capacity] of them, across the buffer's doublings
+   (capacities above and below its 16-sample start) and clears. *)
+let prop_window_matches_model =
+  QCheck.Test.make ~count:100 ~name:"window: holds the newest samples across growth and clears"
+    QCheck.(
+      pair (int_range 1 100)
+        (list_of_size Gen.(0 -- 400) (option ~ratio:0.98 (float_bound_inclusive 1000.))))
+    (fun (capacity, ops) ->
+      let w = Percentile.Window.create ~capacity in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some x ->
+            Percentile.Window.add w x;
+            model := x :: !model
+          | None ->
+            Percentile.Window.clear w;
+            model := []);
+          let held = List.filteri (fun i _ -> i < capacity) !model in
+          Percentile.Window.total w = List.length !model
+          && Percentile.Window.count w = List.length held
+          && List.for_all
+               (fun p ->
+                 Percentile.Window.percentile w ~p
+                 = (if held = [] then None else Some (Percentile.exact (Array.of_list held) ~p)))
+               [ 0.; 50.; 99.; 100. ])
+        ops)
+
 let test_p2_against_exact () =
   let rng = Rng.create ~seed:31 in
   let est = Percentile.P2.create ~p:90. in
@@ -508,7 +538,7 @@ let () =
           Alcotest.test_case "P2 vs exact" `Slow test_p2_against_exact;
           Alcotest.test_case "P2 few samples" `Quick test_p2_few_samples;
         ]
-        @ qcheck [ prop_p2_bounded ] );
+        @ qcheck [ prop_p2_bounded; prop_window_matches_model ] );
       ( "ewma",
         [
           Alcotest.test_case "first sample" `Quick test_ewma_first_sample;

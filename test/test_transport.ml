@@ -305,6 +305,141 @@ let test_seeded_determinism () =
   Alcotest.(check bool) "different seed, different trace" true (t1 <> t3)
 
 (* ------------------------------------------------------------------ *)
+(* Channel and last-write-wins tables against a plain model            *)
+(* ------------------------------------------------------------------ *)
+
+(* Random traffic under drop, duplicate and reorder, with endpoints
+   registered in bursts while messages are in flight and keys spread up
+   to 10^5, as [Distributed] keys latencies by subtask index. Half the
+   sends leave from three hub endpoints, so one source reaches many
+   destinations. The model replays the same traffic through a second
+   transport with last-write-wins off: the same config and seed draw the
+   same fates and delays, so it hands over every arrival in the same
+   order, and a plain (src, dst, key) table decides which arrivals the
+   transport under test must apply and which it must count stale. *)
+type traffic_op = Register of int | Send of int * int * int | Advance of float
+
+let print_traffic_op = function
+  | Register n -> Printf.sprintf "Register %d" n
+  | Send (s, d, k) -> Printf.sprintf "Send(%d->%d, key %d)" s d k
+  | Advance d -> Printf.sprintf "Advance %g" d
+
+let arb_traffic =
+  let open QCheck.Gen in
+  let key = oneof [ int_bound 7; int_range 99_990 100_000; int_bound 100_000 ] in
+  let op =
+    frequency
+      [
+        (1, map (fun n -> Register n) (1 -- 8));
+        (8, map3 (fun s d k -> Send (s, d, k)) (oneof [ int_bound 2; nat ]) nat key);
+        (2, map (fun d -> Advance d) (float_bound_inclusive 8.));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (seed, ops) ->
+      Printf.sprintf "seed %d: %s" seed (String.concat "; " (List.map print_traffic_op ops)))
+    QCheck.Gen.(pair small_nat (list_size (20 -- 200) op))
+
+let prop_tables_match_model =
+  QCheck.Test.make ~count:100 ~name:"transport: channel and lww tables match a plain model"
+    arb_traffic (fun (seed, ops) ->
+      let config lww =
+        {
+          Transport.default_config with
+          delay = Delay_model.jittered ~base:1. ~jitter:0.5;
+          faults = { Transport.drop = 0.1; duplicate = 0.2; reorder = 0.3; reorder_spread = 5. };
+          policy = { Transport.retry = None; last_write_wins = lww };
+          seed;
+        }
+      in
+      let engine = Engine.create () and plain_engine = Engine.create () in
+      let tr = Transport.create ~config:(config true) engine in
+      let plain = Transport.create ~config:(config false) plain_engine in
+      let eps = ref [||] in
+      let register () =
+        let name = Printf.sprintf "e%d" (Array.length !eps) in
+        eps := Array.append !eps [| (Transport.endpoint tr ~name, Transport.endpoint plain ~name) |]
+      in
+      register ();
+      register ();
+      (* the model: sends and fates per (src, dst), newest applied seq per
+         (src, dst, key) *)
+      let sends = Hashtbl.create 64 and delivered = Hashtbl.create 64 in
+      let stale = Hashtbl.create 64 and newest = Hashtbl.create 64 in
+      let count tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+      let bump tbl k = Hashtbl.replace tbl k (count tbl k + 1) in
+      let applied = ref [] and model_applied = ref [] and n_sent = ref 0 in
+      let send s d key =
+        let n = Array.length !eps in
+        let s = s mod n and d = d mod n in
+        let id = !n_sent and seq = count sends (s, d) in
+        incr n_sent;
+        bump sends (s, d);
+        Transport.send ~key tr ~src:(fst !eps.(s)) ~dst:(fst !eps.(d)) (fun () ->
+            applied := id :: !applied);
+        Transport.send ~key plain ~src:(snd !eps.(s)) ~dst:(snd !eps.(d)) (fun () ->
+            match Hashtbl.find_opt newest (s, d, key) with
+            | Some n when n >= seq -> bump stale (s, d)
+            | _ ->
+              Hashtbl.replace newest (s, d, key) seq;
+              bump delivered (s, d);
+              model_applied := id :: !model_applied)
+      in
+      List.iter
+        (function
+          | Register n ->
+            for _ = 1 to n do
+              register ()
+            done
+          | Send (s, d, key) -> send s d key
+          | Advance dt ->
+            Engine.run_until engine (Engine.now engine +. dt);
+            Engine.run_until plain_engine (Engine.now plain_engine +. dt))
+        ops;
+      Engine.run engine ();
+      Engine.run plain_engine ();
+      (* drops and copies come from the plain transport's identical draws *)
+      let model_counters (s, d) =
+        if not (Hashtbl.mem sends (s, d)) then Transport.zero_counters
+        else
+          {
+            (Transport.channel_counters plain ~src:(snd !eps.(s)) ~dst:(snd !eps.(d))) with
+            Transport.sent = count sends (s, d);
+            delivered = count delivered (s, d);
+            stale = count stale (s, d);
+          }
+      in
+      let expected =
+        List.map
+          (fun (s, d) -> (Printf.sprintf "e%d" s, Printf.sprintf "e%d" d, model_counters (s, d)))
+          (List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) sends []))
+      in
+      let actual =
+        List.map
+          (fun (src, dst, c) -> (Transport.endpoint_name src, Transport.endpoint_name dst, c))
+          (Transport.channels tr)
+      in
+      let sum f = List.fold_left (fun acc (_, _, c) -> acc + f c) 0 expected in
+      let totals = Transport.totals tr and plain_totals = Transport.totals plain in
+      let n = Array.length !eps in
+      !applied = !model_applied
+      && actual = expected
+      && totals.Transport.sent = !n_sent
+      && totals.Transport.delivered = sum (fun c -> c.Transport.delivered)
+      && totals.Transport.stale = sum (fun c -> c.Transport.stale)
+      && totals.Transport.dropped = plain_totals.Transport.dropped
+      && totals.Transport.duplicated = plain_totals.Transport.duplicated
+      && plain_totals.Transport.stale = 0
+      && List.for_all
+           (fun s ->
+             List.for_all
+               (fun d ->
+                 Transport.channel_counters tr ~src:(fst !eps.(s)) ~dst:(fst !eps.(d))
+                 = model_counters (s, d))
+               [ 0; s; n - 1 ])
+           (List.init n Fun.id))
+
+(* ------------------------------------------------------------------ *)
 (* Distributed deployment over the transport                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -482,6 +617,7 @@ let () =
           Alcotest.test_case "outage and restart hook" `Quick test_outage_and_restart_hook;
           Alcotest.test_case "per-link delay override" `Quick test_per_link_delay_override;
           Alcotest.test_case "seeded determinism" `Quick test_seeded_determinism;
+          QCheck_alcotest.to_alcotest prop_tables_match_model;
         ] );
       ( "distributed",
         [
