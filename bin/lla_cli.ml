@@ -212,8 +212,9 @@ let runs_arg =
 
 let seed_arg ~doc = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
 
-(* The chaos and soak commands can swap the deterministic simulator for
-   the OCaml 5 domains-parallel engine; [--domains] sizes its pool. *)
+(* The campaign and chaos-replay commands can swap the deterministic
+   simulator for the OCaml 5 domains-parallel engine; [--domains] sizes
+   its pool. *)
 let engine_arg =
   Arg.(
     value
@@ -506,45 +507,57 @@ let emulate_cmd =
     (Cmd.info "emulate" ~doc:"Emulate a workload on the simulated cluster with the optimizer.")
     Term.(const run $ workload_arg $ duration $ scheduler $ csv_arg)
 
-(* Shared scenario runner for the observability commands (trace, analyze,
-   profile): each scenario exercises the base workload with the supplied
-   obs handle attached. *)
 let scenario_doc =
   "'fig5' (synchronous solver on the base workload), 'distributed' (message-passing \
    deployment, zero faults), or 'chaos' (distributed with 5% message loss, an agent outage \
    and the resilience layer on)."
 
+(* Build the distributed / chaos scenario with obs (and optionally a
+   streaming monitor) attached, leaving stepping to the caller: [trace],
+   [analyze] and [profile] run it straight to the horizon, the live
+   commands render or rewrite between engine steps, so `top distributed`
+   watches exactly the scenario `trace distributed` dumps. *)
+let build_scenario_deployment ~obs ?monitor ~chaos engine ~horizon =
+  let workload = Lla_workloads.Paper_sim.base () in
+  let d =
+    if chaos then begin
+      let module Transport = Lla_transport.Transport in
+      let transport =
+        Transport.create ~obs engine
+          ~config:
+            {
+              Transport.default_config with
+              faults = { Transport.no_faults with drop = 0.05 };
+              seed = 42;
+            }
+      in
+      let d =
+        Lla_runtime.Distributed.create ~obs ?monitor ~transport
+          ~resilience:Lla_runtime.Distributed.default_resilience engine workload
+      in
+      let victim_id = (List.hd workload.Lla_model.Workload.resources).Lla_model.Resource.id in
+      let victim = Lla_runtime.Distributed.agent_endpoint d victim_id in
+      Transport.schedule_outage transport victim ~at:(horizon /. 3.) ~duration:(horizon /. 10.);
+      d
+    end
+    else Lla_runtime.Distributed.create ~obs ?monitor engine workload
+  in
+  (workload, d)
+
+(* Shared scenario runner for the observability commands (trace, analyze,
+   profile): each scenario exercises the base workload with the supplied
+   obs handle attached. *)
 let run_scenario ~obs experiment ~iterations ~duration =
   match experiment with
   | "fig5" | "solver" ->
     let solver = Lla.Solver.create ~obs (Lla_workloads.Paper_sim.base ()) in
     Lla.Solver.run solver ~iterations
-  | "distributed" ->
+  | ("distributed" | "chaos") as scenario ->
     let engine = Lla_sim.Engine.create () in
-    let d = Lla_runtime.Distributed.create ~obs engine (Lla_workloads.Paper_sim.base ()) in
-    Lla_runtime.Distributed.run d ~duration:(duration *. 1000.);
-    Lla_runtime.Distributed.stop d
-  | "chaos" ->
-    let module Transport = Lla_transport.Transport in
-    let workload = Lla_workloads.Paper_sim.base () in
-    let engine = Lla_sim.Engine.create () in
-    let transport =
-      Transport.create ~obs engine
-        ~config:
-          {
-            Transport.default_config with
-            faults = { Transport.no_faults with drop = 0.05 };
-            seed = 42;
-          }
-    in
-    let d =
-      Lla_runtime.Distributed.create ~obs ~transport
-        ~resilience:Lla_runtime.Distributed.default_resilience engine workload
-    in
-    let victim_id = (List.hd workload.Lla_model.Workload.resources).Lla_model.Resource.id in
-    let victim = Lla_runtime.Distributed.agent_endpoint d victim_id in
     let horizon = duration *. 1000. in
-    Transport.schedule_outage transport victim ~at:(horizon /. 3.) ~duration:(horizon /. 10.);
+    let _workload, d =
+      build_scenario_deployment ~obs ~chaos:(scenario = "chaos") engine ~horizon
+    in
     Lla_runtime.Distributed.run d ~duration:horizon;
     Lla_runtime.Distributed.stop d
   | other -> or_exit (Error (`Msg (Printf.sprintf "unknown scenario %S" other)))
@@ -962,7 +975,7 @@ let soak_cmd =
             "Ticks between journal appends (default 250 with $(b,--journal), else 0).")
   in
   let run verbose smoke subtasks resources seed horizon churn chaos_every ceilings trace_out retain
-      crash_every journal_dir journal_every engine domains =
+      crash_every journal_dir journal_every =
     setup_logs verbose;
     let base = if smoke then Soak.smoke_config else Soak.default_config in
     let ceilings =
@@ -1022,14 +1035,7 @@ let soak_cmd =
         Printf.printf "... tick %d/%d\n%!" tick config.Soak.horizon
       end
     in
-    let eng =
-      match engine with
-      | `Sim -> None
-      | `Domains -> Some (Lla_runtime.Engine.domains ~domains ())
-    in
-    let result = Soak.run ?obs ?engine:eng ?journal ~on_progress config in
-    Option.iter Lla_runtime.Engine.shutdown eng;
-    (match result with
+    (match Soak.run ?obs ?journal ~on_progress config with
     | Error e -> or_exit (Error (`Msg e))
     | Ok report ->
       print_endline (Soak.render report);
@@ -1053,7 +1059,7 @@ let soak_cmd =
     Term.(
       const run $ verbose_arg $ smoke $ subtasks $ resources_arg $ seed_arg ~doc:"Soak seed."
       $ horizon $ churn $ chaos_every $ ceilings $ trace_out $ retain $ crash_every $ journal_dir
-      $ journal_every $ engine_arg $ domains_arg)
+      $ journal_every)
 
 (* --- journal inspection ----------------------------------------------- *)
 
@@ -1118,38 +1124,6 @@ let percentile_sorted a q =
     let frac = rank -. float_of_int lo in
     (a.(lo) *. (1. -. frac)) +. (a.(hi) *. frac)
   end
-
-(* Build the distributed / chaos scenario with obs (and optionally a
-   streaming monitor) attached, leaving stepping to the caller — the
-   live commands render or rewrite between engine steps. Mirrors
-   [run_scenario] so `top distributed` watches exactly the scenario
-   `trace distributed` dumps. *)
-let build_scenario_deployment ~obs ?monitor ~chaos engine ~horizon =
-  let workload = Lla_workloads.Paper_sim.base () in
-  let d =
-    if chaos then begin
-      let module Transport = Lla_transport.Transport in
-      let transport =
-        Transport.create ~obs engine
-          ~config:
-            {
-              Transport.default_config with
-              faults = { Transport.no_faults with drop = 0.05 };
-              seed = 42;
-            }
-      in
-      let d =
-        Lla_runtime.Distributed.create ~obs ?monitor ~transport
-          ~resilience:Lla_runtime.Distributed.default_resilience engine workload
-      in
-      let victim_id = (List.hd workload.Lla_model.Workload.resources).Lla_model.Resource.id in
-      let victim = Lla_runtime.Distributed.agent_endpoint d victim_id in
-      Transport.schedule_outage transport victim ~at:(horizon /. 3.) ~duration:(horizon /. 10.);
-      d
-    end
-    else Lla_runtime.Distributed.create ~obs ?monitor engine workload
-  in
-  (workload, d)
 
 let refresh_arg =
   Arg.(

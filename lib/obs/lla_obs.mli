@@ -29,7 +29,6 @@ module Series = Series
 module Analyze = Analyze
 module Rotate = Rotate
 module Monitor = Monitor
-module Shard_registry = Shard_registry
 
 type t = {
   metrics : Metrics.t;

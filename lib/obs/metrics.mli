@@ -110,7 +110,9 @@ val find_histogram : t -> ?labels:(string * string) list -> string -> histogram 
 
 val merge : t list -> t
 (** Snapshot-merge per-shard registries into one fresh registry (the
-    {!Shard_registry} barrier-time merge): counters with the same
+    barrier-time merge behind [Lla_runtime.Distributed.merged_metrics]
+    on a domains engine, where each shard owns its registry outright so
+    no counter is shared on the parallel hot path): counters with the same
     identity sum, histograms add bucket-wise (their layouts must match),
     and gauges resolve last-writer-wins by [(stamp, shard)] — the shard
     index is the position in the input list, so ties between never-

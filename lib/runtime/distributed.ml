@@ -492,7 +492,7 @@ let create ?obs ?monitor ?(config = default_config) ?resilience ?journal ?transp
         ~config:
           { Transport.default_config with delay = Delay_model.constant config.message_delay }
   in
-  create_internal ?obs ?monitor ?journal ~config ~resilience ~engine_h:(Engine.of_core engine)
+  create_internal ?obs ?monitor ?journal ~config ~resilience ~engine_h:(Engine.Sim engine)
     ~bases:[| (engine, transport, obs, None) |]
     workload
 
@@ -971,8 +971,6 @@ let run t ~duration =
      monitor readouts are then current as of the run's horizon. *)
   flush_monitor t
 
-let engine_handle t = t.engine_h
-
 let shard_count t = Array.length t.ctxs
 
 let transport t = t.transport
@@ -1062,8 +1060,7 @@ let allocation_rounds t = sum_meter t (fun m -> m.m_allocation_rounds)
 let metrics t = t.registry
 
 let merged_metrics t =
-  Lla_obs.Shard_registry.merge
-    (Lla_obs.Shard_registry.of_registries (Array.map (fun ctx -> ctx.sc_registry) t.ctxs))
+  Lla_obs.Metrics.merge (Array.to_list (Array.map (fun ctx -> ctx.sc_registry) t.ctxs))
 
 let monitor t = t.monitor
 

@@ -162,9 +162,9 @@ val create_on :
     {!Lla_obs.Invariant.spans_well_formed_merged}, not the single-stream
     oracles.
 
-    For timing-exact parallel runs, pick a domains-engine quantum no
-    larger than the minimum cross-shard link delay (see
-    {!Engine_domains}).
+    A domains engine's barriers are 1 ms apart: a cross-shard message
+    whose link delay is at least 1 ms lands at exactly its stamped
+    time, a shorter one at the next barrier (see {!Engine_domains}).
 
     With [?monitor] on a domains engine, each shard's records are
     buffered during parallel phases and drained through the monitor's
@@ -193,8 +193,6 @@ val run : t -> duration:float -> unit
 val transport : t -> Lla_transport.Transport.t
 (** Shard 0's transport (the caller's on the legacy path). On a sharded
     deployment see {!transports} and the [*_home] accessors. *)
-
-val engine_handle : t -> Engine.t
 
 val shard_count : t -> int
 
@@ -261,9 +259,9 @@ val metrics : t -> Lla_obs.Metrics.t
     private registry; see {!merged_metrics} for the global view. *)
 
 val merged_metrics : t -> Lla_obs.Metrics.t
-(** Snapshot-merge of every shard's registry
-    ({!Lla_obs.Shard_registry} semantics: counters sum, histograms add
-    bucket-wise, gauges resolve last-writer by [(stamp, shard)]). Call
+(** Snapshot-merge of every shard's registry ({!Lla_obs.Metrics.merge}
+    in shard order: counters sum, histograms add bucket-wise, gauges
+    resolve last-writer by [(stamp, shard)]). Call
     with the shards at rest — between runs, or from
     {!schedule_injection}. On a single-shard deployment the merge is a
     copy of {!metrics}. *)

@@ -1,47 +1,34 @@
-(** Pluggable runtime engine: the clock + message scheduler behind
-    {!Distributed}, {!Optimizer_loop}, [Lla_soak.Soak] and
-    [Lla_chaos.Campaign].
+(** The runtime engine handle: the clock + message scheduler behind
+    {!Distributed} and [Lla_chaos.Campaign].
 
     Two implementations share the {!Lla_sim.Engine} scheduling core:
 
-    - {!Engine_sim} — the deterministic single-threaded simulator.
-      Golden traces through this engine are bit-for-bit the
-      pre-interface ones ({!of_core} wraps a caller-owned core).
+    - [Sim] — the deterministic single-threaded simulator: one core,
+      held as is, so scheduling through the handle is scheduling on the
+      core (same queue, same [(time, seq)] order, same clock).
     - {!Engine_domains} — OCaml 5 domains-parallel: actors shard
-      across a configurable domain pool, each shard running a private
-      core in lockstep quanta; cross-shard traffic crosses at barriers,
-      totally ordered by [(at, channel, seq)] in deterministic-merge
-      mode so replays reproduce bit-for-bit.
+      across a domain pool, each shard running a private core in
+      lockstep 1 ms quanta; cross-shard traffic crosses at barriers,
+      totally ordered by [(at, channel, seq)] so replays reproduce
+      bit-for-bit.
 
     The variants are exposed: shard topology and barrier scheduling are
     capabilities the runtime wires differently per engine, not details
     to hide. *)
 
 type t =
-  | Sim of Engine_sim.t
+  | Sim of Lla_sim.Engine.t
   | Domains of Engine_domains.t
-
-type kind = [ `Sim | `Domains ]
 
 (** {1 Constructors} *)
 
-val sim : ?start_time:float -> unit -> t
+val sim : unit -> t
+(** A fresh simulator core at time 0. *)
 
-val of_core : Lla_sim.Engine.t -> t
-(** A sim engine over an existing caller-owned core — the
-    compatibility path for code that already holds a
-    [Lla_sim.Engine.t]. *)
-
-val domains :
-  ?domains:int -> ?quantum:float -> ?deterministic:bool -> ?start_time:float -> unit -> t
+val domains : domains:int -> unit -> t
 (** See {!Engine_domains.create}. *)
 
 (** {1 Common surface} *)
-
-val kind : t -> kind
-
-val name : t -> string
-(** ["sim"] / ["domains"] — the tag benchmark snapshots stamp. *)
 
 val shards : t -> int
 (** 1 for sim. *)
@@ -69,7 +56,9 @@ val events_fired : t -> int
     can use them unconditionally. *)
 
 val post : t -> from:int -> shard:int -> at:float -> channel:int -> (unit -> unit) -> unit
-(** See {!Engine_domains.post}. *)
+(** See {!Engine_domains.post}. On sim this is an ordinary scheduled
+    event at [max at now]. @raise Invalid_argument for a nonzero
+    [from] or [shard] on sim. *)
 
 val at_barrier : t -> at:float -> (unit -> unit) -> unit
 (** See {!Engine_domains.at_barrier}. On sim this is an ordinary

@@ -29,25 +29,20 @@
    stamped by the source shard's transport, a channel id unique to the
    (source actor, destination actor) pair, and an emission counter owned
    by the source shard ([seq] only ever breaks ties within one channel,
-   so per-shard monotone is as good as per-channel — and cheaper). In
-   deterministic mode (default)
-   every destination sorts its merged inbox by that key before
-   scheduling the deliveries on its core, so the apply order of
-   cross-shard traffic is a pure function of the per-shard streams —
-   which are themselves deterministic by the sim core's (time, seq)
-   order. By induction over quanta, whole runs replay bit-for-bit.
-   [~deterministic:false] keeps arrival order (outbox drain order:
-   source shard, then emission order) instead — still reproducible on
-   this lockstep scheduler, but the mode the interleaving battery uses
-   to show which oracles are order-sensitive.
+   so per-shard monotone is as good as per-channel — and cheaper). Every
+   destination sorts its merged inbox by that key before scheduling the
+   deliveries on its core, so the apply order of cross-shard traffic is
+   a pure function of the per-shard streams — which are themselves
+   deterministic by the sim core's (time, seq) order. By induction over
+   quanta, whole runs replay bit-for-bit.
 
-   Timing fidelity: with quantum <= the minimum cross-shard link delay,
-   a message sent during quantum (T, T+q] is delivered at
-   send_time + delay >= T + q, i.e. at or after the barrier where it is
-   merged — so sorted insertion schedules it at exactly its stamped
-   time and parallel trajectories lose no timing accuracy. A larger
-   quantum degrades gracefully: late messages apply at the barrier
-   (bounded by one quantum), deterministically. *)
+   Timing fidelity: the quantum is a 1 ms constant. With a cross-shard
+   link delay of at least 1 ms, a message sent during quantum (T, T+1]
+   is delivered at send_time + delay >= T + 1, i.e. at or after the
+   barrier where it is merged — so sorted insertion schedules it at
+   exactly its stamped time and parallel trajectories lose no timing
+   accuracy. A shorter delay degrades gracefully: the message applies at
+   the barrier (late by at most one quantum), deterministically. *)
 
 type msg = {
   m_at : float;
@@ -84,10 +79,11 @@ type pool = {
   mutable handles : unit Domain.t list;
 }
 
+(* Barrier spacing in engine ms. *)
+let quantum = 1.0
+
 type t = {
   n : int;
-  quantum : float;
-  deterministic : bool;
   shards : shard array;
   mutable clock : float;
   mutable bops : (float * int * (unit -> unit)) list;  (* pending barrier ops *)
@@ -96,22 +92,18 @@ type t = {
   mutable stopped : bool;
 }
 
-let create ?(domains = 4) ?(quantum = 1.0) ?(deterministic = true) ?start_time () =
+let create ~domains =
   if domains < 1 then invalid_arg "Engine_domains.create: domains < 1";
-  if not (Float.is_finite quantum) || quantum <= 0. then
-    invalid_arg "Engine_domains.create: quantum must be positive";
   {
     n = domains;
-    quantum;
-    deterministic;
     shards =
       Array.init domains (fun _ ->
           {
-            core = Lla_sim.Engine.create ?start_time ();
+            core = Lla_sim.Engine.create ();
             outboxes = Array.init domains (fun _ -> ref []);
             post_seq = 0;
           });
-    clock = (match start_time with Some s -> s | None -> 0.);
+    clock = 0.;
     bops = [];
     bop_seq = 0;
     pool = None;
@@ -119,10 +111,6 @@ let create ?(domains = 4) ?(quantum = 1.0) ?(deterministic = true) ?start_time (
   }
 
 let shards t = t.n
-
-let quantum t = t.quantum
-
-let deterministic t = t.deterministic
 
 let core t shard = t.shards.(shard).core
 
@@ -223,7 +211,7 @@ let post t ~from ~shard ~at ~channel apply =
   if shard = from then begin
     (* Same shard: no barrier to cross; schedule on the owning core
        directly (clamped, in case the stamp is slightly in this core's
-       past — can only happen with quantum > the link delay). *)
+       past — can only happen with a link delay under the quantum). *)
     let c = t.shards.(from).core in
     ignore
       (Lla_sim.Engine.schedule c ~at:(Float.max at (Lla_sim.Engine.now c)) (fun _ -> apply ()))
@@ -274,11 +262,9 @@ let collect_inboxes t =
       let acc = ref [] in
       for s = t.n - 1 downto 0 do
         let cell = t.shards.(s).outboxes.(d) in
-        (* Outboxes are in reversed emission order; [rev_append]ing them
-           back-to-front rebuilds drain order (shard 0 first, each shard's
-           messages in emission order) in one linear pass — the same list
-           the old [acc @ List.rev cell] fold produced, without the
-           quadratic copies at the barrier. *)
+        (* [deliver_inbox] sorts by a total key, so the order the cells
+           are concatenated in does not matter; [rev_append] makes it one
+           linear pass with no quadratic copies at the barrier. *)
         acc := List.rev_append !cell !acc;
         cell := []
       done;
@@ -286,18 +272,17 @@ let collect_inboxes t =
 
 let deliver_inbox t sid inbox =
   let sh = t.shards.(sid) in
-  let msgs = if t.deterministic then List.sort cmp_msg inbox else inbox in
   List.iter
     (fun m ->
       ignore
         (Lla_sim.Engine.schedule sh.core
            ~at:(Float.max m.m_at (Lla_sim.Engine.now sh.core))
            (fun _ -> m.m_apply ())))
-    msgs
+    (List.sort cmp_msg inbox)
 
 let step_quantum t horizon =
   run_barrier_ops t;
-  let q_end = Float.min horizon (t.clock +. t.quantum) in
+  let q_end = Float.min horizon (t.clock +. quantum) in
   let inboxes = collect_inboxes t in
   run_parallel t (fun sid ->
       deliver_inbox t sid inboxes.(sid);
@@ -324,9 +309,7 @@ let pending t =
 let events_fired t =
   Array.fold_left (fun acc sh -> acc + Lla_sim.Engine.events_fired sh.core) 0 t.shards
 
-let drain ?(max_quanta = 1_000_000) t =
-  let q = ref 0 in
-  while pending t > 0 && !q < max_quanta do
-    step_quantum t (t.clock +. t.quantum);
-    incr q
+let drain t =
+  while pending t > 0 do
+    step_quantum t (t.clock +. quantum)
   done

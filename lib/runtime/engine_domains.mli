@@ -11,19 +11,17 @@
     barrier mutex as the publishing happens-before edge, so the message
     hot path takes no locks.
 
-    {b Deterministic merge} (default): each destination sorts its
-    merged inbox by [(at, channel, seq)] — delivery time, source→dest
-    actor channel id, per-channel source-side sequence — before
-    scheduling, totally ordering cross-shard deliveries independently
-    of domain scheduling. Runs replay bit-for-bit.
-    [~deterministic:false] keeps outbox drain order (source shard, then
-    emission order) instead.
+    {b Deterministic merge}: each destination sorts its merged inbox by
+    [(at, channel, seq)] — delivery time, source→dest actor channel id,
+    per-channel source-side sequence — before scheduling, totally
+    ordering cross-shard deliveries independently of domain scheduling.
+    Runs replay bit-for-bit.
 
-    {b Timing}: with [quantum] <= the minimum cross-shard link delay,
-    merged messages are always scheduled at exactly their stamped
-    delivery time (they cannot be due before the barrier that merges
-    them); a larger quantum delays them to the barrier, bounded by one
-    quantum, still deterministically.
+    {b Timing}: barriers are a constant 1 ms quantum apart. A merged
+    message whose cross-shard link delay is at least 1 ms is scheduled
+    at exactly its stamped delivery time (it cannot be due before the
+    barrier that merges it); a shorter delay defers it to the barrier,
+    late by at most one quantum, still deterministically.
 
     Call {!shutdown} when done: worker domains are OS threads and the
     OCaml runtime caps live domains (~128), so test batteries that
@@ -31,18 +29,12 @@
 
 type t
 
-val create :
-  ?domains:int -> ?quantum:float -> ?deterministic:bool -> ?start_time:float -> unit -> t
-(** [domains] (default 4) shards/cores; [quantum] (default [1.0] ms)
-    barrier spacing. @raise Invalid_argument on [domains < 1] or a
-    non-positive quantum. Worker domains spawn on the first
-    {!run_until}, not here. *)
+val create : domains:int -> t
+(** [domains] shards/cores, clock at 0. @raise Invalid_argument on
+    [domains < 1]. Worker domains spawn on the first {!run_until}, not
+    here. *)
 
 val shards : t -> int
-
-val quantum : t -> float
-
-val deterministic : t -> bool
 
 val core : t -> int -> Lla_sim.Engine.t
 (** Shard [s]'s private core. Outside a parallel phase (setup, between
@@ -73,10 +65,9 @@ val run_until : t -> float -> unit
     first use. A worker exception aborts the run (re-raised on the
     caller) after the phase's barrier completes. *)
 
-val drain : ?max_quanta:int -> t -> unit
+val drain : t -> unit
 (** Keep running quanta until no core has pending events and no
-    message or barrier op is queued (or [max_quanta] quanta pass) —
-    the post-[stop] flush. *)
+    message or barrier op is queued — the post-[stop] flush. *)
 
 val pending : t -> int
 (** Live events across all cores + queued cross-shard messages +

@@ -193,16 +193,8 @@ let round t ~now =
       m "round %d at t=%.0fms: utility %.3f, %d enactments (%d suppressed)" t.rounds now
         (Lla.Solver.utility t.solver) t.enactments t.skipped)
 
-let start ?engine t =
+let start t =
   let core = Cluster.engine t.cluster in
-  (* The cluster simulation lives on one scheduling core; a supplied
-     engine must expose that core as shard 0 so the optimizer's periodic
-     rounds land on the clock the dispatcher runs on. *)
-  (match engine with
-  | Some e ->
-    if not (Engine.core e ~shard:0 == core) then
-      invalid_arg "Optimizer_loop.start: engine does not own the cluster's core"
-  | None -> ());
   ignore (Lla.Solver.run_until_converged t.solver ~max_iterations:t.config.warmup_iterations);
   enact t ~now:(Lla_sim.Engine.now core);
   let rec tick () =

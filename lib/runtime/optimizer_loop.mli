@@ -59,12 +59,9 @@ val create :
     the online detectors then follow every solver iteration live, and
     alert transitions are written back into the same trace. *)
 
-val start : ?engine:Engine.t -> t -> unit
-(** Run warmup, enact, and schedule the periodic rounds. A supplied
-    [engine] must own the cluster's scheduling core as shard 0
-    (@raise Invalid_argument otherwise); the rounds then run on that
-    engine's clock — pass it when the surrounding deployment is driven
-    through an {!Engine} handle rather than the raw core. *)
+val start : t -> unit
+(** Run warmup, enact, and schedule the periodic rounds on the
+    cluster's scheduling core. *)
 
 val solver : t -> Lla.Solver.t
 

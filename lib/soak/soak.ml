@@ -28,15 +28,21 @@ type config = {
   sustain_budget : int;
   baseline_every : int;
   baseline_iterations : int;
-  drift_tolerance : float;
   safe_mode : Safe_mode.config;
   shed_levels : int;
-  shed_fraction : float;
-  recover_after : int;
   warmstart_iterations : int;
   crash_every : int;
   journal_every : int;
 }
+
+(* Relative utility drift allowed against the baseline optimum. *)
+let drift_tolerance = 0.25
+
+(* Roster fraction shed per degradation rung. *)
+let shed_fraction = 0.2
+
+(* Healthy watchdog samples before the ladder climbs back one rung. *)
+let recover_after = 50
 
 (* The soak watchdog observes every [watchdog_every] ticks rather than
    every 10 ms, so the safe-mode machine's round counts and dwell are
@@ -71,11 +77,8 @@ let default_config =
     sustain_budget = 2_000;
     baseline_every = 250_000;
     baseline_iterations = 2_000;
-    drift_tolerance = 0.25;
     safe_mode = soak_safe_mode;
     shed_levels = 3;
-    shed_fraction = 0.2;
-    recover_after = 50;
     warmstart_iterations = 5_000;
     crash_every = 0;
     journal_every = 0;
@@ -197,7 +200,7 @@ let decode_iterate line =
           | _ -> None)
       | _ -> None)
 
-let run ?obs ?monitor ?engine ?journal ?on_progress config =
+let run ?obs ?monitor ?journal ?on_progress config =
   if config.horizon <= 0 then Error "Soak.run: non-positive horizon"
   else if config.watchdog_every <= 0 || config.health_every <= 0 then
     Error "Soak.run: non-positive watchdog/health cadence"
@@ -357,7 +360,7 @@ let run ?obs ?monitor ?engine ?journal ?on_progress config =
         let roster = Churn.roster_size churn in
         let apply_cap now =
           let rung = Stdlib.min !level config.shed_levels in
-          let frac = 1. -. (config.shed_fraction *. float_of_int rung) in
+          let frac = 1. -. (shed_fraction *. float_of_int rung) in
           let cap = Stdlib.max 0 (int_of_float (ceil (frac *. float_of_int roster))) in
           Churn.set_max_active churn cap;
           let excess = Churn.active_in_roster churn - cap in
@@ -432,12 +435,12 @@ let run ?obs ?monitor ?engine ?journal ?on_progress config =
                 let drift = Monitor.drift ~baseline:b k_u in
                 incr base_checks;
                 if drift > !worst_drift then worst_drift := drift;
-                if drift > config.drift_tolerance then
+                if drift > drift_tolerance then
                   violate now
                     (Printf.sprintf
                        "utility drift %.3f vs centralized optimum over the active set \
                         (tolerance %.3f)"
-                       drift config.drift_tolerance)
+                       drift drift_tolerance)
           end
         in
 
@@ -485,7 +488,7 @@ let run ?obs ?monitor ?engine ?journal ?on_progress config =
           | None ->
               if !level > 0 then begin
                 incr healthy;
-                if !healthy >= config.recover_after then recover now
+                if !healthy >= recover_after then recover now
               end);
           (match
              Safe_mode.observe_signals safe ~now:(float_of_int now) ~mu:(Kernel.mu_array kernel)
@@ -671,23 +674,7 @@ let run ?obs ?monitor ?engine ?journal ?on_progress config =
           if now > 0 && now mod config.watchdog_every = 0 then watchdog now;
           if now > 0 && now mod config.health_every = 0 then health now
         in
-        (match engine with
-        | None -> for now = 0 to config.horizon - 1 do tick now done
-        | Some eng ->
-            (* Drive the same tick stream through an engine handle: one
-               scheduled event per tick on shard 0's core (1 tick = 1 ms
-               of engine time), so the soak coexists with whatever else
-               the engine runs — including a domains engine's barrier
-               loop — without changing a single decision the ticks make. *)
-            let core = Lla_runtime.Engine.core eng ~shard:0 in
-            let rec at now =
-              ignore
-                (Lla_sim.Engine.schedule core ~at:(float_of_int now) (fun _ ->
-                     tick now;
-                     if now + 1 < config.horizon then at (now + 1)))
-            in
-            at 0;
-            Lla_runtime.Engine.run_until eng (float_of_int config.horizon));
+        for now = 0 to config.horizon - 1 do tick now done;
 
         let elapsed = Unix.gettimeofday () -. t0 in
         Ok

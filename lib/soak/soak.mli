@@ -15,19 +15,20 @@
       [sustain_budget] are the price of churn; longer is a violation),
       reconvergence after every chaos window / flash crowd / safe-mode
       exit (utility must settle, per {!Lla_obs.Analyze.settling_time},
-      within [reconverge_budget]), and a utility-drift bound against a
-      periodically recomputed {!Lla_baseline.Centralized} optimum over
-      the currently-active subset;
+      within [reconverge_budget]), and a 25 % utility-drift bound
+      against a periodically recomputed {!Lla_baseline.Centralized}
+      optimum over the currently-active subset;
     - {b resource ceilings with graceful degradation} — a watchdog
       samples VmRSS, minor-words-per-tick and ticks-per-second against
       {!ceilings}; a breach walks one step down the degradation ladder
-      (shedding the lowest-utility roster tasks and barring admissions
+      (each rung sheds another 20 % of the roster, lowest-utility tasks
+      first, and bars admissions
       — every remaining set is schedulable by the generator's
       feasibility-by-construction, so this is literally walking down
       the schedulability ladder) instead of dying, with the bottom rung
       clamping to the {!Lla_runtime.Safe_mode} fallback. Every step is
       recorded as a trace event ([Watchdog_trip] + a ["soak.degrade"]
-      note); sustained health climbs back up.
+      note); 50 healthy watchdog samples climb back up one rung.
 
     Determinism: the generator, churn and rota all draw from seeded
     private streams, so a [(config)] pair yields an identical report
@@ -56,11 +57,8 @@ type config = {
   sustain_budget : int;  (** ticks Eq. 3/4 may stay violated outside grace *)
   baseline_every : int;  (** ticks between drift checkpoints; [0] = never *)
   baseline_iterations : int;
-  drift_tolerance : float;  (** relative utility drift allowed vs baseline *)
   safe_mode : Lla_runtime.Safe_mode.config;
   shed_levels : int;  (** ladder rungs before the forced-safe bottom *)
-  shed_fraction : float;  (** roster fraction shed per rung *)
-  recover_after : int;  (** healthy watchdog samples per rung re-ascent *)
   warmstart_iterations : int;  (** converge before the horizon clock starts *)
   crash_every : int;
       (** ticks between whole-node crash drills ([0] = never): the
@@ -125,7 +123,6 @@ type report = {
 val run :
   ?obs:Lla_obs.t ->
   ?monitor:Lla_obs.Monitor.t ->
-  ?engine:Lla_runtime.Engine.t ->
   ?journal:Lla_durable.Journal.t ->
   ?on_progress:(tick:int -> unit) ->
   config ->
@@ -156,14 +153,7 @@ val run :
     when a monitor is attached; a recovery still infeasible past
     [sustain_budget + reconverge_budget] ticks is an oracle violation.
     Omitting [?journal] (and both cadences) keeps the run byte-identical
-    to earlier releases.
-
-    With [?engine], the tick loop runs as scheduled events on the
-    engine's shard-0 core (1 tick = 1 ms of engine time) instead of a
-    plain loop — every tick makes the same decisions either way, so
-    reports agree field-for-field modulo the wall-clock and memory
-    entries. The caller keeps ownership: shut a domains engine down
-    after the run. *)
+    to earlier releases. *)
 
 val encode_iterate : at:int -> Lla_scale.Kernel.t -> string
 (** The journal record of the kernel's current iterate: one JSONL line

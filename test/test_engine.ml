@@ -1,5 +1,5 @@
-(* The engine interface battery: golden traces through Engine_sim (the
-   refactor must be invisible on the legacy path), the seeded
+(* The engine interface battery: golden traces through the sim handle
+   (the refactor must be invisible on the legacy path), the seeded
    domains-parallel interleaving battery (replay determinism,
    element-wise agreement with the simulator, merged-trace oracles), the
    order-sensitivity repro behind the calibrated span oracle, and
@@ -13,7 +13,6 @@ module Invariant = Lla_obs.Invariant
 module Campaign = Lla_chaos.Campaign
 module Schedule = Lla_chaos.Schedule
 module Oracle = Lla_chaos.Oracle
-module Soak = Lla_soak.Soak
 module P = Lla.Problem
 
 let workload = Lla_workloads.Paper_sim.base ()
@@ -87,7 +86,7 @@ let run_domains ?resilience ?tconfig ?inject ~domains ~duration () =
   result
 
 (* ------------------------------------------------------------------ *)
-(* Golden traces: Engine_sim reproduces the pre-refactor trajectories   *)
+(* Golden traces: the sim handle reproduces the pre-refactor runs      *)
 (* ------------------------------------------------------------------ *)
 
 let test_sim_golden_plain () =
@@ -134,9 +133,72 @@ let test_sim_golden_faulted_transport () =
   let on_engine, _ = run_on ~tconfig (Reng.sim ()) ~duration:15_000. () in
   check_snapshot_eq "faulted transport" legacy on_engine
 
+(* The sim handle is the bare core: barrier ops and posts are ordinary
+   events clamped to the clock, queued behind what the core already
+   holds; its clock is the core's; it has no shard 1; shutdown releases
+   nothing. *)
+let test_sim_handle_is_the_core () =
+  let h = Reng.sim () in
+  let core = Reng.core h ~shard:0 in
+  Reng.run_until h 10.;
+  let fired = ref [] in
+  let note tag () = fired := (tag, Lla_sim.Engine.now core) :: !fired in
+  ignore (Lla_sim.Engine.schedule core ~at:10. (fun _ -> note "queued" ()));
+  Reng.at_barrier h ~at:5. (note "barrier");
+  Reng.post h ~from:0 ~shard:0 ~at:5. ~channel:0 (note "post");
+  Reng.run_until h 10.;
+  Alcotest.(check (list (pair string (float 0.))))
+    "fired at the clock, after the queued event, in queueing order"
+    [ ("queued", 10.); ("barrier", 10.); ("post", 10.) ]
+    (List.rev !fired);
+  ignore (Lla_sim.Engine.schedule core ~at:20. (fun _ -> note "direct" ()));
+  Lla_sim.Engine.run_until core 25.;
+  Alcotest.(check (float 0.)) "now follows the core" 25. (Reng.now h);
+  Alcotest.(check int) "events fired are the core's" (Lla_sim.Engine.events_fired core)
+    (Reng.events_fired h);
+  let invalid f = match f () with () -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "core ~shard:1 raises" true
+    (invalid (fun () -> ignore (Reng.core h ~shard:1)));
+  Alcotest.(check bool) "post ~shard:1 raises" true
+    (invalid (fun () -> Reng.post h ~from:0 ~shard:1 ~at:30. ~channel:0 ignore));
+  Reng.shutdown h;
+  Reng.at_barrier h ~at:30. (note "after shutdown");
+  Reng.run_until h 40.;
+  Alcotest.(check (pair string (float 0.))) "runnable after shutdown" ("after shutdown", 30.)
+    (List.hd !fired);
+  Alcotest.(check (float 0.)) "clock at the horizon" 40. (Reng.now h);
+  Alcotest.(check int) "nothing pending" 0 (Reng.pending h)
+
 (* ------------------------------------------------------------------ *)
 (* Domains engine: agreement, determinism, merged oracles               *)
 (* ------------------------------------------------------------------ *)
+
+(* The merge sorts every inbox by (at, channel, seq): cross-shard posts
+   land at their stamped times, ties broken by channel and then by
+   emission order, whatever order they were posted in; [drain] then
+   empties the engine. *)
+let test_domains_merge_order () =
+  let h = Reng.domains ~domains:2 () in
+  let core0 = Reng.core h ~shard:0 in
+  let fired = ref [] in
+  let post ~at ~channel tag =
+    Reng.post h ~from:1 ~shard:0 ~at ~channel (fun () ->
+        fired := (tag, Lla_sim.Engine.now core0) :: !fired)
+  in
+  post ~at:3. ~channel:5 "a";
+  post ~at:2.5 ~channel:7 "b";
+  post ~at:2.5 ~channel:3 "c";
+  post ~at:2. ~channel:9 "d";
+  post ~at:2.5 ~channel:7 "e";
+  Alcotest.(check int) "five posts pending" 5 (Reng.pending h);
+  Reng.drain h;
+  Reng.shutdown h;
+  Alcotest.(check (list (pair string (float 0.))))
+    "delivered in (at, channel, seq) order"
+    [ ("d", 2.); ("c", 2.5); ("b", 2.5); ("e", 2.5); ("a", 3.) ]
+    (List.rev !fired);
+  Alcotest.(check int) "drained" 0 (Reng.pending h);
+  Alcotest.(check int) "events fired" 5 (Reng.events_fired h)
 
 let test_domains_matches_sim () =
   let duration = 8_000. in
@@ -283,7 +345,7 @@ let test_span_oracle_order_sensitivity () =
     (Invariant.spans_well_formed_merged records)
 
 (* ------------------------------------------------------------------ *)
-(* Campaign + soak against the domains engine                           *)
+(* Campaign against the domains engine                                  *)
 (* ------------------------------------------------------------------ *)
 
 let small_schedule ~seed events =
@@ -345,44 +407,6 @@ let test_campaign_domains_shrinker_repro () =
       Alcotest.(check bool) "shrunk still reproduces on the domains engine" true
         (Campaign.reproduces ~engine ~failing shrunk)
 
-let test_soak_engine_paths_agree () =
-  (* The PR-7 soak loop driven through an engine handle — sim and
-     domains — must make tick-for-tick the same decisions as the plain
-     loop: every deterministic report field agrees. *)
-  let config = { Soak.smoke_config with Soak.subtasks = 200; horizon = 4_000 } in
-  let det (r : Soak.report) =
-    ( ( r.Soak.ticks,
-        r.Soak.tasks,
-        r.Soak.subtasks,
-        r.Soak.admits,
-        r.Soak.retires,
-        r.Soak.chaos_windows,
-        r.Soak.stalls ),
-      ( r.Soak.guard_events,
-        r.Soak.safe_entries,
-        r.Soak.safe_exits,
-        r.Soak.degradations,
-        r.Soak.recoveries,
-        r.Soak.max_level,
-        r.Soak.violation_count ),
-      ( r.Soak.oracle_violations,
-        r.Soak.reconverge_episodes,
-        r.Soak.worst_settle_ticks,
-        r.Soak.baseline_checks,
-        r.Soak.worst_drift,
-        r.Soak.final_utility,
-        r.Soak.final_feasible,
-        r.Soak.final_active_tasks ) )
-  in
-  let plain = Result.get_ok (Soak.run config) in
-  let sim = Result.get_ok (Soak.run ~engine:(Reng.sim ()) config) in
-  let deng = Reng.domains ~domains:2 () in
-  let dom = Result.get_ok (Soak.run ~engine:deng config) in
-  Reng.shutdown deng;
-  Alcotest.(check bool) "plain = sim engine" true (compare (det plain) (det sim) = 0);
-  Alcotest.(check bool) "plain = domains engine" true (compare (det plain) (det dom) = 0);
-  Alcotest.(check int) "no violations" 0 plain.Soak.violation_count
-
 let () =
   Alcotest.run "lla_engine"
     [
@@ -393,11 +417,13 @@ let () =
             test_sim_golden_traced_resilient;
           Alcotest.test_case "sim engine, faulted transport" `Slow
             test_sim_golden_faulted_transport;
+          Alcotest.test_case "sim handle is the bare core" `Quick test_sim_handle_is_the_core;
         ] );
       ( "domains",
         [
           Alcotest.test_case "settled allocation matches sim (1/2/4)" `Slow
             test_domains_matches_sim;
+          Alcotest.test_case "cross-shard merge order" `Quick test_domains_merge_order;
           QCheck_alcotest.to_alcotest battery;
           Alcotest.test_case "merged metrics registry matches single-shard" `Slow
             test_merged_registry_matches_single;
@@ -411,7 +437,4 @@ let () =
           Alcotest.test_case "interleaving failure shrinks and reproduces" `Slow
             test_campaign_domains_shrinker_repro;
         ] );
-      ( "soak",
-        [ Alcotest.test_case "engine paths agree with the loop" `Slow test_soak_engine_paths_agree ]
-      );
     ]
