@@ -467,34 +467,45 @@ let scale_bench ~name ~subtasks ~gate () =
   print_split ~tick_s:solve_tick_s ~per_tick:(float_of_int (touched ()) /. float_of_int iterations);
   (* Steady state: the incremental regime the dirty sets target. Best of
      several batches — single-batch wall clock jitters across the 20x
-     gate on a noisy CI box. *)
-  let steady_tick_s = ref infinity and steady_touched = ref 0. in
+     gate on a noisy CI box. A converged tick can visit nothing and take
+     tens of nanoseconds, so each batch doubles its tick count until it
+     lasts at least 1 ms: the 1 us clock then quantises its rate by at
+     most 0.1 %. *)
+  let steady_tick_s = ref infinity and reps = ref 200 in
   for _ = 1 to 5 do
-    let reps = 200 in
-    let c0 = touched () in
-    let t0 = Unix.gettimeofday () in
-    Lla_scale.Kernel.run kernel ~iterations:reps;
-    let per = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-    if per < !steady_tick_s then begin
-      steady_tick_s := per;
-      steady_touched := float_of_int (touched () - c0) /. float_of_int reps
-    end
+    let per = ref nan in
+    while Float.is_nan !per do
+      let t0 = Unix.gettimeofday () in
+      Lla_scale.Kernel.run kernel ~iterations:!reps;
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt >= 1e-3 then per := dt /. float_of_int !reps else reps := 2 * !reps
+    done;
+    if !per < !steady_tick_s then steady_tick_s := !per
   done;
   let steady_tick_s = !steady_tick_s in
-  Printf.printf "  steady state %8.2f ms/tick  (%.1f ns/subtask/iter, %.0f ticks/s)\n"
+  Printf.printf "  steady state %8.2f ms/tick  (%.4g ns/subtask/iter, %.0f ticks/s)\n"
     (steady_tick_s *. 1e3)
     (steady_tick_s *. 1e9 /. float_of_int n_sub)
     (1. /. steady_tick_s);
-  print_split ~tick_s:steady_tick_s ~per_tick:!steady_touched;
   (* Allocation per tick, by minor-words delta (the Gc probe itself
-     allocates its boxed result, so subtract an empty probe). *)
+     allocates its boxed result, so subtract an empty probe), and the
+     entities a steady tick visits over the same fixed 100 ticks. *)
   let probe iterations =
     let before = Gc.minor_words () in
     Lla_scale.Kernel.run kernel ~iterations;
     Gc.minor_words () -. before
   in
   let empty = probe 0 in
+  let c0 = Lla_scale.Kernel.cumulative_touch kernel in
   let alloc_words = (probe 100 -. empty) /. 100. in
+  let c1 = Lla_scale.Kernel.cumulative_touch kernel in
+  let steady_touch f = float_of_int (f c1 - f c0) /. 100. in
+  let steady_sub = steady_touch (fun c -> c.Lla_scale.Kernel.subtasks_touched) in
+  let steady_res = steady_touch (fun c -> c.Lla_scale.Kernel.resources_touched) in
+  let steady_path = steady_touch (fun c -> c.Lla_scale.Kernel.paths_touched) in
+  print_split ~tick_s:steady_tick_s ~per_tick:steady_sub;
+  Printf.printf "               %.1f resources and %.1f paths touched/tick\n" steady_res
+    steady_path;
   Printf.printf "  allocation   %8.2f minor words/tick\n" alloc_words;
   (* Reference solver, same workload: per-iteration cost, best of
      several batches as above. *)
@@ -590,7 +601,10 @@ let scale_bench ~name ~subtasks ~gate () =
         Printf.sprintf "%.1f" (solve_tick_s *. 1e9 /. float_of_int n_sub) );
       ("steady_iterations_per_s", Printf.sprintf "%.1f" (1. /. steady_tick_s));
       ( "steady_ns_per_subtask_per_iter",
-        Printf.sprintf "%.1f" (steady_tick_s *. 1e9 /. float_of_int n_sub) );
+        Printf.sprintf "%.4g" (steady_tick_s *. 1e9 /. float_of_int n_sub) );
+      ("steady_subtasks_touched", Printf.sprintf "%.1f" steady_sub);
+      ("steady_resources_touched", Printf.sprintf "%.1f" steady_res);
+      ("steady_paths_touched", Printf.sprintf "%.1f" steady_path);
       ("alloc_words_per_tick", Printf.sprintf "%.1f" alloc_words);
       ("solver_ms_per_iter", Printf.sprintf "%.3f" (solver_iter_s *. 1e3));
       ("kernel_vs_solver_speedup", Printf.sprintf "%.1f" speedup);

@@ -309,6 +309,7 @@ let resource_pass t =
   let path_count = ref t.path_count in
   for k = 0 to n - 1 do
     let r = ug res_q k in
+    let mu_in = ug t.mu r and gamma_in = ug t.gamma_r r and guards_in = !guards in
     if not (ug t.mu r -. ug t.mu r = 0.) then begin
       incr guards;
       us t.mu r 0.
@@ -353,14 +354,15 @@ let resource_pass t =
     let now = used > ug t.cap r +. 1e-12 in
     let d = if now = ug t.congested r then 0 else if now then 1 else -1 in
     if d <> 0 then us t.congested r now;
-    (* a congestion flip moves the hot count of every path through r, and
-       every path through a congested resource updates this very tick:
-       its step size doubles even when its latency is unchanged *)
+    (* every path through a congested resource updates this very tick:
+       its step size doubles even when its latency is unchanged. A flip
+       either way moves the paths' hot counts, an input of their step, so
+       it pushes them too. *)
     if now || d <> 0 then
       for e = ug t.rp_off r to ug t.rp_off (r + 1) - 1 do
         let p = ug t.rp_idx e in
         if d <> 0 then us t.path_hot p (ug t.path_hot p + d);
-        if now && ug t.path_mark p <> tick then begin
+        if ug t.path_mark p <> tick then begin
           us t.path_mark p tick;
           us path_q !path_count p;
           incr path_count
@@ -372,8 +374,16 @@ let resource_pass t =
            let g = ug t.gamma_r r *. t.g_mult_r in
            if t.g_cap_r <= g then t.g_cap_r else g
          else t.g_init_r);
-    (* a live price keeps integrating its slack until it hits 0 *)
-    if ug t.mu r > 0. && ug t.res_mark r <> next then begin
+    (* A live price stays queued while its update does something. An
+       update that moved neither mu nor gamma, found r uncongested with
+       its flag unchanged and fired no guard is the identity on its
+       inputs (mu, gamma, B_r, the share sum and the flag), and so is the
+       next one until a writer of those inputs queues r again. *)
+    if
+      ug t.mu r > 0.
+      && (now || d <> 0 || !guards <> guards_in || ug t.mu r <> mu_in || ug t.gamma_r r <> gamma_in)
+      && ug t.res_mark r <> next
+    then begin
       us t.res_mark r next;
       us res_q2 !res_count2 r;
       incr res_count2
@@ -398,6 +408,7 @@ let path_pass t =
   let sub_count = ref t.sub_count and path_count2 = ref t.path_count2 in
   for k = 0 to n - 1 do
     let p = ug path_q k in
+    let lambda_in = ug t.lambda p and gamma_in = ug t.gamma_p p and guards_in = !guards in
     if not (ug t.lambda p -. ug t.lambda p = 0.) then begin
       incr guards;
       us t.lambda p 0.
@@ -446,11 +457,16 @@ let path_pass t =
            let g = ug t.gamma_p p *. t.g_mult_p in
            if t.g_cap_p <= g then t.g_cap_p else g
          else t.g_init_p);
-    (* keep the path live while its price or step carries state; a path
-       that drops out satisfies lambda = 0, gamma at initial, members
-       still, slack >= 0 — on which the reference update is the identity *)
+    (* keep the path live while its price or step carries state and its
+       update did something. A path that drops out satisfies lambda = 0,
+       gamma at initial, members still, slack >= 0, or its update moved
+       neither lambda nor gamma and fired no guard; either way the next
+       update is the identity until one of its inputs (lambda, gamma,
+       the cached latency, crit, path_hot) is written, and every writer
+       pushes it. *)
     if
       (ug t.lambda p > 0. || (t.adaptive_p && ug t.gamma_p p <> t.g_init_p))
+      && (!guards <> guards_in || ug t.lambda p <> lambda_in || ug t.gamma_p p <> gamma_in)
       && ug t.path_mark p <> next
     then begin
       us t.path_mark p next;

@@ -11,14 +11,21 @@
     The tick is {b incremental}: dirty sets track which subtasks,
     resources and paths can possibly change this iteration, and
     everything else is skipped with cached share sums and path
-    latencies. The skip rule is exact, not approximate — a skipped
-    resource provably satisfies [mu = 0], uncongested, step size at its
-    initial value, and members' latencies unchanged, under which the
-    reference update is the identity (and symmetrically for paths and
-    subtasks). The kernel therefore produces {b bit-identical iterates}
-    to {!Lla.Solver} on any problem both accept; the suite checks
-    element-wise agreement within 1e-9 on random scenarios. See DESIGN
-    §11 for the full equivalence argument.
+    latencies. The skip rule is exact, not approximate — an entity
+    leaves its queue only when its next update is provably the
+    identity: a resource when its price is at rest ([mu = 0]) or its
+    last update moved neither [mu] nor its step, found it uncongested
+    with its congestion flag unchanged and fired no guard; a path
+    likewise with [lambda] (at rest: [lambda = 0] and its step at the
+    initial value) and its step, without the congestion clause. Every
+    write to one of an entity's inputs queues it again. At a
+    market-clearing fixpoint every update is the identity, and a
+    converged tick visits nothing. The kernel therefore produces
+    {b bit-identical iterates} to {!Lla.Solver} on any problem both
+    accept, and to a full sweep ({!requeue_all} before every tick); the
+    suite checks element-wise agreement with the solver within 1e-9 and
+    with a full sweep bit for bit on random scenarios. See DESIGN §11
+    for the full equivalence argument.
 
     Internally subtasks are numbered {b resource-major}: by resource,
     in ascending problem index within each resource, so a resource's
@@ -130,7 +137,10 @@ val n_resources : t -> int
 val n_paths : t -> int
 
 val step : t -> unit
-(** One LLA tick over the current dirty sets. *)
+(** One LLA tick over the current dirty sets. It visits only the
+    subtasks, resources and paths whose update can change something
+    ({!last_touch} counts them), so a tick at a fixpoint of the three
+    passes visits nothing. *)
 
 val run : t -> iterations:int -> unit
 
