@@ -36,67 +36,16 @@ let run_recovery () =
 (* Observability overhead                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock the distributed deployment with tracing off and on (ring
-   buffer, no sink — the standard always-on configuration) and report
-   the relative slowdown. Both runs execute the identical event schedule
-   — the golden-trace test guarantees that — so the comparison isolates
-   pure emission cost. Best-of-N minimizes scheduler noise; the smoke
-   budget is deliberately loose because short CI runs jitter. *)
-let obs_overhead ~smoke () =
-  print_string
-    (Lla_experiments.Report.header "Observability overhead (distributed deployment)");
-  let workload = Lla_workloads.Paper_sim.base () in
-  let horizon = if smoke then 2_000. else 20_000. in
-  let repeats = if smoke then 3 else 5 in
-  let budget = if smoke then 25.0 else 5.0 in
-  let time_once ~with_obs =
-    let engine = Lla_sim.Engine.create () in
-    let obs = if with_obs then Some (Lla_obs.create ()) else None in
-    let d = Lla_runtime.Distributed.create ?obs engine workload in
-    let t0 = Unix.gettimeofday () in
-    Lla_runtime.Distributed.run d ~duration:horizon;
-    let dt = Unix.gettimeofday () -. t0 in
-    Lla_runtime.Distributed.stop d;
-    let rounds =
-      Lla_runtime.Distributed.price_rounds d + Lla_runtime.Distributed.allocation_rounds d
-    in
-    (dt, rounds)
-  in
-  ignore (time_once ~with_obs:false);
-  ignore (time_once ~with_obs:true);
-  let best_off = ref infinity and best_on = ref infinity and rounds = ref 0 in
-  for _ = 1 to repeats do
-    let dt, r = time_once ~with_obs:false in
-    best_off := Float.min !best_off dt;
-    rounds := r;
-    let dt, _ = time_once ~with_obs:true in
-    best_on := Float.min !best_on dt
-  done;
-  let overhead = (!best_on -. !best_off) /. !best_off *. 100. in
-  Printf.printf "  %.0f ms simulated control time, best of %d runs, %d control rounds\n"
-    horizon repeats !rounds;
-  Printf.printf "  tracing off  %8.1f ms wall  (%.0f rounds/s)\n" (!best_off *. 1e3)
-    (float_of_int !rounds /. !best_off);
-  Printf.printf "  tracing on   %8.1f ms wall  (%.0f rounds/s)\n" (!best_on *. 1e3)
-    (float_of_int !rounds /. !best_on);
-  Printf.printf "  overhead     %+8.1f%%  (budget %.0f%%)\n" overhead budget;
-  if overhead > budget then begin
-    Printf.printf "  FAIL: observability overhead exceeds the %.0f%% budget\n" budget;
-    exit 1
-  end
-  else print_string "  PASS\n"
-
-let run_obs () = obs_overhead ~smoke:false ()
-
-let run_obs_smoke () = obs_overhead ~smoke:true ()
-
-(* Two gates on the analysis tier added on top of plain tracing.
+(* Two gates on the observability layer.
 
    1. Switched OFF (obs handle present, spans off, profiler disabled —
-      the always-on configuration), the new instrumentation hooks (span
-      matches on the transport path, profiler branches around every
-      phase) must keep the tracing-on run inside the same budget as
-      [obs_overhead]: "pay nothing until switched on".
+      the always-on configuration), plain tracing plus the analysis
+      hooks (span matches on the transport path, profiler branches
+      around every phase) must stay within 5 % (25 % in the smoke) of
+      the bare run's wall: "pay nothing until switched on". Both runs
+      execute the identical event schedule — the golden-trace test
+      guarantees that — so the ratio isolates emission cost; best-of-N
+      damps scheduler noise.
 
    2. Switched ON (spans + enabled profiler), the added wall-clock cost
       is budgeted against the *simulated control-time horizon* — the
@@ -1250,8 +1199,6 @@ let experiments =
     ("chaos", run_chaos);
     ("recovery", run_recovery);
     ("campaign", run_campaign);
-    ("obs", run_obs);
-    ("obs-smoke", run_obs_smoke);
     ("profile", run_profile);
     ("profile-smoke", run_profile_smoke);
     ("control-latency", run_control_latency);

@@ -512,12 +512,12 @@ let scenario_doc =
    deployment, zero faults), or 'chaos' (distributed with 5% message loss, an agent outage \
    and the resilience layer on)."
 
-(* Build the distributed / chaos scenario with obs (and optionally a
-   streaming monitor) attached, leaving stepping to the caller: [trace],
-   [analyze] and [profile] run it straight to the horizon, the live
-   commands render or rewrite between engine steps, so `top distributed`
-   watches exactly the scenario `trace distributed` dumps. *)
-let build_scenario_deployment ~obs ?monitor ~chaos engine ~horizon =
+(* Build the distributed / chaos scenario with obs attached, leaving
+   stepping to the caller: [trace], [analyze] and [profile] run it
+   straight to the horizon, the live commands render or rewrite between
+   engine steps, so `top distributed` watches exactly the scenario
+   `trace distributed` dumps. *)
+let build_scenario_deployment ~obs ~chaos engine ~horizon =
   let workload = Lla_workloads.Paper_sim.base () in
   let d =
     if chaos then begin
@@ -532,7 +532,7 @@ let build_scenario_deployment ~obs ?monitor ~chaos engine ~horizon =
             }
       in
       let d =
-        Lla_runtime.Distributed.create ~obs ?monitor ~transport
+        Lla_runtime.Distributed.create ~obs ~transport
           ~resilience:Lla_runtime.Distributed.default_resilience engine workload
       in
       let victim_id = (List.hd workload.Lla_model.Workload.resources).Lla_model.Resource.id in
@@ -540,7 +540,7 @@ let build_scenario_deployment ~obs ?monitor ~chaos engine ~horizon =
       Transport.schedule_outage transport victim ~at:(horizon /. 3.) ~duration:(horizon /. 10.);
       d
     end
-    else Lla_runtime.Distributed.create ~obs ?monitor engine workload
+    else Lla_runtime.Distributed.create ~obs engine workload
   in
   (workload, d)
 
@@ -1163,7 +1163,8 @@ let top_scenario ~chaos ~duration ~refresh ~frames ~no_ansi =
       ~tasks:(List.length (Lla_workloads.Paper_sim.base ()).Lla_model.Workload.tasks)
       ()
   in
-  let workload, d = build_scenario_deployment ~obs ~monitor ~chaos engine ~horizon in
+  let workload, d = build_scenario_deployment ~obs ~chaos engine ~horizon in
+  Lla_obs.Monitor.attach monitor obs.Lla_obs.trace;
   Lla_runtime.Distributed.start d;
   let period = max 1e-3 (refresh *. 1000.) in
   let frame = ref 0 in

@@ -167,7 +167,7 @@ let schedule_windows dist (events : Schedule.event list) =
 (* Judge a drained run: final latencies/offsets, Eq. 3/4 excesses, and
    the oracle verdicts. A multi-shard run's records are the merge of the
    per-shard streams, judged with the order-calibrated oracles. *)
-let judge ~oracle ~sched ~workload ~problem h dist =
+let judge ~sched ~workload ~problem h dist =
   let subtask_id i = problem.Lla.Problem.subtasks.(i).Lla.Problem.sid in
   let n_sub = Lla.Problem.n_subtasks problem in
   let lat = Array.init n_sub (fun i -> Distributed.latency dist (subtask_id i)) in
@@ -230,7 +230,7 @@ let judge ~oracle ~sched ~workload ~problem h dist =
   {
     schedule = sched;
     outcome;
-    verdicts = Oracle.evaluate ~config:oracle ~merged:(Engine.shards h > 1) outcome;
+    verdicts = Oracle.evaluate ~merged:(Engine.shards h > 1) outcome;
   }
 
 (* One deployment body for both engines: [Distributed.create_on] homes
@@ -238,8 +238,7 @@ let judge ~oracle ~sched ~workload ~problem h dist =
    and every event goes through the engine-generic hooks — injections
    run with every shard at rest, partitions cut real and shadow
    endpoints alike, outages hit the target's home transport. *)
-let run_schedule ?(oracle = Oracle.default_config) ?(engine = (`Sim : engine))
-    (sched : Schedule.t) =
+let run_schedule ?(engine = (`Sim : engine)) (sched : Schedule.t) =
   let* workload = workload_of_name sched.Schedule.workload in
   let problem = Lla.Problem.compile workload in
   let* () = validate_indices problem sched in
@@ -299,7 +298,7 @@ let run_schedule ?(oracle = Oracle.default_config) ?(engine = (`Sim : engine))
      past the horizon (outage restarts, window closings) so the run ends
      in a quiescent, fully healed state. *)
   Engine.drain h;
-  Ok (judge ~oracle ~sched ~workload ~problem h dist)
+  Ok (judge ~sched ~workload ~problem h dist)
 
 (* ---------- generator ---------- *)
 
@@ -416,8 +415,8 @@ let generate ?(fragile = false) ~seed () =
 
 let failing_oracles verdicts = List.map (fun v -> v.Oracle.oracle) (Oracle.failures verdicts)
 
-let reproduces ?oracle ?engine ~failing sched =
-  match run_schedule ?oracle ?engine sched with
+let reproduces ?engine ~failing sched =
+  match run_schedule ?engine sched with
   | Error _ -> false
   | Ok exec -> List.exists (fun o -> List.mem o failing) (failing_oracles exec.verdicts)
 
@@ -496,13 +495,13 @@ let simplify_event (e : Schedule.event) =
            else []);
         ]
 
-let shrink ?oracle ?engine ?(max_attempts = 120) ~failing (sched : Schedule.t) =
+let shrink ?engine ?(max_attempts = 120) ~failing (sched : Schedule.t) =
   let attempts = ref 0 in
   let test events =
     if !attempts >= max_attempts then false
     else begin
       incr attempts;
-      reproduces ?oracle ?engine ~failing { sched with Schedule.events }
+      reproduces ?engine ~failing { sched with Schedule.events }
     end
   in
   (* ddmin over the event list. *)
@@ -590,7 +589,7 @@ type summary = {
 
 let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
-let run ?oracle ?engine ?(fragile = false) ?shrink_attempts ?out ~runs ~seed () =
+let run ?engine ?(fragile = false) ?shrink_attempts ?out ~runs ~seed () =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
   let failures = ref [] in
@@ -618,7 +617,7 @@ let run ?oracle ?engine ?(fragile = false) ?shrink_attempts ?out ~runs ~seed () 
         :: !failures
     end
     else
-      match run_schedule ?oracle ?engine sched with
+      match run_schedule ?engine sched with
       | Error msg -> line "run %02d seed %d: ERROR %s" i run_seed msg
       | Ok exec -> (
           match failing_oracles exec.verdicts with
@@ -626,7 +625,7 @@ let run ?oracle ?engine ?(fragile = false) ?shrink_attempts ?out ~runs ~seed () 
           | failing ->
               line "run %02d seed %d: FAIL [%s] (events=%d)" i run_seed (String.concat "," failing)
                 n_events;
-              let shrunk = shrink ?oracle ?engine ?max_attempts:shrink_attempts ~failing sched in
+              let shrunk = shrink ?engine ?max_attempts:shrink_attempts ~failing sched in
               let repro_path, shrunk_path =
                 match out with
                 | None -> (None, None)
@@ -649,6 +648,6 @@ let run ?oracle ?engine ?(fragile = false) ?shrink_attempts ?out ~runs ~seed () 
     (if fragile then ", fragile setup" else "");
   { runs; base_seed = seed; fragile; failures; report = Buffer.contents buf }
 
-let replay ?oracle ?engine ~path () =
+let replay ?engine ~path () =
   let* sched = Schedule.load ~path in
-  run_schedule ?oracle ?engine sched
+  run_schedule ?engine sched

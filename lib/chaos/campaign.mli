@@ -26,13 +26,13 @@ val workload_of_name : string -> (Lla_model.Workload.t, string) result
 (** ["base"] (the paper's 3-task workload), ["six"] (two copies),
     ["prototype"], or ["random:<seed>"] ({!Lla_workloads.Random_gen}). *)
 
-val run_schedule :
-  ?oracle:Oracle.config -> ?engine:engine -> Schedule.t -> (execution, string) result
+val run_schedule : ?engine:engine -> Schedule.t -> (execution, string) result
 (** Execute one schedule: resolve and compile its workload (validating
     every event index against it), build a fresh engine + traced
     deployment with the schedule's {!Schedule.setup}, inject the events,
     drive the engine for {!Schedule.duration}, stop the runtime, drain
-    the remaining in-flight messages, and judge the outcome. [Error] on
+    the remaining in-flight messages, and judge the outcome with
+    {!Oracle.default_config}. [Error] on
     an unknown workload or an out-of-range index; oracle verdicts (even
     all-failing ones) are [Ok].
 
@@ -55,13 +55,11 @@ val generate : ?fragile:bool -> seed:int -> unit -> Schedule.t
     the deliberately breakable deployment used to prove the oracles
     bite. Same [seed] (and flag), same schedule. *)
 
-val reproduces :
-  ?oracle:Oracle.config -> ?engine:engine -> failing:string list -> Schedule.t -> bool
+val reproduces : ?engine:engine -> failing:string list -> Schedule.t -> bool
 (** Does running the schedule fail at least one of the named oracles?
     [false] on runner errors. *)
 
 val shrink :
-  ?oracle:Oracle.config ->
   ?engine:engine ->
   ?max_attempts:int ->
   failing:string list ->
@@ -95,7 +93,6 @@ type summary = {
 }
 
 val run :
-  ?oracle:Oracle.config ->
   ?engine:engine ->
   ?fragile:bool ->
   ?shrink_attempts:int ->
@@ -111,6 +108,5 @@ val run :
     [repro-<seed>.json] / [repro-<seed>.min.json] (the directory is
     created if needed). *)
 
-val replay :
-  ?oracle:Oracle.config -> ?engine:engine -> path:string -> unit -> (execution, string) result
+val replay : ?engine:engine -> path:string -> unit -> (execution, string) result
 (** Load a saved schedule artifact and {!run_schedule} it. *)

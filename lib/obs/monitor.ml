@@ -5,32 +5,6 @@
 
 module Int_tbl = Lla_stdx.Int_tbl
 
-(* --- growable unboxed float pairs ------------------------------------- *)
-
-module Fbuf = struct
-  type t = { mutable ats : float array; mutable vs : float array; mutable n : int }
-
-  let create () = { ats = Array.make 64 0.; vs = Array.make 64 0.; n = 0 }
-
-  let push b ~at v =
-    if b.n = Array.length b.ats then begin
-      let grow a =
-        let a' = Array.make (2 * b.n) 0. in
-        Array.blit a 0 a' 0 b.n;
-        a'
-      in
-      b.ats <- grow b.ats;
-      b.vs <- grow b.vs
-    end;
-    b.ats.(b.n) <- at;
-    b.vs.(b.n) <- v;
-    b.n <- b.n + 1
-
-  let to_series b = List.init b.n (fun i -> (b.ats.(i), b.vs.(i)))
-
-  let last b = if b.n = 0 then None else Some b.vs.(b.n - 1)
-end
-
 (* --- shared detector primitives --------------------------------------- *)
 
 module Settle = struct
@@ -157,26 +131,29 @@ module Oscillation = struct
     end
 end
 
-module Probe = struct
-  type t = { t0 : float; buf : Fbuf.t }
+(* Settling against the final value, as offline: the target is only
+   known at judgement time, so the retained samples are replayed through
+   [Settle]. *)
+let settling_against_last ?tolerance samples =
+  match Lla_stdx.Series.last samples with
+  | None -> None
+  | Some (_, target) ->
+    let s = Settle.create ?tolerance ~target () in
+    Lla_stdx.Series.iter samples (fun at v -> Settle.observe s ~at v);
+    Settle.settled_since s
 
-  let start ~at = { t0 = at; buf = Fbuf.create () }
+module Probe = struct
+  type t = { t0 : float; samples : Lla_stdx.Series.t }
+
+  let start ~at = { t0 = at; samples = Lla_stdx.Series.create () }
 
   let started_at t = t.t0
 
-  let sample t ~at ~value = Fbuf.push t.buf ~at value
+  let sample t ~at ~value = Lla_stdx.Series.add t.samples ~x:at ~y:value
 
-  let samples t = t.buf.Fbuf.n
+  let samples t = Lla_stdx.Series.length t.samples
 
-  let settling ?tolerance t =
-    match Fbuf.last t.buf with
-    | None -> None
-    | Some target ->
-      let s = Settle.create ?tolerance ~target () in
-      for i = 0 to t.buf.Fbuf.n - 1 do
-        Settle.observe s ~at:t.buf.Fbuf.ats.(i) t.buf.Fbuf.vs.(i)
-      done;
-      Settle.settled_since s
+  let settling ?tolerance t = settling_against_last ?tolerance t.samples
 end
 
 let drift ~baseline v = Float.abs (v -. baseline) /. Float.max 1. (Float.abs baseline)
@@ -243,7 +220,7 @@ type t = {
   config : config;
   mutable emit : (at:float -> Trace.event -> unit) option;
   (* utility stream *)
-  series : Fbuf.t;
+  series : Lla_stdx.Series.t;
   settle : Settle.t option;
   tasks : int option;
   latest : float Int_tbl.t;  (* task -> latest local utility *)
@@ -285,7 +262,7 @@ let create ?(config = default_config) ?target ?baseline ?tasks () =
   {
     config;
     emit = None;
-    series = Fbuf.create ();
+    series = Lla_stdx.Series.create ();
     settle = Option.map (fun target -> Settle.create ~tolerance:config.tolerance ~target ()) target;
     tasks;
     latest = Int_tbl.create 64;
@@ -350,7 +327,7 @@ let observe_alert t a ~at ~ok ~value =
   end
 
 let observe_utility t ~at v =
-  Fbuf.push t.series ~at v;
+  Lla_stdx.Series.add t.series ~x:at ~y:v;
   (match t.settle with Some s -> Settle.observe s ~at v | None -> ());
   Oscillation.push t.osc v;
   observe_alert t t.a_div ~at ~ok:(Float.is_finite v) ~value:v;
@@ -445,20 +422,13 @@ let attach t trace =
 let settling_tick t =
   match t.settle with
   | Some s -> Settle.settled_since s
-  | None -> (
-    (* no known optimum: judge against the final value, as offline *)
-    match Fbuf.last t.series with
-    | None -> None
-    | Some target ->
-      let s = Settle.create ~tolerance:t.config.tolerance ~target () in
-      for i = 0 to t.series.Fbuf.n - 1 do
-        Settle.observe s ~at:t.series.Fbuf.ats.(i) t.series.Fbuf.vs.(i)
-      done;
-      Settle.settled_since s)
+  | None -> settling_against_last ~tolerance:t.config.tolerance t.series
 
-let oscillation t = Analyze.oscillation (Fbuf.to_series t.series)
+let utility_series t = List.init (Lla_stdx.Series.length t.series) (Lla_stdx.Series.get t.series)
 
-let dispersion t = Analyze.dispersion (Fbuf.to_series t.series)
+let oscillation t = Analyze.oscillation (utility_series t)
+
+let dispersion t = Analyze.dispersion (utility_series t)
 
 let overload_episodes t ~resource =
   match Int_tbl.find_opt t.res resource with
@@ -468,9 +438,9 @@ let overload_episodes t ~resource =
 
 let resources_seen t = List.rev t.res_order
 
-let utility_samples t = t.series.Fbuf.n
+let utility_samples t = Lla_stdx.Series.length t.series
 
-let last_utility t = Fbuf.last t.series
+let last_utility t = Option.map snd (Lla_stdx.Series.last t.series)
 
 (* --- alert bus readouts ------------------------------------------------ *)
 

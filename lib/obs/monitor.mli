@@ -35,9 +35,9 @@
       directly from a host that has no trace stream (the scale kernel,
       the soak harness).
 
-    Feeding a monitor never mutates the observed system; omitting it
-    keeps trajectories bit-for-bit identical (the standing [?obs]
-    guarantee extends to [?monitor]). *)
+    Feeding a monitor never mutates the observed system: a run with a
+    monitor attached keeps the trajectory of the same run without one,
+    bit for bit. *)
 
 (** {1 Shared detector primitives} *)
 

@@ -64,7 +64,8 @@ let controller_finite (s : controller_state) =
 
 let actor_name prefix i = Printf.sprintf "%s:%d" prefix i
 
-(* JSONL encoders live up here so the save path can journal its line. *)
+(* The journal record: one JSON object per accepted save, read back by
+   [load_line] through the same save path. *)
 
 let floats a = Jsonl.Arr (List.map (fun x -> Jsonl.Num x) (Array.to_list a))
 
@@ -95,8 +96,10 @@ let controller_line i { state; at } =
          ("gamma_p", floats state.gamma_p);
        ])
 
+(* A non-finite save time would stall the save cadence and keep the
+   snapshot fresh forever, so it is refused like non-finite state. *)
 let save slots copy finite line prefix t i ~now state =
-  if finite state then begin
+  if Float.is_finite now && finite state then begin
     let slot = { state = copy state; at = now } in
     slots.(i) <- Some slot;
     t.saves <- t.saves + 1;
@@ -159,95 +162,49 @@ let rejected_saves t = t.rejected_saves
 
 let stale_restores t = t.stale_restores
 
-(* --- JSONL codec ------------------------------------------------------ *)
+(* --- journal records ----------------------------------------------- *)
 
-let to_jsonl_raw t =
-  let lines = ref [] in
-  Array.iteri
-    (fun i slot -> Option.iter (fun s -> lines := controller_line i s :: !lines) slot)
-    t.controllers;
-  (* Prepend agents so the final order is agents then controllers. *)
-  for i = Array.length t.agents - 1 downto 0 do
-    Option.iter (fun s -> lines := agent_line i s :: !lines) t.agents.(i)
-  done;
-  !lines
+let ( let* ) = Option.bind
 
-let to_jsonl t =
-  match t.obs with
-  | Some o -> Lla_obs.Profile.time o.Lla_obs.profile "checkpoint.encode" (fun () -> to_jsonl_raw t)
-  | None -> to_jsonl_raw t
+let num_field name json = Option.bind (Jsonl.member name json) Jsonl.num
 
-let float_field name json =
-  match Option.bind (Jsonl.member name json) Jsonl.num with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or non-numeric field %S" name)
-
-let float_array_field name json =
-  match Option.bind (Jsonl.member name json) Jsonl.arr with
-  | None -> Error (Printf.sprintf "missing or non-array field %S" name)
-  | Some items -> (
-    let rec collect acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | item :: rest -> (
-        match Jsonl.num item with
-        | Some v -> collect (v :: acc) rest
-        | None -> Error (Printf.sprintf "non-numeric element in %S" name))
-    in
-    collect [] items)
-
-let bool_array_field name json =
-  match Option.bind (Jsonl.member name json) Jsonl.arr with
-  | None -> Error (Printf.sprintf "missing or non-array field %S" name)
-  | Some items -> (
-    let rec collect acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | item :: rest -> (
-        match Jsonl.bool item with
-        | Some v -> collect (v :: acc) rest
-        | None -> Error (Printf.sprintf "non-boolean element in %S" name))
-    in
-    collect [] items)
-
-let ( let* ) = Result.bind
-
-let load_line t json =
-  let* index = float_field "index" json in
-  let i = int_of_float index in
-  let* at = float_field "at" json in
-  match Option.bind (Jsonl.member "kind" json) Jsonl.str with
-  | Some "agent" ->
-    if i < 0 || i >= Array.length t.agents then Error "agent index out of range"
-    else
-      let* price = float_field "price" json in
-      let* gamma = float_field "gamma" json in
-      let* lat_view = float_array_field "lat_view" json in
-      Ok (save_agent t i ~now:at { price; gamma; lat_view })
-  | Some "controller" ->
-    if i < 0 || i >= Array.length t.controllers then Error "controller index out of range"
-    else
-      let* mu_view = float_array_field "mu_view" json in
-      let* congested_view = bool_array_field "congested_view" json in
-      let* lambda = float_array_field "lambda" json in
-      let* gamma_p = float_array_field "gamma_p" json in
-      Ok (save_controller t i ~now:at { mu_view; congested_view; lambda; gamma_p })
-  | _ -> Error "missing or unknown \"kind\""
-
-let load_jsonl t lines =
-  let rec go n accepted = function
-    | [] -> Ok accepted
-    | line :: rest -> (
-      match Jsonl.parse line with
-      | Error e -> Error (Printf.sprintf "line %d: %s" n e)
-      | Ok json -> (
-        match load_line t json with
-        | Error e -> Error (Printf.sprintf "line %d: %s" n e)
-        | Ok accepted_one -> go (n + 1) (if accepted_one then accepted + 1 else accepted) rest))
+let array_field elem name json =
+  let* items = Option.bind (Jsonl.member name json) Jsonl.arr in
+  let rec collect acc = function
+    | [] -> Some (Array.of_list (List.rev acc))
+    | item :: rest -> ( match elem item with Some v -> collect (v :: acc) rest | None -> None)
   in
-  go 1 0 lines
+  collect [] items
+
+(* [int_of_float] maps nan, the infinities and out-of-range values to 0,
+   so an index counts only when it converts back to itself. *)
+let index_field json =
+  let* v = num_field "index" json in
+  let i = int_of_float v in
+  if float_of_int i = v then Some i else None
+
+(* A journal line back through the save path: [Some accepted], or [None]
+   for a malformed line (bad JSON, unknown kind, out-of-range index,
+   wrong field type). *)
+let load_line t line =
+  let* json = Result.to_option (Jsonl.parse line) in
+  let* i = index_field json in
+  let* at = num_field "at" json in
+  match Option.bind (Jsonl.member "kind" json) Jsonl.str with
+  | Some "agent" when i >= 0 && i < Array.length t.agents ->
+    let* price = num_field "price" json in
+    let* gamma = num_field "gamma" json in
+    let* lat_view = array_field Jsonl.num "lat_view" json in
+    Some (save_agent t i ~now:at { price; gamma; lat_view })
+  | Some "controller" when i >= 0 && i < Array.length t.controllers ->
+    let* mu_view = array_field Jsonl.num "mu_view" json in
+    let* congested_view = array_field Jsonl.bool "congested_view" json in
+    let* lambda = array_field Jsonl.num "lambda" json in
+    let* gamma_p = array_field Jsonl.num "gamma_p" json in
+    Some (save_controller t i ~now:at { mu_view; congested_view; lambda; gamma_p })
+  | _ -> None
 
 (* --- Durability ------------------------------------------------------- *)
-
-let journal t = t.journal
 
 let clear t =
   Array.fill t.agents 0 (Array.length t.agents) None;
@@ -258,21 +215,12 @@ let recover t ~now =
   | None -> None
   | Some j ->
     t.replaying <- true;
-    let apply line =
-      (* a malformed journal line is refused, never raised on — crash
-         recovery must be total in the stored bytes *)
-      match Jsonl.parse line with
-      | Error _ -> false
-      | Ok json -> ( match load_line t json with Ok accepted -> accepted | Error _ -> false)
-    in
+    (* a malformed journal line is refused, never raised on — crash
+       recovery must be total in the stored bytes *)
+    let apply line = Option.value (load_line t line) ~default:false in
     let report =
       Fun.protect
         ~finally:(fun () -> t.replaying <- false)
         (fun () -> Lla_durable.Recovery.replay ?obs:t.obs ~at:now j ~apply)
     in
     Some report
-
-let compact t =
-  match t.journal with
-  | None -> ()
-  | Some j -> Lla_durable.Journal.snapshot j (to_jsonl t)

@@ -12,24 +12,25 @@
     state rather than cold restart).
 
     Snapshot hygiene:
-    - a snapshot containing a non-finite value is {e refused at save time}
-      (counted in {!rejected_saves}), so a diverging actor can never
-      checkpoint its poisoned state and resurrect it after a crash;
+    - a snapshot containing a non-finite value, or saved at a non-finite
+      time, is {e refused at save time} (counted in {!rejected_saves}),
+      so a diverging actor can never checkpoint its poisoned state and
+      resurrect it after a crash, and a replayed record cannot pin a
+      slot's save time where neither the save cadence nor [max_age]
+      moves it again;
     - a snapshot older than [max_age] at restore time is considered stale
       and discarded (counted in {!stale_restores}); the actor then falls
       back to the cold-restart path.
 
     The in-memory store can be backed by a real write-ahead journal
     ({!Lla_durable.Journal}): with [?journal], every accepted save also
-    appends its JSONL line to the journal, and {!recover} replays the
-    journal back through the normal save path after a process crash —
+    appends one record to the journal — a JSON object carrying the
+    slot's kind, index, save time and state — and {!recover} replays the
+    journal back through the normal save path after a process crash,
     so the non-finite refusal and staleness discard apply to disk state
-    exactly as to live state. Without [?journal] nothing touches
-    storage and behaviour is bit-for-bit the PR-2 in-memory store.
-    Arrays are defensively copied both ways. The {!to_jsonl} /
-    {!load_jsonl} codec is the journal's payload format: one JSON
-    object per saved slot, loaded back through the normal save path so
-    the non-finite refusal applies to deserialized snapshots too. *)
+    exactly as to live state. That record is the store's only
+    persistence format. Without [?journal] nothing touches storage and
+    no record is encoded. Arrays are defensively copied both ways. *)
 
 type agent_state = {
   price : float;  (** [mu_r]. *)
@@ -65,8 +66,8 @@ val create :
 
 val save_agent : t -> int -> now:float -> agent_state -> bool
 (** Snapshot agent [r]'s state at time [now]. [false] when the state
-    contains a non-finite value — the previous snapshot (if any) is
-    kept. *)
+    contains a non-finite value or [now] is not finite — the previous
+    snapshot (if any) is kept. *)
 
 val save_controller : t -> int -> now:float -> controller_state -> bool
 
@@ -88,7 +89,8 @@ val restores : t -> int
 (** Successful restores. *)
 
 val rejected_saves : t -> int
-(** Snapshots refused because they contained a non-finite value. *)
+(** Snapshots refused because they contained a non-finite value or
+    carried a non-finite save time. *)
 
 val stale_restores : t -> int
 (** Restore attempts that found only a stale snapshot. *)
@@ -99,10 +101,12 @@ val stale_restores : t -> int
     save; after a whole-process crash, a fresh (or {!clear}ed) store
     calls {!recover} to replay the journal's surviving records through
     the save path, then actors warm-restart from the restored slots as
-    if the process had never died. {!compact} bounds journal growth by
-    snapshotting the live slots and truncating the log. *)
+    if the process had never died.
 
-val journal : t -> Lla_durable.Journal.t option
+    A journal write failure wedges the journal ({!Lla_durable.Journal}):
+    saves keep landing in memory but no longer reach the journal, and
+    nothing here un-wedges it, so a {!recover} after a later crash
+    replays only the records written before the failure. *)
 
 val clear : t -> unit
 (** Drop every in-memory slot (a whole-node crash losing RAM state);
@@ -110,33 +114,10 @@ val clear : t -> unit
 
 val recover : t -> now:float -> Lla_durable.Recovery.report option
 (** Replay the attached journal into this store through the normal
-    save path: non-finite records are refused, malformed lines are
-    refused (never raised on), and a torn tail on the active segment is
-    truncated in place. Journal appends are suppressed during the
-    replay itself, so recovery is idempotent — replaying twice restores
-    the same slots. [None] when the store has no journal. Trace/metric
-    emission follows the store's [?obs]. *)
-
-val compact : t -> unit
-(** Snapshot every live slot into the journal ({!to_jsonl} payloads)
-    and truncate the log segments. No-op without a journal. *)
-
-(** {1 JSONL codec}
-
-    Serialization for the snapshot store: {!to_jsonl} renders every
-    currently saved slot as one compact JSON line; {!load_jsonl} parses
-    the lines back and routes each snapshot through {!save_agent} /
-    {!save_controller}, so a line carrying a non-finite value is refused
-    exactly like a live save (counted in {!rejected_saves}) and a
-    restored store ages snapshots from their recorded save times. *)
-
-val to_jsonl : t -> string list
-(** One line per saved slot, agents (by index) then controllers. Empty
-    slots produce no line. *)
-
-val load_jsonl : t -> string list -> (int, string) result
-(** Load lines produced by {!to_jsonl} into this store: [Ok n] is the
-    number of snapshots accepted (refused non-finite lines are not
-    errors — they are the refusal path working). [Error _] reports the
-    first malformed line (bad JSON, unknown [kind], out-of-range index,
-    wrong field type) with its 1-based line number. *)
+    save path: records with a non-finite value or save time are refused,
+    malformed lines (bad JSON, unknown [kind], out-of-range index, wrong
+    field type) are refused, never raised on, and a torn tail on the
+    active segment is truncated in place. Journal appends are suppressed
+    during the replay itself, so recovery is idempotent — replaying
+    twice restores the same slots. [None] when the store has no journal.
+    Trace/metric emission follows the store's [?obs]. *)

@@ -150,16 +150,6 @@ type t = {
   resilience : resilience option;
   safe_mode : Safe_mode.t option;
   obs : Lla_obs.t option;
-  registry : Lla_obs.Metrics.t;
-  meters : meters;
-  (* Streaming monitor (PR 9): on single-core engines the monitor's sink
-     is attached straight to shard 0's trace; on a domains engine every
-     shard's records are buffered (single-writer per shard during the
-     parallel phase) and drained through the sink at barriers, merged in
-     (at, shard, seq) order so the online detectors see the same global
-     stream an offline [Analyze] pass over {!merged_records} would. *)
-  monitor : Lla_obs.Monitor.t option;
-  monitor_bufs : Lla_obs.Trace.record list ref array;  (* [||] unless barrier-buffered *)
   mutable watchdog_tick : Lla_sim.Engine.event_id option;
   mutable started : bool;
   mutable stopped : bool;
@@ -304,7 +294,7 @@ let mk_meters registry =
    [create] passes a single base wrapping the caller's objects — every
    construction effect (endpoint ids, counter registration, detector
    wiring) then happens in exactly the legacy order. *)
-let create_internal ?obs ?monitor ?journal ~config ~resilience ~engine_h ~bases workload =
+let create_internal ?obs ?journal ~config ~resilience ~engine_h ~bases workload =
   let problem = Lla.Problem.compile workload in
   let n_subtasks = Lla.Problem.n_subtasks problem in
   let n_resources = Lla.Problem.n_resources problem in
@@ -402,31 +392,6 @@ let create_internal ?obs ?monitor ?journal ~config ~resilience ~engine_h ~bases 
     | Some { safe_mode = Some sc; _ } -> Some (Safe_mode.create ?obs ~config:sc problem)
     | _ -> None
   in
-  (* Monitor feed. A domains engine buffers every shard's records (each
-     buffer written only by its owning domain) and drains them at
-     barriers; single-core engines attach the sink live. Alerts always
-     land on shard 0's trace. No monitor, no sinks: trajectories stay
-     bit-for-bit the unmonitored ones. *)
-  let monitor_bufs =
-    match (monitor, engine_h) with
-    | None, _ -> [||]
-    | Some m, Engine.Sim _ ->
-      (match obs with Some o -> Lla_obs.Monitor.attach m o.Lla_obs.trace | None -> ());
-      [||]
-    | Some m, Engine.Domains _ ->
-      let bufs = Array.map (fun _ -> ref []) ctxs in
-      Array.iteri
-        (fun i ctx ->
-          match ctx.sc_obs with
-          | Some so ->
-            Lla_obs.Trace.attach so.Lla_obs.trace (fun r -> bufs.(i) := r :: !(bufs.(i)))
-          | None -> ())
-        ctxs;
-      (match obs with
-      | Some o -> Lla_obs.Monitor.on_alert m (fun ~at ev -> Lla_obs.emit o ~at ev)
-      | None -> ());
-      bufs
-  in
   let t =
     {
       config;
@@ -451,10 +416,6 @@ let create_internal ?obs ?monitor ?journal ~config ~resilience ~engine_h ~bases 
       resilience;
       safe_mode;
       obs;
-      registry = ctxs.(0).sc_registry;
-      meters = ctxs.(0).sc_meters;
-      monitor;
-      monitor_bufs;
       watchdog_tick = None;
       started = false;
       stopped = false;
@@ -480,7 +441,7 @@ let create_internal ?obs ?monitor ?journal ~config ~resilience ~engine_h ~bases 
     controllers;
   t
 
-let create ?obs ?monitor ?(config = default_config) ?resilience ?journal ?transport engine workload =
+let create ?obs ?(config = default_config) ?resilience ?journal ?transport engine workload =
   let transport =
     match transport with
     | Some tr ->
@@ -492,11 +453,11 @@ let create ?obs ?monitor ?(config = default_config) ?resilience ?journal ?transp
         ~config:
           { Transport.default_config with delay = Delay_model.constant config.message_delay }
   in
-  create_internal ?obs ?monitor ?journal ~config ~resilience ~engine_h:(Engine.Sim engine)
+  create_internal ?obs ?journal ~config ~resilience ~engine_h:(Engine.Sim engine)
     ~bases:[| (engine, transport, obs, None) |]
     workload
 
-let create_on ?obs ?monitor ?(config = default_config) ?resilience ?journal ?transport_config
+let create_on ?obs ?(config = default_config) ?resilience ?journal ?transport_config
     engine_h workload =
   let n = Engine.shards engine_h in
   let tc =
@@ -533,7 +494,7 @@ let create_on ?obs ?monitor ?(config = default_config) ?resilience ?journal ?tra
         in
         (core, transport, sobs, reader))
   in
-  create_internal ?obs ?monitor ?journal ~config ~resilience ~engine_h ~bases workload
+  create_internal ?obs ?journal ~config ~resilience ~engine_h ~bases workload
 
 (* Route a control message. Same shard: straight through the legacy
    transport path. Cross shard: through the source transport to the
@@ -835,26 +796,6 @@ let enter_safe_mode t sm ~reason =
       Array.iter (fun i -> announce_latency t c i) t.problem.tasks.(c.task).subtask_indices)
     t.controllers
 
-(* Drain the per-shard monitor buffers into the sink, merged to the
-   global (at, shard, seq) order. Runs only with all shards at rest (at
-   a barrier, or after the run), which is also what makes reading the
-   buffers race-free. *)
-let flush_monitor t =
-  match t.monitor with
-  | Some m when Array.length t.monitor_bufs > 0 ->
-    let chunks =
-      Array.to_list
-        (Array.map
-           (fun buf ->
-             let l = List.rev !buf in
-             buf := [];
-             l)
-           t.monitor_bufs)
-    in
-    if List.exists (fun l -> l <> []) chunks then
-      List.iter (Lla_obs.Monitor.sink m) (Lla_obs.Trace.merge chunks)
-  | _ -> ()
-
 let watchdog_observe t sm =
   let now = Engine.now t.engine_h in
   let mu = Array.map (fun a -> a.price) t.agents in
@@ -899,20 +840,6 @@ let start t =
   in
   Array.iter controller_loop t.controllers;
   Array.iter (fun ctx -> Option.iter Health.start ctx.sc_health) t.ctxs;
-  (* Barrier-buffered monitor: drain every controller period, with all
-     shards at rest (same self-rearming barrier pattern as the watchdog
-     below). The cadence only bounds staleness of the live readouts —
-     the merged feed itself is identical at any cadence. *)
-  if Array.length t.monitor_bufs > 0 then begin
-    let rec monitor_loop at =
-      Engine.at_barrier t.engine_h ~at (fun () ->
-          if not t.stopped then begin
-            flush_monitor t;
-            monitor_loop (Engine.now t.engine_h +. t.config.controller_period)
-          end)
-    in
-    monitor_loop (Engine.now t.engine_h +. t.config.controller_period)
-  end;
   match (t.safe_mode, t.resilience) with
   | Some sm, Some { watchdog_period; _ } -> (
     match t.engine_h with
@@ -956,20 +883,12 @@ let stop t =
       t.controllers;
     Option.iter (Lla_sim.Engine.cancel t.engine) t.watchdog_tick;
     t.watchdog_tick <- None;
-    Array.iter (fun ctx -> Option.iter Health.stop ctx.sc_health) t.ctxs;
-    (* Records emitted after the last barrier drain would otherwise be
-       lost to the online detectors; the shards are at rest once the
-       run stops, so a direct final flush is safe. *)
-    flush_monitor t
+    Array.iter (fun ctx -> Option.iter Health.stop ctx.sc_health) t.ctxs
   end
 
 let run t ~duration =
   if not t.started then start t;
-  Engine.run_until t.engine_h (Engine.now t.engine_h +. duration);
-  (* [run_until] leaves the shards at rest, so the tail of the stream —
-     anything emitted since the last barrier drain — can flush now;
-     monitor readouts are then current as of the run's horizon. *)
-  flush_monitor t
+  Engine.run_until t.engine_h (Engine.now t.engine_h +. duration)
 
 let shard_count t = Array.length t.ctxs
 
@@ -1040,10 +959,6 @@ let merged_records t =
 
 let latency t sid = t.lat.(Lla.Problem.subtask_index t.problem sid)
 
-let share t sid =
-  let i = Lla.Problem.subtask_index t.problem sid in
-  Lla.Problem.effective_share t.problem i ~lat:t.lat.(i) ~offset:t.offsets.(i)
-
 let mu t rid = t.agents.(Lla.Problem.resource_index t.problem rid).price
 
 let utility t = Lla.Problem.total_utility t.problem ~lat:t.lat
@@ -1057,18 +972,12 @@ let price_rounds t = sum_meter t (fun m -> m.m_price_rounds)
 
 let allocation_rounds t = sum_meter t (fun m -> m.m_allocation_rounds)
 
-let metrics t = t.registry
-
 let merged_metrics t =
   Lla_obs.Metrics.merge (Array.to_list (Array.map (fun ctx -> ctx.sc_registry) t.ctxs))
-
-let monitor t = t.monitor
 
 let health t = t.ctxs.(0).sc_health
 
 let checkpoint_store t = t.ctxs.(0).sc_checkpoint
-
-let safe_mode_state t = Option.map Safe_mode.state t.safe_mode
 
 let safe_entries t = match t.safe_mode with Some sm -> Safe_mode.entries sm | None -> 0
 
@@ -1079,8 +988,6 @@ let fallback_source t = Option.map Safe_mode.fallback_source t.safe_mode
 let warm_restores t = sum_meter t (fun m -> m.m_warm_restores)
 
 let cold_restarts t = sum_meter t (fun m -> m.m_cold_restarts)
-
-let guard_events t = sum_meter t (fun m -> m.m_guards)
 
 (* --- whole-node crash drill ------------------------------------------ *)
 

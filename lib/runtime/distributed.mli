@@ -47,24 +47,34 @@
       lets prices settle) until the exit hysteresis re-enters
       optimization.
 
-    When [?resilience] is omitted nothing is scheduled beyond the legacy
-    loops and the trajectory is bit-for-bit the pre-resilience one.
+    When [?resilience] is omitted nothing is scheduled beyond the agent
+    and controller loops and the trajectory is bit-for-bit the
+    pre-resilience one.
 
     {2 Engines}
 
-    The deployment runs on a pluggable {!Engine}: {!create} is the
-    legacy single-shard path over a caller-owned [Lla_sim.Engine.t]
-    (bit-for-bit the pre-engine behaviour), while {!create_on} deploys
-    onto any engine — on a domains engine the agents and controllers
-    shard round-robin across the shard cores, each shard owning a
-    private transport, obs handle, meter set, checkpoint store and
-    failure detector. Cross-shard messages leave through the source
+    The deployment runs on a pluggable {!Engine}: {!create} deploys
+    onto one caller-owned [Lla_sim.Engine.t] (and optionally the
+    caller's transport on it), while {!create_on} deploys onto any
+    engine — on a domains engine the agents and controllers shard
+    round-robin across the shard cores, each shard owning a private
+    transport, obs handle, meter set, checkpoint store and failure
+    detector. Cross-shard messages leave through the source
     shard's transport to an always-up {e shadow endpoint} standing in
     for the remote actor (so source-side faults, partitions and
     last-write-wins staleness apply unchanged), then cross the barrier
     via {!Engine.post} and check the real destination's liveness on its
     home shard. The safe-mode watchdog and chaos injections run as
-    barrier operations with every shard at rest. *)
+    barrier operations with every shard at rest.
+
+    {2 Monitoring}
+
+    A streaming {!Lla_obs.Monitor} attaches to the deployment's trace
+    ({!Lla_obs.Monitor.attach} on the [obs] handle's trace, after
+    {!create}: no constructor emits a record). It consumes every record
+    online, writes alert transitions back into the stream, and does not
+    perturb the run. For a sharded deployment, feed {!merged_records}
+    through {!Lla_obs.Monitor.sink} after the run. *)
 
 open Lla_model
 
@@ -102,7 +112,6 @@ type t
 
 val create :
   ?obs:Lla_obs.t ->
-  ?monitor:Lla_obs.Monitor.t ->
   ?config:config ->
   ?resilience:resilience ->
   ?journal:Lla_durable.Journal.t ->
@@ -111,7 +120,7 @@ val create :
   Workload.t ->
   t
 (** When [transport] is omitted, a zero-fault transport with a constant
-    [config.message_delay] is created on [engine] — the legacy behaviour.
+    [config.message_delay] is created on [engine].
     A supplied transport must run on the same engine
     (@raise Invalid_argument otherwise). [resilience] defaults to off.
 
@@ -128,18 +137,11 @@ val create :
     update, allocation solve, guard, safe-mode transition and
     checkpoint restore emits a typed {!Lla_obs.Trace} record stamped
     with the engine clock. Omitting it (the default) emits nothing and
-    leaves the event schedule bit-for-bit the legacy one — a supplied
-    [transport] is never re-instrumented.
-
-    [monitor] subscribes a streaming {!Lla_obs.Monitor} to the trace: it
-    consumes every emitted record online and writes alert transitions
-    back into the stream. It needs [obs] to see anything, observes
-    without perturbing (no schedule effect, no extra messages), and
-    omitting it keeps the trace byte-for-byte the unmonitored one. *)
+    leaves the event schedule bit-for-bit the uninstrumented one — a
+    supplied [transport] is never re-instrumented. *)
 
 val create_on :
   ?obs:Lla_obs.t ->
-  ?monitor:Lla_obs.Monitor.t ->
   ?config:config ->
   ?resilience:resilience ->
   ?journal:Lla_durable.Journal.t ->
@@ -164,16 +166,7 @@ val create_on :
 
     A domains engine's barriers are 1 ms apart: a cross-shard message
     whose link delay is at least 1 ms lands at exactly its stamped
-    time, a shorter one at the next barrier (see {!Engine_domains}).
-
-    With [?monitor] on a domains engine, each shard's records are
-    buffered during parallel phases and drained through the monitor's
-    sink at barriers (every [config.controller_period]), merged to the
-    global [(at, shard, seq)] order — the online detectors see exactly
-    the stream an offline pass over {!merged_records} would, just in
-    periodic installments. Alerts are emitted on shard 0's trace at the
-    barrier. {!run} and {!stop} flush the buffered tail, so readouts
-    are current once a run returns. *)
+    time, a shorter one at the next barrier (see {!Engine_domains}). *)
 
 val start : t -> unit
 (** Controllers announce initial latencies; agents and controllers begin
@@ -191,7 +184,7 @@ val run : t -> duration:float -> unit
 (** Convenience: {!start} on first use, then advance the engine. *)
 
 val transport : t -> Lla_transport.Transport.t
-(** Shard 0's transport (the caller's on the legacy path). On a sharded
+(** Shard 0's transport (the caller's, when one was passed to {!create}). On a sharded
     deployment see {!transports} and the [*_home] accessors. *)
 
 val shard_count : t -> int
@@ -231,12 +224,10 @@ val partition :
 
 val merged_records : t -> Lla_obs.Trace.record list
 (** All shards' trace records merged by {!Lla_obs.Trace.merge}. Only
-    populated for {!create_on} with [?obs]; [[]] otherwise (the legacy
-    path leaves sinks to the caller). *)
+    populated for {!create_on} with [?obs]; [[]] otherwise ({!create}
+    leaves sinks to the caller). *)
 
 val latency : t -> Ids.Subtask_id.t -> float
-
-val share : t -> Ids.Subtask_id.t -> float
 
 val mu : t -> Ids.Resource_id.t -> float
 
@@ -253,21 +244,13 @@ val allocation_rounds : t -> int
 (** Total optimizing controller ticks so far (safe-mode re-announcement
     ticks are not counted). *)
 
-val metrics : t -> Lla_obs.Metrics.t
-(** Shard 0's registry — the [obs] one when supplied, otherwise the
-    runtime's private one. On a sharded deployment each shard owns a
-    private registry; see {!merged_metrics} for the global view. *)
-
 val merged_metrics : t -> Lla_obs.Metrics.t
 (** Snapshot-merge of every shard's registry ({!Lla_obs.Metrics.merge}
     in shard order: counters sum, histograms add bucket-wise, gauges
     resolve last-writer by [(stamp, shard)]). Call
     with the shards at rest — between runs, or from
     {!schedule_injection}. On a single-shard deployment the merge is a
-    copy of {!metrics}. *)
-
-val monitor : t -> Lla_obs.Monitor.t option
-(** The streaming monitor supplied at creation, if any. *)
+    copy of the one registry (the [obs] handle's when supplied). *)
 
 (** {2 Resilience inspection} *)
 
@@ -275,9 +258,6 @@ val health : t -> Health.t option
 (** The failure detector, when the resilience layer runs one. *)
 
 val checkpoint_store : t -> Checkpoint.t option
-
-val safe_mode_state : t -> Safe_mode.state option
-(** [None] when no watchdog is configured. *)
 
 val in_safe_mode : t -> bool
 (** [false] when no watchdog is configured. *)
@@ -296,10 +276,6 @@ val warm_restores : t -> int
 val cold_restarts : t -> int
 (** Actor restarts that fell back to the [mu0] reset (no, stale, or
     mismatched snapshot — or checkpointing disabled). *)
-
-val guard_events : t -> int
-(** Non-finite values neutralized in the distributed iteration (agent
-    share sums, path multipliers, and {!Lla.Allocation} guards). *)
 
 (** {2 Whole-node crash drill}
 

@@ -48,13 +48,7 @@ type t = {
   mutable skipped : int;
 }
 
-let create ?obs ?monitor ?(config = default_config) ~cluster ~dispatcher () =
-  (* The solver emits its per-iteration records into [obs]; a monitor
-     attached to that trace sees them live, so the streaming detectors
-     track the §6 control loop with no further plumbing. *)
-  (match (monitor, obs) with
-  | Some m, Some o -> Lla_obs.Monitor.attach m o.Lla_obs.trace
-  | _ -> ());
+let create ?obs ?(config = default_config) ~cluster ~dispatcher () =
   let workload = Cluster.workload cluster in
   let solver = Lla.Solver.create ?obs ~config:config.solver_config workload in
   let correctors = Ids.Subtask_id.Tbl.create 32 in

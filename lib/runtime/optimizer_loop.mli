@@ -44,7 +44,6 @@ type t
 
 val create :
   ?obs:Lla_obs.t ->
-  ?monitor:Lla_obs.Monitor.t ->
   ?config:config ->
   cluster:Cluster.t ->
   dispatcher:Dispatcher.t ->
@@ -54,10 +53,9 @@ val create :
     correctors) and prepares a solver over the cluster's workload. [obs]
     is forwarded to the solver and to the per-subtask correctors (each
     named after its subtask), so solver iterations and correction rounds
-    land in the shared trace. [monitor] attaches a streaming
-    {!Lla_obs.Monitor} to that trace (it needs [obs] to see anything);
-    the online detectors then follow every solver iteration live, and
-    alert transitions are written back into the same trace. *)
+    land in the shared trace, where a streaming {!Lla_obs.Monitor}
+    attached with {!Lla_obs.Monitor.attach} follows every solver
+    iteration live. *)
 
 val start : t -> unit
 (** Run warmup, enact, and schedule the periodic rounds on the

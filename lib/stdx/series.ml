@@ -34,6 +34,11 @@ let get t i =
 
 let last t = if t.len = 0 then None else Some (t.xs.(t.len - 1), t.ys.(t.len - 1))
 
+let iter t f =
+  for i = 0 to t.len - 1 do
+    f t.xs.(i) t.ys.(i)
+  done
+
 let to_arrays t = (Array.sub t.xs 0 t.len, Array.sub t.ys 0 t.len)
 
 let xs t = Array.sub t.xs 0 t.len

@@ -16,6 +16,9 @@ val get : t -> int -> float * float
 
 val last : t -> (float * float) option
 
+val iter : t -> (float -> float -> unit) -> unit
+(** [iter t f] calls [f x y] on every sample, oldest first. *)
+
 val to_arrays : t -> float array * float array
 
 val xs : t -> float array

@@ -37,10 +37,9 @@ fi
 echo "ci: $total tests run (floor $floor)"
 
 # Observability overhead budgets, smoke mode (loose budgets: CI boxes
-# jitter). obs-smoke gates plain tracing; profile-smoke gates the
-# disabled analysis-tier hooks and the enabled spans+profiler cost
-# against the control plane's real-time budget.
-./_build/default/bench/main.exe obs-smoke
+# jitter). profile-smoke gates tracing with the analysis-tier hooks
+# switched off against the bare run, and the enabled spans+profiler
+# cost against the control plane's real-time budget.
 ./_build/default/bench/main.exe profile-smoke
 
 # Analysis-tier smoke: the full span + series + report pipeline must run

@@ -262,19 +262,29 @@ let test_recovery_truncates_torn_tail_every_offset () =
 
 let agent_state price = { Checkpoint.price; gamma = 0.5; lat_view = [| 1.; 2. |] }
 
+(* Values with no short decimal form, so the journal record must carry
+   every bit of them. *)
+let third = 1. /. 3.
+
+let tenth = 0.1 +. 0.2
+
+let controller_state () =
+  {
+    Checkpoint.mu_view = [| tenth; 1.5; 1e-300 |];
+    congested_view = [| true; false; true |];
+    lambda = [| third; 0.; 2. |];
+    gamma_p = [| 1.; 4. *. third |];
+  }
+
 let test_checkpoint_journal_roundtrip () =
   let j = Journal.create (Store.faulty ()) in
   let c = Checkpoint.create ~journal:j ~n_agents:2 ~n_controllers:1 () in
   Alcotest.(check bool) "saved" true (Checkpoint.save_agent c 0 ~now:10. (agent_state 3.5));
-  Alcotest.(check bool) "saved" true (Checkpoint.save_agent c 1 ~now:11. (agent_state 4.5));
   Alcotest.(check bool) "saved" true
-    (Checkpoint.save_controller c 0 ~now:12.
-       {
-         Checkpoint.mu_view = [| 1.; 2. |];
-         congested_view = [| false; true |];
-         lambda = [| 0.25 |];
-         gamma_p = [| 0.5 |];
-       });
+    (Checkpoint.save_agent c 1 ~now:(10. +. third)
+       { Checkpoint.price = tenth; gamma = 8. *. third; lat_view = [| third; 20. |] });
+  Alcotest.(check bool) "saved" true
+    (Checkpoint.save_controller c 0 ~now:(12. +. tenth) (controller_state ()));
   let appended = Journal.appends j in
   Alcotest.(check int) "each accepted save journaled" 3 appended;
   (* whole-node crash: RAM gone, journal survives *)
@@ -290,6 +300,27 @@ let test_checkpoint_journal_roundtrip () =
   (match Checkpoint.restore_agent c 0 ~now:20. with
   | Some s -> Alcotest.(check (float 0.)) "price back" 3.5 s.Checkpoint.price
   | None -> Alcotest.fail "agent 0 not restored");
+  (match Checkpoint.restore_agent c 1 ~now:20. with
+  | None -> Alcotest.fail "agent 1 not restored"
+  | Some s ->
+    Alcotest.(check (float 0.)) "price bit-exact" tenth s.Checkpoint.price;
+    Alcotest.(check (float 0.)) "gamma bit-exact" (8. *. third) s.Checkpoint.gamma;
+    Alcotest.(check (array (float 0.))) "lat view bit-exact" [| third; 20. |]
+      s.Checkpoint.lat_view);
+  (match Checkpoint.restore_controller c 0 ~now:20. with
+  | None -> Alcotest.fail "controller 0 not restored"
+  | Some s ->
+    let orig = controller_state () in
+    Alcotest.(check (array (float 0.))) "mu view" orig.Checkpoint.mu_view s.Checkpoint.mu_view;
+    Alcotest.(check (array bool)) "congestion view" orig.Checkpoint.congested_view
+      s.Checkpoint.congested_view;
+    Alcotest.(check (array (float 0.))) "lambda" orig.Checkpoint.lambda s.Checkpoint.lambda;
+    Alcotest.(check (array (float 0.))) "gamma_p" orig.Checkpoint.gamma_p s.Checkpoint.gamma_p);
+  (* save times ride along, so staleness keeps working after a recovery *)
+  Alcotest.(check (option (float 0.))) "agent save time" (Some (10. +. third))
+    (Checkpoint.last_agent_save c 1);
+  Alcotest.(check (option (float 0.))) "controller save time" (Some (12. +. tenth))
+    (Checkpoint.last_controller_save c 0);
   (* idempotence: replaying again restores the same slots and does not
      echo new journal records *)
   (match Checkpoint.recover c ~now:21. with
@@ -297,7 +328,7 @@ let test_checkpoint_journal_roundtrip () =
   | Some r -> Alcotest.(check int) "second replay applies the same" 3 r.Recovery.applied);
   Alcotest.(check int) "replay did not append" appended (Journal.appends j);
   match Checkpoint.restore_agent c 1 ~now:21. with
-  | Some s -> Alcotest.(check (float 0.)) "agent 1 intact" 4.5 s.Checkpoint.price
+  | Some s -> Alcotest.(check (float 0.)) "agent 1 intact" tenth s.Checkpoint.price
   | None -> Alcotest.fail "agent 1 lost by double replay"
 
 let test_checkpoint_recovery_refuses_poison () =
@@ -305,35 +336,54 @@ let test_checkpoint_recovery_refuses_poison () =
   let c = Checkpoint.create ~journal:j ~n_agents:1 ~n_controllers:0 () in
   Alcotest.(check bool) "clean save accepted" true
     (Checkpoint.save_agent c 0 ~now:1. (agent_state 2.0));
-  (* a poisoned record lands on disk behind the store's back (the live
-     save path would have refused it) plus a malformed line *)
-  Journal.append j
-    "{\"kind\":\"agent\",\"index\":0,\"at\":2,\"price\":nan,\"gamma\":0.5,\"lat_view\":[1,2]}";
-  Journal.append j "not json at all";
+  (* a refused live save never reaches the journal *)
+  Alcotest.(check bool) "poisoned live save refused" false
+    (Checkpoint.save_agent c 0 ~now:1.5 (agent_state infinity));
+  Alcotest.(check int) "refused save not journaled" 1 (Journal.appends j);
+  (* records land on disk behind the store's back (the live save path
+     would have refused them): non-finite state, non-finite save times,
+     and malformed lines *)
+  let record ~at ~price =
+    Printf.sprintf
+      "{\"kind\":\"agent\",\"index\":0,\"at\":%s,\"price\":%s,\"gamma\":0.5,\"lat_view\":[1,2]}"
+      at price
+  in
+  let poison =
+    [
+      record ~at:"2" ~price:"nan";
+      record ~at:"2" ~price:"inf";
+      record ~at:"nan" ~price:"3";
+      record ~at:"inf" ~price:"3";
+    ]
+  in
+  let malformed =
+    [
+      "not json at all";
+      "{\"kind\":\"mystery\",\"index\":0,\"at\":2}";
+      "{\"kind\":\"agent\",\"index\":7,\"at\":2,\"price\":1,\"gamma\":1,\"lat_view\":[]}";
+      (* indices that int_of_float would turn into slot 0 *)
+      "{\"kind\":\"agent\",\"index\":nan,\"at\":2,\"price\":1,\"gamma\":1,\"lat_view\":[1,2]}";
+      "{\"kind\":\"agent\",\"index\":1e30,\"at\":2,\"price\":1,\"gamma\":1,\"lat_view\":[1,2]}";
+      "{\"kind\":\"agent\",\"index\":0.5,\"at\":2,\"price\":1,\"gamma\":1,\"lat_view\":[1,2]}";
+      "{\"kind\":\"agent\",\"index\":0,\"at\":2,\"price\":\"one\",\"gamma\":1,\"lat_view\":[]}";
+    ]
+  in
+  List.iter (Journal.append j) (poison @ malformed);
   Checkpoint.clear c;
+  let rejected = Checkpoint.rejected_saves c in
   (match Checkpoint.recover c ~now:3. with
   | None -> Alcotest.fail "store has a journal"
   | Some r ->
     Alcotest.(check int) "clean record applied" 1 r.Recovery.applied;
-    Alcotest.(check int) "poison + garbage refused, not raised" 2 r.Recovery.refused);
+    Alcotest.(check int) "poison + garbage refused, not raised"
+      (List.length poison + List.length malformed)
+      r.Recovery.refused);
+  Alcotest.(check int) "non-finite records counted as refused saves" (rejected + 4)
+    (Checkpoint.rejected_saves c);
+  Alcotest.(check (option (float 0.))) "save time from the clean record" (Some 1.)
+    (Checkpoint.last_agent_save c 0);
   match Checkpoint.restore_agent c 0 ~now:3. with
   | Some s -> Alcotest.(check (float 0.)) "finite snapshot survives" 2.0 s.Checkpoint.price
-  | None -> Alcotest.fail "agent 0 not restored"
-
-let test_checkpoint_compact () =
-  let j = Journal.create (Store.faulty ()) in
-  let c = Checkpoint.create ~journal:j ~n_agents:1 ~n_controllers:0 () in
-  for i = 1 to 25 do
-    ignore (Checkpoint.save_agent c 0 ~now:(float_of_int i) (agent_state (float_of_int i)))
-  done;
-  Checkpoint.compact c;
-  Alcotest.(check int) "one snapshot taken" 1 (Journal.snapshots j);
-  Checkpoint.clear c;
-  (match Checkpoint.recover c ~now:30. with
-  | None -> Alcotest.fail "store has a journal"
-  | Some r -> Alcotest.(check int) "compacted to live slots" 1 r.Recovery.applied);
-  match Checkpoint.restore_agent c 0 ~now:30. with
-  | Some s -> Alcotest.(check (float 0.)) "latest slot wins" 25. s.Checkpoint.price
   | None -> Alcotest.fail "agent 0 not restored"
 
 (* ------------------------------------------------------------------ *)
@@ -425,7 +475,6 @@ let () =
             test_checkpoint_journal_roundtrip;
           Alcotest.test_case "recovery refuses poison and garbage" `Quick
             test_checkpoint_recovery_refuses_poison;
-          Alcotest.test_case "compaction keeps the live slots" `Quick test_checkpoint_compact;
         ] );
       ( "kernel",
         [
