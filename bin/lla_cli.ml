@@ -255,7 +255,7 @@ let chaos_cmd =
         print_string (Lla_experiments.Chaos.report result);
         Option.iter
           (fun path ->
-            let series = Lla_stdx.Series.create ~name:"partition-utility" () in
+            let series = Lla_stdx.Series.create () in
             List.iter
               (fun (x, y) -> Lla_stdx.Series.add series ~x ~y)
               result.Lla_experiments.Chaos.partition.Lla_experiments.Chaos.series;
@@ -283,7 +283,7 @@ let recovery_cmd =
         print_string (Lla_experiments.Recovery.report result);
         Option.iter
           (fun path ->
-            let series = Lla_stdx.Series.create ~name:"protected-utility" () in
+            let series = Lla_stdx.Series.create () in
             List.iter
               (fun (x, y) -> Lla_stdx.Series.add series ~x ~y)
               result.Lla_experiments.Recovery.protected_.Lla_experiments.Recovery.utility_series;
@@ -1070,7 +1070,7 @@ let journal_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"FILE"
-          ~doc:"Journal segment ($(i,*.wal), $(i,*.wal.N)) or snapshot ($(i,*.snap)) to inspect.")
+          ~doc:"Journal segment ($(i,*.wal) or $(i,*.wal.N)) to inspect.")
   in
   let dump_arg =
     Arg.(

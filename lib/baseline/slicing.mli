@@ -13,21 +13,10 @@ open Lla_model
 type t = Ids.Subtask_id.t -> float
 (** A latency assignment. *)
 
-val equal_slice : Workload.t -> t
-(** Bettati–Liu style: every subtask of task [i] receives
-    [C_i / longest-path-length] — the deadline divided evenly along the
-    longest chain. *)
-
 val proportional_slice : Workload.t -> t
 (** Each subtask receives a slice of [C_i] proportional to its WCET,
     normalized so the heaviest path exactly meets the deadline:
     [lat_s = c_s * C_i / max_p sum_{u in p} c_u]. *)
-
-val laxity_slice : Workload.t -> t
-(** BST-flavoured (Natale & Stankovic): the critical path's laxity
-    [C_i - sum of WCETs] is distributed evenly over the subtasks of the
-    WCET-critical path; subtasks off that path get the same per-stage
-    budget. [lat_s = c_s + laxity / critical-path-length]. *)
 
 val utility : Workload.t -> t -> float
 (** Total utility of an assignment (Eq. 2). *)
@@ -39,3 +28,10 @@ val respects_resources : Workload.t -> t -> bool
 val name_of : [ `Equal | `Proportional | `Laxity ] -> string
 
 val get : [ `Equal | `Proportional | `Laxity ] -> Workload.t -> t
+(** [`Equal] is Bettati–Liu style: every subtask of task [i] receives
+    [C_i / longest-path-length] — the deadline divided evenly along the
+    longest chain. [`Proportional] is {!proportional_slice}. [`Laxity]
+    is BST-flavoured (Natale & Stankovic): the critical path's laxity
+    [C_i - sum of WCETs] is distributed evenly over the subtasks of the
+    WCET-critical path; subtasks off that path get the same per-stage
+    budget, [lat_s = c_s + laxity / critical-path-length]. *)

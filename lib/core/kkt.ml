@@ -80,8 +80,3 @@ let worst r =
       r.complementary_resource;
       r.complementary_path;
     ]
-
-let pp ppf r =
-  Format.fprintf ppf
-    "stationarity=%.3g primal(res)=%.3g primal(path)=%.3g compl(res)=%.3g compl(path)=%.3g"
-    r.stationarity r.primal_resource r.primal_path r.complementary_resource r.complementary_path

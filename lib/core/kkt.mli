@@ -27,5 +27,3 @@ val of_solver : Solver.t -> residuals
 
 val worst : residuals -> float
 (** The largest of the five components. *)
-
-val pp : Format.formatter -> residuals -> unit

@@ -47,7 +47,7 @@ type t = {
   mutable iteration : int;
   mutable guard_events : int;
       (* non-finite iterate components neutralized by the allocation and
-         price-update guards; see {!guard_events}. *)
+         price-update guards; the first one logs a warning. *)
   utility_trace : Lla_stdx.Series.t;
   movement_trace : Lla_stdx.Series.t;
       (* max relative latency change per iteration: flat utilities can hide
@@ -63,10 +63,7 @@ let create ?obs ?(config = default_config) workload =
   let lat = Array.init n (fun i -> problem.subtasks.(i).lat_hi) in
   let share_traces =
     if config.record_shares then
-      Array.init (Problem.n_resources problem) (fun r ->
-          Lla_stdx.Series.create
-            ~name:(Ids.Resource_id.to_string problem.resource_ids.(r))
-            ())
+      Array.init (Problem.n_resources problem) (fun _ -> Lla_stdx.Series.create ())
     else [||]
   in
   let meters =
@@ -97,8 +94,8 @@ let create ?obs ?(config = default_config) workload =
     meters;
     iteration = 0;
     guard_events = 0;
-    utility_trace = Lla_stdx.Series.create ~name:"utility" ();
-    movement_trace = Lla_stdx.Series.create ~name:"movement" ();
+    utility_trace = Lla_stdx.Series.create ();
+    movement_trace = Lla_stdx.Series.create ();
     prev_lat = Array.copy lat;
     share_traces;
   }
@@ -191,15 +188,6 @@ let shares t =
          (s.Problem.sid, Problem.effective_share t.problem i ~lat:t.lat.(i) ~offset:t.offsets.(i)))
        t.problem.subtasks)
 
-let mu t id = t.mu.(Problem.resource_index t.problem id)
-
-let lambda t tid i =
-  let ti = Problem.task_index t.problem tid in
-  let info = t.problem.tasks.(ti) in
-  if i < 0 || i >= Array.length info.path_indices then
-    invalid_arg "Solver.lambda: path index out of range";
-  t.lambda.(info.path_indices.(i))
-
 let utility_series t = t.utility_trace
 
 let movement_series t = t.movement_trace
@@ -245,6 +233,9 @@ let violations t =
 
 let feasible t = violations t = []
 
+(* Earliest iteration after which the utility stays within
+   [convergence_tolerance] over every [convergence_window] span, with the
+   allocation also still and the current point feasible. *)
 let converged_at t =
   if not (feasible t) then None
   else begin
@@ -299,8 +290,6 @@ let set_arrival_rate t tid rate =
 let set_offset t id value = t.offsets.(Problem.subtask_index t.problem id) <- value
 
 let offset t id = t.offsets.(Problem.subtask_index t.problem id)
-
-let guard_events t = t.guard_events
 
 let lat_array t = t.lat
 

@@ -50,8 +50,11 @@ val step : t -> unit
 val run : t -> iterations:int -> unit
 
 val run_until_converged : t -> max_iterations:int -> int option
-(** Steps until {!converged_at} reports convergence or the budget runs
-    out; returns the convergence iteration. *)
+(** Steps until the utility series settles
+    ({!Lla_stdx.Series.converged_at} at the config's tolerance and
+    window) with the allocation still over that window and the point
+    feasible, or the budget runs out; returns the convergence
+    iteration. *)
 
 val latency : t -> Ids.Subtask_id.t -> float
 
@@ -61,11 +64,6 @@ val share : t -> Ids.Subtask_id.t -> float
 (** Share implied by the current latency (with error-correction offset). *)
 
 val shares : t -> (Ids.Subtask_id.t * float) list
-
-val mu : t -> Ids.Resource_id.t -> float
-
-val lambda : t -> Ids.Task_id.t -> int -> float
-(** Price of the [i]-th path of a task. *)
 
 val utility : t -> float
 (** Current total utility (Eq. 2). *)
@@ -90,11 +88,6 @@ val feasible : t -> bool
 
 val violations : t -> string list
 
-val converged_at : t -> int option
-(** Earliest iteration after which the utility trajectory stays within
-    [convergence_tolerance] over every [convergence_window] span, provided
-    the current point is also feasible; [None] otherwise. *)
-
 val set_offset : t -> Ids.Subtask_id.t -> float -> unit
 (** Install a model-error-correction offset (§6.3) for a subtask. *)
 
@@ -116,14 +109,6 @@ val set_arrival_rate : t -> Ids.Task_id.t -> float -> unit
     negative rate. *)
 
 val offset : t -> Ids.Subtask_id.t -> float
-
-val guard_events : t -> int
-(** Cumulative count of non-finite iterate components (latencies, share
-    sums, multipliers) neutralized by the {!Allocation} and
-    {!Price_update} finite-value guards. 0 on healthy runs; a non-zero
-    value means some input (measurement, offset, injected price) was
-    poisoned and the solver clamped instead of diverging. The first
-    guarded iteration also emits a [Logs] warning. *)
 
 val lat_array : t -> float array
 (** The raw latency vector (indexed like [Problem.subtasks]); exposed for

@@ -71,8 +71,3 @@ let observe t ~congested_resources =
       t.gamma_p.(p) <- adapt path t.gamma_p.(p) ~congested)
     t.problem.paths
 
-let rec policy_name = function
-  | Fixed g -> Printf.sprintf "fixed(%g)" g
-  | Adaptive { initial; multiplier; _ } -> Printf.sprintf "adaptive(%g, x%g)" initial multiplier
-  | Split { resource; path } ->
-    Printf.sprintf "split(r=%s, p=%s)" (policy_name resource) (policy_name path)

@@ -72,5 +72,3 @@ val observe :
 (** Feed the congestion outcome of the last iteration: adaptive step sizes
     are multiplied for congested resources and their paths and reset for
     the rest; fixed policies ignore the call. *)
-
-val policy_name : policy -> string

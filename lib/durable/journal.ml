@@ -142,8 +142,15 @@ module Store = struct
   }
 
   (* File backend: append channels stay open per path; everything else
-     reopens on demand. *)
-  type filestore = { dir : string; channels : (string, out_channel) Hashtbl.t }
+     reopens on demand. A real write fails with [Sys_error] (a full disk,
+     an I/O error) wherever the channel's buffer reaches the file: an
+     append that fills it, a sync's flush, a close. The store then drops
+     the channel unflushed and keeps the path [Failed], so the failure
+     comes back as the [Error] of every later append or sync to that path
+     and never as an exception. *)
+  type channel = Open of out_channel | Failed of string
+
+  type filestore = { dir : string; channels : (string, channel) Hashtbl.t }
 
   type t = File of filestore | Faulty of faulty
 
@@ -174,12 +181,25 @@ module Store = struct
 
   let resolve st path = Filename.concat st.dir path
 
+  let fail_channel st path oc msg =
+    close_out_noerr oc;
+    Hashtbl.replace st.channels path (Failed msg);
+    Error msg
+
+  (* Closes the path's append channel; a failed flush leaves it [Failed]. *)
   let close_channel st path =
     match Hashtbl.find_opt st.channels path with
-    | Some oc ->
-        close_out oc;
-        Hashtbl.remove st.channels path
-    | None -> ()
+    | Some (Open oc) -> (
+        match close_out oc with
+        | () -> Hashtbl.remove st.channels path
+        | exception Sys_error msg -> ignore (fail_channel st path oc msg))
+    | Some (Failed _) | None -> ()
+
+  (* For a write or remove that replaces the file: a [Failed] state goes
+     with the old contents. *)
+  let forget_channel st path =
+    close_channel st path;
+    Hashtbl.remove st.channels path
 
   let ffile fs path =
     match Hashtbl.find_opt fs.files path with
@@ -198,19 +218,26 @@ module Store = struct
 
   let append t path data =
     match t with
-    | File st ->
+    | File st -> (
         let oc =
           match Hashtbl.find_opt st.channels path with
-          | Some oc -> oc
-          | None ->
-              let oc =
+          | Some (Open oc) -> Ok oc
+          | Some (Failed msg) -> Error msg
+          | None -> (
+              match
                 open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 (resolve st path)
-              in
-              Hashtbl.add st.channels path oc;
-              oc
+              with
+              | oc ->
+                  Hashtbl.add st.channels path (Open oc);
+                  Ok oc
+              | exception Sys_error msg -> Error msg)
         in
-        output_string oc data;
-        Ok ()
+        match oc with
+        | Error _ as e -> e
+        | Ok oc -> (
+            match output_string oc data with
+            | () -> Ok ()
+            | exception Sys_error msg -> fail_channel st path oc msg))
     | Faulty fs ->
         if hit fs fs.faults.fail_write then begin
           fs.injected <- fs.injected + 1;
@@ -232,19 +259,24 @@ module Store = struct
     match t with
     | File st -> (
         match Hashtbl.find_opt st.channels path with
-        | Some oc -> (
-            flush oc;
-            try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ())
-        | None -> ())
-    | Faulty fs -> (
-        match Hashtbl.find_opt fs.files path with
+        | Some (Open oc) -> (
+            match flush oc with
+            | () ->
+                (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
+                Ok ()
+            | exception Sys_error msg -> fail_channel st path oc msg)
+        | Some (Failed msg) -> Error msg
+        | None -> Ok ())
+    | Faulty fs ->
+        (match Hashtbl.find_opt fs.files path with
         | None -> ()
         | Some f ->
             if hit fs fs.faults.drop_sync then fs.injected <- fs.injected + 1
             else begin
               f.durable <- f.durable ^ Buffer.contents f.pending;
               Buffer.clear f.pending
-            end)
+            end);
+        Ok ()
 
   let read t path =
     match t with
@@ -271,7 +303,7 @@ module Store = struct
   let write t path data =
     match t with
     | File st ->
-        close_channel st path;
+        forget_channel st path;
         let real = resolve st path in
         let tmp = real ^ ".tmp" in
         let oc = open_out_bin tmp in
@@ -283,7 +315,7 @@ module Store = struct
     | Faulty fs ->
         (* tmp + rename is crash-atomic by construction; the model keeps
            the replacement atomic and durable (the journal's vulnerable
-           path is the append stream, not snapshot replacement). *)
+           path is the append stream). *)
         let f = ffile fs path in
         f.durable <- data;
         Buffer.clear f.pending
@@ -296,7 +328,7 @@ module Store = struct
   let remove t path =
     match t with
     | File st ->
-        close_channel st path;
+        forget_channel st path;
         if Sys.file_exists (resolve st path) then Sys.remove (resolve st path)
     | Faulty fs -> Hashtbl.remove fs.files path
 
@@ -345,7 +377,6 @@ type meters = {
   m_bytes : Lla_obs.Metrics.counter;
   m_syncs : Lla_obs.Metrics.counter;
   m_rotations : Lla_obs.Metrics.counter;
-  m_snapshots : Lla_obs.Metrics.counter;
   m_wedged : Lla_obs.Metrics.counter;
 }
 
@@ -358,7 +389,6 @@ type t = {
   mutable wedged : bool;
   mutable appends : int;
   mutable bytes_written : int;
-  mutable snapshots : int;
   mutable rotations : int;
   meters : meters option;
 }
@@ -370,15 +400,12 @@ let mk_meters (obs : Lla_obs.t) =
     m_bytes = c "lla_journal_bytes_total" "Encoded bytes appended to journal segments.";
     m_syncs = c "lla_journal_syncs_total" "Sync barriers issued on the active segment.";
     m_rotations = c "lla_journal_rotations_total" "Active-segment rotations at the size cap.";
-    m_snapshots = c "lla_journal_snapshots_total" "Snapshot + truncate compactions.";
     m_wedged = c "lla_journal_wedged_total" "Write failures that wedged the journal.";
   }
 
 let active_name name = name ^ ".wal"
 
 let seg_name name k = Printf.sprintf "%s.wal.%d" name k
-
-let snap_name name = name ^ ".snap"
 
 let create ?obs ?(config = default_config) ?(name = "journal") store =
   if config.max_segment_bytes <= 0 then invalid_arg "Journal.create: non-positive segment cap";
@@ -396,7 +423,6 @@ let create ?obs ?(config = default_config) ?(name = "journal") store =
     wedged = false;
     appends = 0;
     bytes_written = 0;
-    snapshots = 0;
     rotations = 0;
     meters = Option.map mk_meters obs;
   }
@@ -407,10 +433,20 @@ let meter t f = match t.meters with Some m -> Lla_obs.Metrics.incr (f m) | None 
 
 let meter_add t f n = match t.meters with Some m -> Lla_obs.Metrics.add (f m) n | None -> ()
 
+(* Degrade to cold-restart recovery, never crash the control plane over
+   a full disk. *)
+let wedge t =
+  if not t.wedged then begin
+    t.wedged <- true;
+    meter t (fun m -> m.m_wedged)
+  end
+
 let sync t =
-  Store.sync t.store (active_path t);
-  t.since_sync <- 0;
-  meter t (fun m -> m.m_syncs)
+  match Store.sync t.store (active_path t) with
+  | Ok () ->
+      t.since_sync <- 0;
+      meter t (fun m -> m.m_syncs)
+  | Error _ -> wedge t
 
 (* The Rotate shifting idiom: drop the oldest, shift .k -> .(k+1), move
    the active segment to .1, start a fresh active segment. *)
@@ -430,35 +466,20 @@ let append t payload =
     let framed = encode_record payload in
     if t.seg_bytes > 0 && t.seg_bytes + String.length framed > t.config.max_segment_bytes then
       rotate t;
-    match Store.append t.store (active_path t) framed with
-    | Error _ ->
-        (* degrade to cold-restart recovery, never crash the control
-           plane over a full disk *)
-        t.wedged <- true;
-        meter t (fun m -> m.m_wedged)
-    | Ok () ->
-        t.seg_bytes <- t.seg_bytes + String.length framed;
-        t.appends <- t.appends + 1;
-        t.bytes_written <- t.bytes_written + String.length framed;
-        meter t (fun m -> m.m_appends);
-        meter_add t (fun m -> m.m_bytes) (String.length framed);
-        t.since_sync <- t.since_sync + 1;
-        if t.since_sync >= t.config.sync_every then sync t
+    if not t.wedged then
+      match Store.append t.store (active_path t) framed with
+      | Error _ -> wedge t
+      | Ok () ->
+          t.since_sync <- t.since_sync + 1;
+          if t.since_sync >= t.config.sync_every then sync t;
+          if not t.wedged then begin
+            t.seg_bytes <- t.seg_bytes + String.length framed;
+            t.appends <- t.appends + 1;
+            t.bytes_written <- t.bytes_written + String.length framed;
+            meter t (fun m -> m.m_appends);
+            meter_add t (fun m -> m.m_bytes) (String.length framed)
+          end
   end
-
-let snapshot t payloads =
-  let b = Buffer.create 1024 in
-  List.iter (fun p -> Buffer.add_string b (encode_record p)) payloads;
-  Store.write t.store (snap_name t.name) (Buffer.contents b);
-  for k = 1 to t.config.retain do
-    Store.remove t.store (seg_name t.name k)
-  done;
-  Store.remove t.store (active_path t);
-  t.seg_bytes <- 0;
-  t.since_sync <- 0;
-  t.wedged <- false;
-  t.snapshots <- t.snapshots + 1;
-  meter t (fun m -> m.m_snapshots)
 
 let wedged t = t.wedged
 
@@ -466,17 +487,12 @@ let appends t = t.appends
 
 let bytes_written t = t.bytes_written
 
-let snapshots t = t.snapshots
-
 let rotations t = t.rotations
 
 let store t = t.store
 
-let name t = t.name
-
 let segment_paths t =
   let candidates =
-    (snap_name t.name :: List.init t.config.retain (fun i -> seg_name t.name (t.config.retain - i)))
-    @ [ active_path t ]
+    List.init t.config.retain (fun i -> seg_name t.name (t.config.retain - i)) @ [ active_path t ]
   in
   List.filter (Store.exists t.store) candidates

@@ -6,8 +6,7 @@
     frames each one as [length | crc32 | payload] on an append-only
     segment. Segments rotate at a size cap with the {!Lla_obs.Rotate}
     shifting idiom ([name.wal] active, [name.wal.1] the most recent
-    rotated, up to [retain]); {!snapshot} compacts the whole journal to
-    an atomically-replaced snapshot file plus an empty active segment.
+    rotated, up to [retain]).
 
     Two storage backends share the {!Store} interface: a real
     file-per-path backend ({!Store.file}) for actual durability, and an
@@ -19,20 +18,23 @@
     the faulty store draws no randomness, so a zero-fault run is
     bit-for-bit a faultless one.
 
-    Failure discipline: a write failure (ENOSPC) {e wedges} the journal
-    — further appends become no-ops and the system degrades to
-    cold-restart recovery — rather than raising into the control plane.
-    Never a crash.
+    Failure discipline: a write failure {e wedges} the journal — further
+    appends become no-ops and the system degrades to cold-restart
+    recovery — rather than raising into the control plane. That holds
+    for the faulty store's injected ENOSPC and for a real failed write
+    or flush on a file store alike. Nothing un-wedges a journal: it
+    stays wedged for the life of the process, also once the store
+    accepts writes again. Never a crash.
 
     With [?obs], journal activity lands in the [lla_journal_*] metrics
-    family (appends, bytes, syncs, rotations, snapshots, wedges);
+    family (appends, bytes, syncs, rotations, wedges);
     without it the journal touches nothing observable (the standing
     golden-trace guarantee). *)
 
 (** {1 CRC-32}
 
     IEEE 802.3 reflected CRC-32 (the zlib/PNG polynomial), table-driven.
-    Exposed for the inspection CLI and the test suite. *)
+    Exposed for the test suite's known answers. *)
 module Crc : sig
   val string : ?off:int -> ?len:int -> string -> int
   (** CRC-32 of a substring (default: the whole string), as a
@@ -44,13 +46,8 @@ end
 val encode_record : string -> string
 (** [length(u32 LE) | crc32(u32 LE) | payload]. *)
 
-val max_record_bytes : int
-(** Upper bound on an encoded payload length accepted by {!scan}
-    (16 MiB); a length field beyond it reads as corruption, so a torn
-    length prefix cannot make recovery attempt a gigabyte read. *)
-
 type entry = { offset : int; length : int; crc : int }
-(** One valid record located by {!scan}: byte offset of its header,
+(** One valid record located by {!decode}: byte offset of its header,
     payload length, stored CRC. *)
 
 type scan = {
@@ -61,14 +58,13 @@ type scan = {
   corrupt_reason : string option;  (** ["short header"], ["bad crc"], ... *)
 }
 
-val scan : string -> scan
-(** Walk a segment's raw contents record by record, stopping at the
-    first corruption (short header, absurd length, truncated payload or
-    CRC mismatch). Total function: never raises, any byte string yields
-    a valid prefix. *)
-
 val decode : string -> string list * scan
-(** {!scan} plus the decoded payloads of the valid prefix. *)
+(** Walk a segment's raw contents record by record, stopping at the
+    first corruption (short header, a length over 16 MiB, truncated
+    payload or CRC mismatch), and decode the payloads of the valid
+    prefix. Total function: never raises, any byte string yields a valid
+    prefix, and a torn length prefix cannot make recovery attempt a
+    gigabyte read. *)
 
 (** {1 Storage backends} *)
 module Store : sig
@@ -119,22 +115,20 @@ module Store : sig
   (** {2 Path operations (used by {!Journal} and {!Recovery})} *)
 
   val append : t -> string -> string -> (unit, string) result
-  (** [append t path data]: [Error] on an injected write failure. *)
+  (** [append t path data]: [Error] on an injected write failure, or on
+      a file store when opening or writing the file fails. *)
 
-  val sync : t -> string -> unit
+  val sync : t -> string -> (unit, string) result
+  (** Sync barrier on [path]: [Error] when a file store's flush fails.
+      After an append or sync to a file fails, every later append or
+      sync to that path answers the same [Error], and no store
+      operation raises it. *)
 
   val read : t -> string -> string option
   (** Whole-file contents; [None] when the path does not exist. *)
 
   val write : t -> string -> string -> unit
   (** Atomic whole-file replace. *)
-
-  val rename : t -> string -> string -> unit
-  (** No-op when the source does not exist. *)
-
-  val remove : t -> string -> unit
-
-  val exists : t -> string -> bool
 end
 
 (** {1 The journal} *)
@@ -150,10 +144,10 @@ val default_config : config
 type t
 
 val create : ?obs:Lla_obs.t -> ?config:config -> ?name:string -> Store.t -> t
-(** A journal writing segments [name.wal\[.k\]] and snapshot
-    [name.snap] (default name ["journal"]; under {!Store.file} the name
-    is relative to the store's directory). @raise Invalid_argument on a
-    non-positive size cap, retain or sync cadence. *)
+(** A journal writing segments [name.wal\[.k\]] (default name
+    ["journal"]; under {!Store.file} the name is relative to the store's
+    directory). @raise Invalid_argument on a non-positive size cap,
+    retain or sync cadence. *)
 
 val append : t -> string -> unit
 (** Frame and append one payload record to the active segment, rotating
@@ -161,33 +155,24 @@ val append : t -> string -> unit
     journal (a previous write failure) this is a no-op. *)
 
 val sync : t -> unit
-(** Explicit sync barrier on the active segment. *)
-
-val snapshot : t -> string list -> unit
-(** Compaction: atomically replace [name.snap] with the given payload
-    records, then drop every rotated segment and truncate the active
-    one. Recovery afterwards replays the snapshot plus any subsequent
-    appends. Un-wedges the journal when the store accepts writes
-    again. *)
+(** Explicit sync barrier on the active segment; a failed barrier wedges
+    the journal. *)
 
 val wedged : t -> bool
 
 val appends : t -> int
-(** Records accepted (excludes appends dropped while wedged). *)
+(** Records accepted (excludes appends dropped while wedged, and the
+    record whose write or sync barrier wedged the journal). *)
 
 val bytes_written : t -> int
 (** Encoded bytes appended to segments (framing included). *)
-
-val snapshots : t -> int
 
 val rotations : t -> int
 
 val store : t -> Store.t
 
-val name : t -> string
-
 val segment_paths : t -> string list
-(** Replay order: snapshot, oldest rotated segment, ..., active
-    segment. Only paths that currently exist. *)
+(** Replay order: oldest rotated segment, ..., active segment. Only
+    paths that currently exist. *)
 
 val active_path : t -> string

@@ -1,5 +1,4 @@
 type report = {
-  snapshot_records : int;
   wal_records : int;
   applied : int;
   refused : int;
@@ -7,16 +6,9 @@ type report = {
   truncated_bytes : int;
 }
 
-let pp_report fmt r =
-  Format.fprintf fmt
-    "recovery: snapshot=%d wal=%d applied=%d refused=%d corrupt_segments=%d truncated_bytes=%d"
-    r.snapshot_records r.wal_records r.applied r.refused r.corrupt_segments r.truncated_bytes
-
 let replay ?obs ?(at = 0.) journal ~apply =
   let store = Journal.store journal in
-  let snap = Journal.name journal ^ ".snap" in
   let active = Journal.active_path journal in
-  let snapshot_records = ref 0 in
   let wal_records = ref 0 in
   let applied = ref 0 in
   let refused = ref 0 in
@@ -28,9 +20,7 @@ let replay ?obs ?(at = 0.) journal ~apply =
       | None -> ()
       | Some contents ->
           let payloads, scan = Journal.decode contents in
-          let n = List.length payloads in
-          if path = snap then snapshot_records := !snapshot_records + n
-          else wal_records := !wal_records + n;
+          wal_records := !wal_records + List.length payloads;
           (match scan.Journal.corrupt_at with
           | None -> ()
           | Some _ ->
@@ -54,7 +44,7 @@ let replay ?obs ?(at = 0.) journal ~apply =
         (c "lla_journal_recoveries_total" "Journal recovery replays performed.");
       Lla_obs.Metrics.add
         (c "lla_journal_replayed_total" "Records replayed from the journal at recovery.")
-        (!snapshot_records + !wal_records);
+        !wal_records;
       Lla_obs.Metrics.add
         (c "lla_journal_corrupt_total" "Segments found with a corrupt suffix at recovery.")
         !corrupt_segments;
@@ -64,12 +54,11 @@ let replay ?obs ?(at = 0.) journal ~apply =
       let note name value =
         Lla_obs.emit o ~at (Lla_obs.Trace.Note { name; value = float_of_int value })
       in
-      note "journal.replayed" (!snapshot_records + !wal_records);
+      note "journal.replayed" !wal_records;
       note "journal.refused" !refused;
       note "journal.corrupt" !corrupt_segments;
       note "journal.truncated_bytes" !truncated_bytes);
   {
-    snapshot_records = !snapshot_records;
     wal_records = !wal_records;
     applied = !applied;
     refused = !refused;

@@ -1,20 +1,25 @@
 (** Crash recovery: replay a {!Journal} into live state.
 
-    [replay] walks the journal's surviving segments in order — snapshot
-    first, then rotated segments oldest to newest, then the active
-    segment — decoding each one with {!Journal.scan}. Within a segment
-    replay stops at the first bad CRC (everything past a corruption is
-    suspect); a torn tail on the {e active} segment is additionally
-    truncated in place so the journal can keep appending from a clean
-    frontier. Every decoded payload is handed to the caller's [apply]
-    callback, which owns the semantic checks — in practice
+    [replay] walks the journal's surviving segments in order — rotated
+    segments oldest to newest, then the active segment — decoding each
+    one with {!Journal.decode}. Within a segment replay stops at the
+    first bad CRC (everything past a corruption is suspect); a torn tail
+    on the {e active} segment is additionally truncated in place so the
+    journal can keep appending from a clean frontier. Every decoded
+    payload is handed to the caller's [apply] callback, which owns the
+    semantic checks — in practice
     {!Lla_runtime.Checkpoint}'s save path, so non-finite refusal and
     staleness discard apply to disk state exactly as to live state.
 
     Replay is a total function of the stored bytes: it never raises on
     corruption, and replaying the same journal twice yields the same
     report (per-slot records are last-write-wins, so re-applying is
-    idempotent — the oracle checks this).
+    idempotent — the oracle checks this). Nor does reading raise over a
+    failed append: a real write failure wedges a file-backed journal as
+    the faulty store's ENOSPC does, and the store keeps that failure as
+    the path's [Error] instead of raising it when replay reads the
+    segment back. Truncating a torn tail is a whole-file write, which a
+    file store on a full disk still raises.
 
     With [?obs], the recovery report additionally lands as trace
     [Note] events ([journal.replayed], [journal.refused],
@@ -23,15 +28,12 @@
     counters; without it, recovery touches nothing observable. *)
 
 type report = {
-  snapshot_records : int;  (** records decoded from the snapshot file. *)
   wal_records : int;  (** records decoded from WAL segments. *)
   applied : int;  (** records the [apply] callback accepted. *)
   refused : int;  (** records the [apply] callback rejected. *)
   corrupt_segments : int;  (** segments with a corrupt suffix. *)
   truncated_bytes : int;  (** torn-tail bytes cut from the active segment. *)
 }
-
-val pp_report : Format.formatter -> report -> unit
 
 val replay : ?obs:Lla_obs.t -> ?at:float -> Journal.t -> apply:(string -> bool) -> report
 (** [replay journal ~apply] restores every surviving record through

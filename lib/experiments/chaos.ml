@@ -204,7 +204,7 @@ let report r =
         %d messages cut, %d agent outages\n"
        (p.partition_at /. 1000.) (p.heal_at /. 1000.) p.gap_before_percent
        p.max_gap_after_percent p.final_gap_percent p.cut_messages p.agent_outages);
-  let series = Lla_stdx.Series.create ~name:"utility" () in
+  let series = Lla_stdx.Series.create () in
   List.iter (fun (x, y) -> Lla_stdx.Series.add series ~x ~y) p.series;
   Buffer.add_string buf
     (Report.series_block ~title:"aggregate utility across partition and heal"

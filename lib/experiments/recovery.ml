@@ -321,7 +321,7 @@ let report r =
   (match r.protected_.fallback with
   | Some f -> Buffer.add_string buf (Printf.sprintf "safe-mode fallback: %s\n" f)
   | None -> ());
-  let series = Lla_stdx.Series.create ~name:"utility" () in
+  let series = Lla_stdx.Series.create () in
   List.iter (fun (x, y) -> Lla_stdx.Series.add series ~x ~y) r.protected_.utility_series;
   Buffer.add_string buf
     (Report.series_block ~title:"utility under safe-mode clamping (protected run)"

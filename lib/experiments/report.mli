@@ -11,9 +11,5 @@ val paper_vs_measured :
 (** Render a (label, paper value, measured value) table with a relative
     deviation column. *)
 
-val deviation : paper:float -> measured:float -> float
-(** [(measured - paper) / |paper|]; 0 when the paper value is 0 and the
-    measured one matches. *)
-
 val series_block : ?max_points:int -> title:string -> (string * Lla_stdx.Series.t) list -> string
 (** ASCII plot of the series plus a downsampled numeric appendix. *)

@@ -45,8 +45,6 @@ let in_degree t s = List.length (predecessors t s)
 
 let leaves t = List.filter (fun s -> successors t s = []) t.node_list
 
-let topological_order t = Array.to_list (Array.map (Array.get t.ids) t.topo)
-
 exception Invalid of string
 
 let fail msg = raise_notrace (Invalid msg)
@@ -185,11 +183,6 @@ let counts_to_leaves t =
 
 let path_count t = (counts_to_leaves t).(t.graph_root)
 
-let path_count_through t s =
-  let i = index t s in
-  if i < 0 then invalid_arg "Graph.path_count_through: unknown subtask";
-  (counts_from_root t).(i) * (counts_to_leaves t).(i)
-
 let weights t ~variant =
   let weight =
     match (variant : Utility.variant) with
@@ -223,7 +216,3 @@ let critical_path t ~latency =
   done;
   let rec follow i = if i < 0 then [] else t.ids.(i) :: follow next.(i) in
   (follow t.graph_root, cost.(t.graph_root))
-
-let pp ppf t =
-  Format.fprintf ppf "graph(root=%a, %d nodes, %d edges, %d paths)" Subtask_id.pp (root t)
-    (node_count t) (List.length t.edge_list) (path_count t)

@@ -41,18 +41,12 @@ val in_degree : t -> Subtask_id.t -> int
 
 val mem : t -> Subtask_id.t -> bool
 
-val topological_order : t -> Subtask_id.t list
-
 val paths : t -> Subtask_id.t list list
 (** All root-to-leaf paths, in a deterministic order (depth-first,
     successors in declaration order). Exponential in pathological DAGs;
     real task graphs are small. *)
 
 val path_count : t -> int
-
-val path_count_through : t -> Subtask_id.t -> int
-(** Number of root-to-leaf paths containing the subtask (computed by
-    dynamic programming, not by enumerating paths). *)
 
 val weights : t -> variant:Utility.variant -> float Subtask_id.Map.t
 (** Aggregation weights per subtask: 1 for [Sum];
@@ -64,5 +58,3 @@ val critical_path : t -> latency:(Subtask_id.t -> float) -> Subtask_id.t list * 
     (dynamic programming over the topological order). *)
 
 val path_latency : Subtask_id.t list -> latency:(Subtask_id.t -> float) -> float
-
-val pp : Format.formatter -> t -> unit

@@ -12,8 +12,6 @@ type t = {
 
 let kind_to_string = function Cpu -> "cpu" | Link -> "link"
 
-let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
-
 let make ?name ?(kind = Cpu) ?(availability = 1.0) ?(lag = 0.0) i =
   if availability < 0. || availability > 1. then
     invalid_arg "Resource.make: availability outside [0, 1]";
@@ -23,6 +21,3 @@ let make ?name ?(kind = Cpu) ?(availability = 1.0) ?(lag = 0.0) i =
     match name with Some n -> n | None -> Ids.Resource_id.to_string id
   in
   { id; name; kind; availability; lag }
-
-let pp ppf t =
-  Format.fprintf ppf "%s(%a, B=%.2f, lag=%.1fms)" t.name pp_kind t.kind t.availability t.lag

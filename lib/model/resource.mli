@@ -25,8 +25,4 @@ val make :
     @raise Invalid_argument when availability is outside [\[0, 1\]] or lag
     is negative. *)
 
-val pp : Format.formatter -> t -> unit
-
-val pp_kind : Format.formatter -> kind -> unit
-
 val kind_to_string : kind -> string

@@ -31,5 +31,3 @@ val instantiate : spec -> exec:float -> lag:float -> t
     with worst-case execution time [exec] on a resource with lag [lag]
     (both ms). @raise Invalid_argument when [exec <= 0], [lag < 0], or a
     power exponent is < 1. *)
-
-val spec_to_string : spec -> string

@@ -14,7 +14,3 @@ let make ?name ?(share_spec = Share.Reciprocal) ~id ~task ~resource ~exec_time (
   { id; name; task; resource = Ids.Resource_id.make resource; exec_time; share_spec }
 
 let share_function t ~lag = Share.instantiate t.share_spec ~exec:t.exec_time ~lag
-
-let pp ppf t =
-  Format.fprintf ppf "%s(task=%a, res=%a, c=%.1fms)" t.name Ids.Task_id.pp t.task
-    Ids.Resource_id.pp t.resource t.exec_time

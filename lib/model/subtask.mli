@@ -23,5 +23,3 @@ val make :
 
 val share_function : t -> lag:float -> Share.t
 (** The subtask's share function on a resource with the given lag. *)
-
-val pp : Format.formatter -> t -> unit

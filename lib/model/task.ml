@@ -94,8 +94,3 @@ let with_critical_time t critical_time =
   { t with critical_time }
 
 let with_utility t utility = { t with utility }
-
-let pp ppf t =
-  Format.fprintf ppf "%s(%d subtasks, C=%.0fms, %a, %s/%s)" t.name (List.length t.subtasks)
-    t.critical_time Trigger.pp t.trigger t.utility.Utility.name
-    (Utility.variant_to_string t.variant)

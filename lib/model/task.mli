@@ -55,10 +55,6 @@ val find_subtask : t -> Subtask_id.t -> Subtask.t option
 val weight : t -> Subtask_id.t -> float
 (** Aggregation weight of a subtask (§3.2). *)
 
-val aggregate_latency : t -> latency:(Subtask_id.t -> float) -> float
-(** The argument passed to the utility function: weighted sum of subtask
-    latencies under the task's aggregation {!Utility.variant}. *)
-
 val utility_value : t -> latency:(Subtask_id.t -> float) -> float
 (** [U_i] (Eq. 1 with the §3.2 aggregation). *)
 
@@ -73,5 +69,3 @@ val with_critical_time : t -> float -> t
     so this simply replaces the field and revalidates). *)
 
 val with_utility : t -> Utility.t -> t
-
-val pp : Format.formatter -> t -> unit

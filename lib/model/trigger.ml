@@ -35,12 +35,6 @@ let rec mean_rate = function
     arrivals_per_cycle /. (on_duration +. off_duration)
   | Phased { after; _ } -> mean_rate after
 
-let rec rate_at t ~now =
-  match t with
-  | Periodic _ | Poisson _ | Bursty _ -> mean_rate t
-  | Phased { before; switch_at; after } ->
-    if now < switch_at then rate_at before ~now else rate_at after ~now
-
 let rec next_arrival t rng ~after =
   match t with
   | Phased { before; switch_at; after = later } ->
@@ -73,12 +67,3 @@ let rec next_arrival t rng ~after =
       if candidate <= on_duration then base +. candidate else base +. cycle
     end
     else base +. cycle
-
-let rec pp ppf = function
-  | Phased { before; switch_at; after } ->
-    Format.fprintf ppf "phased(%a -> %a at %.0fms)" pp before pp after switch_at
-  | Periodic { period; phase } -> Format.fprintf ppf "periodic(%.1fms, phase=%.1f)" period phase
-  | Poisson { rate } -> Format.fprintf ppf "poisson(%.1f/s)" (rate *. 1000.)
-  | Bursty { on_duration; off_duration; period_in_burst } ->
-    Format.fprintf ppf "bursty(on=%.0f, off=%.0f, in-burst=%.1fms)" on_duration off_duration
-      period_in_burst

@@ -30,11 +30,7 @@ val mean_rate : t -> float
 (** Long-run mean arrivals per ms. For {!Phased} triggers this is the
     [after] phase's rate (the long-run regime). *)
 
-val rate_at : t -> now:float -> float
-(** Mean arrival rate of the regime active at time [now]. *)
-
 val next_arrival : t -> Lla_stdx.Rng.t -> after:float -> float
 (** Next release time strictly after [after] (ms). Deterministic triggers
     ignore the generator. *)
 
-val pp : Format.formatter -> t -> unit

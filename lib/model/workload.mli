@@ -17,8 +17,6 @@ val make_exn : tasks:Task.t list -> resources:Resource.t list -> t
 val task : t -> Task_id.t -> Task.t
 (** @raise Not_found on unknown ids. *)
 
-val resource : t -> Resource_id.t -> Resource.t
-
 val subtask : t -> Subtask_id.t -> Subtask.t
 
 val owner : t -> Subtask_id.t -> Task.t

@@ -43,8 +43,6 @@ let share_spec_of (s : Subtask.t) =
   | Share.Reciprocal -> "reciprocal"
   | Share.Power { exponent } -> Printf.sprintf "power:%s" (float_str exponent)
 
-let share_spec sid (workload : Workload.t) = share_spec_of (Workload.subtask workload sid)
-
 let quote_name name =
   (* names with spaces are not representable; reject early *)
   if String.exists (fun c -> c = ' ' || c = '\t' || c = '=') name then

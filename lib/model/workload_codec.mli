@@ -26,8 +26,6 @@
     specs). Share models: [reciprocal], [power:EXPONENT].
     Variants: [sum], [path-weighted]. *)
 
-open Ids
-
 val parse : string -> (Workload.t, string) result
 (** Parse the format above; errors carry the offending line number. A
     task owns the edges leaving the subtasks it declares; an edge into
@@ -43,12 +41,3 @@ val to_string : Workload.t -> string
 val load : path:string -> (Workload.t, string) result
 
 val save : path:string -> Workload.t -> unit
-
-val utility_spec : Task.t -> string
-(** The serialized utility spec of a task (e.g. ["linear:2"]), used by
-    {!to_string}; exposed for tests. @raise Invalid_argument for custom
-    utilities. *)
-
-val trigger_spec : Trigger.t -> string
-
-val share_spec : Subtask_id.t -> Workload.t -> string

@@ -46,24 +46,6 @@ let newton_bisect ?(tolerance = 1e-12) ?(max_iterations = 100) ~df ~lo ~hi f =
     loop lo hi flo x0 (f x0) max_iterations
   end
 
-let golden_max ?(tolerance = 1e-10) ?(max_iterations = 200) ~lo ~hi f =
-  let inv_phi = (sqrt 5. -. 1.) /. 2. in
-  let rec loop lo hi x1 x2 f1 f2 iterations =
-    if hi -. lo < tolerance || iterations = 0 then 0.5 *. (lo +. hi)
-    else if f1 > f2 then begin
-      let hi = x2 and x2 = x1 and f2 = f1 in
-      let x1 = hi -. (inv_phi *. (hi -. lo)) in
-      loop lo hi x1 x2 (f x1) f2 (iterations - 1)
-    end
-    else begin
-      let lo = x1 and x1 = x2 and f1 = f2 in
-      let x2 = lo +. (inv_phi *. (hi -. lo)) in
-      loop lo hi x1 x2 f1 (f x2) (iterations - 1)
-    end
-  in
-  let x1 = hi -. (inv_phi *. (hi -. lo)) and x2 = lo +. (inv_phi *. (hi -. lo)) in
-  loop lo hi x1 x2 (f x1) (f x2) max_iterations
-
 let derivative ?h f x =
   let h = match h with Some h -> h | None -> 1e-6 *. Float.max 1. (Float.abs x) in
   (f (x +. h) -. f (x -. h)) /. (2. *. h)

@@ -1,4 +1,4 @@
-(** Scalar root finding and 1-D concave maximization.
+(** Scalar root finding.
 
     The latency-allocation step (paper §4.2) sets the derivative of the
     Lagrangian w.r.t. each subtask latency to zero; for non-linear
@@ -26,11 +26,6 @@ val newton_bisect :
 (** Safeguarded Newton–Raphson: takes Newton steps while they remain
     inside the current bracket and make progress, otherwise bisects. Same
     bracketing requirement as {!bisect}. *)
-
-val golden_max :
-  ?tolerance:float -> ?max_iterations:int -> lo:float -> hi:float -> (float -> float) -> float
-(** Golden-section search for the maximizer of a unimodal (e.g. concave)
-    function on [\[lo, hi\]]. Returns the abscissa of the maximum. *)
 
 val derivative : ?h:float -> (float -> float) -> float -> float
 (** Central finite difference, for validation and for utilities supplied

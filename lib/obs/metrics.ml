@@ -123,8 +123,6 @@ let set_at g ~at v =
   g.g_value <- v;
   g.g_at <- at
 
-let gauge_at g = g.g_at
-
 let observe h v =
   (* NaN falls through every [v <= bound] test into the +Inf bucket — it is
      still counted rather than silently lost. *)

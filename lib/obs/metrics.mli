@@ -34,13 +34,9 @@ val histogram :
   t -> ?help:string -> ?labels:(string * string) list -> ?buckets:float array -> string -> histogram
 (** [buckets] are the upper bounds of the cumulative buckets (an implicit
     [+Inf] bucket is always appended); they must be strictly increasing.
-    Default: {!default_buckets}. @raise Invalid_argument on an empty or
+    Default: 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500 and 1000. @raise Invalid_argument on an empty or
     non-increasing layout, or when a second registration of the same
     identity passes a different layout. *)
-
-val default_buckets : float array
-(** A latency-flavoured layout in ms:
-    [0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000]. *)
 
 (** {2 Hot-path updates (O(1); histogram observe is O(buckets))} *)
 
@@ -60,9 +56,6 @@ val set_at : gauge -> at:float -> float -> unit
     any gauge that can be written from more than one shard should be set
     through [set_at] with the engine clock. Stamps start at [-inf] (a
     never-stamped gauge always loses to a stamped one). *)
-
-val gauge_at : gauge -> float
-(** The last-writer stamp ([-inf] when the gauge was never {!set_at}). *)
 
 val observe : histogram -> float -> unit
 

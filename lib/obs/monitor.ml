@@ -7,6 +7,10 @@ module Int_tbl = Lla_stdx.Int_tbl
 
 (* --- shared detector primitives --------------------------------------- *)
 
+(* Online suffix-stable settling: the earliest time from which the series
+   never leaves the band [tolerance * max |target| 1e-12] around
+   [target] — exactly [Analyze.settling_time]'s criterion, in O(1) per
+   sample; a non-finite [target] never settles, as offline. *)
 module Settle = struct
   type t = {
     target : float;
@@ -143,17 +147,13 @@ let settling_against_last ?tolerance samples =
     Settle.settled_since s
 
 module Probe = struct
-  type t = { t0 : float; samples : Lla_stdx.Series.t }
+  type t = Lla_stdx.Series.t
 
-  let start ~at = { t0 = at; samples = Lla_stdx.Series.create () }
+  let start = Lla_stdx.Series.create
 
-  let started_at t = t.t0
+  let sample t ~at ~value = Lla_stdx.Series.add t ~x:at ~y:value
 
-  let sample t ~at ~value = Lla_stdx.Series.add t.samples ~x:at ~y:value
-
-  let samples t = Lla_stdx.Series.length t.samples
-
-  let settling ?tolerance t = settling_against_last ?tolerance t.samples
+  let settling = settling_against_last
 end
 
 let drift ~baseline v = Float.abs (v -. baseline) /. Float.max 1. (Float.abs baseline)
@@ -424,12 +424,6 @@ let settling_tick t =
   | Some s -> Settle.settled_since s
   | None -> settling_against_last ~tolerance:t.config.tolerance t.series
 
-let utility_series t = List.init (Lla_stdx.Series.length t.series) (Lla_stdx.Series.get t.series)
-
-let oscillation t = Analyze.oscillation (utility_series t)
-
-let dispersion t = Analyze.dispersion (utility_series t)
-
 let overload_episodes t ~resource =
   match Int_tbl.find_opt t.res resource with
   | None -> []
@@ -468,8 +462,6 @@ let view (a : alert) =
   }
 
 let alerts t = List.map view (all_alerts t)
-
-let active_alerts t = List.filter (fun v -> v.active) (alerts t)
 
 let alerts_raised t = List.fold_left (fun acc a -> acc + a.a_raised) 0 (all_alerts t)
 

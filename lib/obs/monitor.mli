@@ -4,8 +4,8 @@
     {!Analyze} computes settling time, oscillation and overload episodes
     from a complete trace, after the run. [Monitor] maintains the same
     signals incrementally while the system runs — O(1) state updates per
-    observation (readouts that need the tail half of the series, like
-    {!oscillation}, replay a retained compact series on demand) — and
+    observation (the settling readout without a target replays a
+    retained compact series on demand) — and
     drives a small set of named alerts with severity levels and
     asymmetric enter/exit hysteresis, the same shape as
     [Lla_runtime.Safe_mode]: a condition must hold for
@@ -16,11 +16,10 @@
     trace reproduces the exact alert timeline.
 
     The online detectors agree with the offline ones sample-for-sample:
-    {!Settle.settled_since} equals [Analyze.settling_time] on the same
-    series, {!overload_episodes} equals [Analyze.episodes] on the same
-    load series, and {!oscillation} {e is} [Analyze.oscillation] over
-    the retained series (property tests in [test/test_monitor.ml] hold
-    both directions). The soak harness's rolling-health oracles are
+    {!settling_tick} equals [Analyze.settling_time] on the same series
+    (in O(1) per sample when the monitor has a [target]) and
+    {!overload_episodes} equals [Analyze.episodes] on the same load
+    series (property tests in [test/test_monitor.ml] hold both). The soak harness's rolling-health oracles are
     expressed over the same primitives ({!Streak}, {!Probe}), and
     [Lla_runtime.Safe_mode] trips on a {!Streak} and an {!Oscillation},
     so soak, watchdog and live monitoring share one detector
@@ -40,24 +39,6 @@
     bit for bit. *)
 
 (** {1 Shared detector primitives} *)
-
-(** Online suffix-stable settling: the earliest time from which the
-    series never leaves the [tolerance]-band around [target] — exactly
-    [Analyze.settling_time]'s criterion, in O(1) per sample. *)
-module Settle : sig
-  type t
-
-  val create : ?tolerance:float -> target:float -> unit -> t
-  (** Band is [tolerance * max |target| 1e-12] (default
-      [Analyze.default_tolerance]); a non-finite [target] never
-      settles, as offline. *)
-
-  val observe : t -> at:float -> float -> unit
-
-  val settled_since : t -> float option
-  (** Equal to [Analyze.settling_time ~tolerance ~target] on the series
-      observed so far. *)
-end
 
 (** Sustained-condition budget counter with the soak harness's exact
     semantics: each bad observation adds [step] to the streak, a good
@@ -99,26 +80,18 @@ module Oscillation : sig
   (** Empty the window: it cannot oscillate again until it has refilled. *)
 
   val oscillating : t -> bool
-
-  val spread : t -> float
-  (** The relative spread of the samples held (0 when empty), the value
-      the [oscillation] alert quotes. *)
 end
 
 (** A reconvergence probe: collect the trajectory after a disturbance,
     then judge settling against the latest sample as target (the target
     is only known at judgement time, so the probe retains its samples
-    and replays them through {!Settle}). *)
+    and replays them through the online settling detector). *)
 module Probe : sig
   type t
 
-  val start : at:float -> t
-
-  val started_at : t -> float
+  val start : unit -> t
 
   val sample : t -> at:float -> value:float -> unit
-
-  val samples : t -> int
 
   val settling : ?tolerance:float -> t -> float option
   (** Absolute settling time of the collected series against its final
@@ -134,10 +107,6 @@ val drift : baseline:float -> float -> float
 (** {1 The monitor} *)
 
 type severity = Info | Warning | Critical
-
-val severity_label : severity -> string
-(** ["info"] / ["warning"] / ["critical"] — the encoding used in
-    {!Trace.Alert_raised}. *)
 
 type config = {
   tolerance : float;  (** settling band (default [Analyze.default_tolerance]). *)
@@ -206,9 +175,6 @@ val observe_load : t -> at:float -> resource:int -> load:float -> unit
     (infinite when capacity is 0). Drives the per-resource overload
     episodes and the Eq. 3 sustained-infeasibility alert. *)
 
-val observe_path_slack : t -> at:float -> path:int -> latency:float -> critical_time:float -> unit
-(** Drives the Eq. 4 sustained-infeasibility alert. *)
-
 val observe_feasible : t -> at:float -> resources_ok:bool -> paths_ok:bool -> unit
 (** Aggregate feasibility feed for hosts that already know the verdict
     (the scale kernel's O(1) dirty-set checks). *)
@@ -226,10 +192,6 @@ val set_baseline : t -> at:float -> float -> unit
 (** {2 Readouts (agree with {!Analyze} on the same stream)} *)
 
 val settling_tick : t -> float option
-
-val oscillation : t -> Analyze.oscillation option
-
-val dispersion : t -> float
 
 val overload_episodes : t -> resource:int -> (float * float) list
 
@@ -255,8 +217,6 @@ type alert_view = {
 val alerts : t -> alert_view list
 (** All alerts, fixed order: [eq3_sustained], [eq4_sustained],
     [oscillation], [utility_drift], [diverged], [recovery_stuck]. *)
-
-val active_alerts : t -> alert_view list
 
 val alerts_raised : t -> int
 (** Total raise transitions across all alerts. *)

@@ -58,8 +58,6 @@ let sink t record =
     t.total_records <- t.total_records + 1;
     if t.seg_bytes >= t.max_bytes || t.seg_records >= t.max_records then rotate t oc
 
-let flush t = match t.oc with None -> () | Some oc -> Stdlib.flush oc
-
 let close t =
   match t.oc with
   | None -> ()

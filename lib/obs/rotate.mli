@@ -24,9 +24,7 @@ val create : ?max_bytes:int -> ?max_records:int -> ?retain:int -> path:string ->
 
 val sink : t -> Trace.record -> unit
 (** The sink to pass to {!Trace.attach}. Writes are line-buffered by the
-    channel; call {!close} (or {!flush}) before reading the files. *)
-
-val flush : t -> unit
+    channel; call {!close} before reading the files. *)
 
 val close : t -> unit
 (** Flushes and closes the active segment. Further {!sink} calls are

@@ -66,14 +66,6 @@ let congestion records =
       | _ -> None)
     records
 
-let path_prices records =
-  group_by_int
-    (fun r ->
-      match r.Trace.event with
-      | Trace.Path_price_updated { path; lambda; _ } -> Some (path, lambda)
-      | _ -> None)
-    records
-
 let load_jsonl path =
   let ic = open_in path in
   Fun.protect
@@ -89,6 +81,3 @@ let load_jsonl path =
           | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e))
       in
       go 1 [])
-
-let load_jsonl_exn path =
-  match load_jsonl path with Ok rs -> rs | Error e -> failwith e

@@ -21,12 +21,6 @@ val congestion : Trace.record list -> (int * (float * float) list) list
 (** Per-resource [share_sum / capacity] trajectory (Eq. 3 load factor;
     [> 1] means the constraint is violated at that instant). *)
 
-val path_prices : Trace.record list -> (int * (float * float) list) list
-(** Per-path [lambda] trajectory from [Path_price_updated]. *)
-
 val load_jsonl : string -> (Trace.record list, string) result
 (** Read a [write_jsonl] dump back; blank lines are skipped; [Error]
     carries [file:line: reason] for the first bad line. *)
-
-val load_jsonl_exn : string -> Trace.record list
-(** @raise Failure on parse errors. *)

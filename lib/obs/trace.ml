@@ -253,19 +253,6 @@ let records t =
   done;
   !acc
 
-let emitted t = t.emitted
-
-let dropped t = t.emitted - t.len
-
-let clear t =
-  (* Release the string references; scalar columns can stay stale. *)
-  Array.fill t.sa 0 t.capacity "";
-  Array.fill t.sb 0 t.capacity "";
-  Array.fill t.sc 0 t.capacity "";
-  t.pos <- 0;
-  t.len <- 0;
-  t.emitted <- 0
-
 let event_name = function
   | Iteration _ -> "iteration"
   | Allocation_solved _ -> "allocation_solved"
@@ -464,6 +451,8 @@ let decode_event ty json =
   | "alert_cleared" -> Alert_cleared { alert = str "alert"; value = num "value" }
   | other -> raise (Decode (Printf.sprintf "unknown event type %S" other))
 
+(* Inverse of [record_to_json]: [Error] names the missing or ill-typed
+   field; every constructor round-trips, bare [nan]/[inf] included. *)
 let record_of_json json =
   match
     let get kind conv k =

@@ -97,28 +97,11 @@ val attach : t -> (record -> unit) -> unit
 val records : t -> record list
 (** Retained records, oldest first. *)
 
-val emitted : t -> int
-(** Total records ever emitted (= the next sequence number). *)
-
-val dropped : t -> int
-(** Records evicted from the ring ([emitted - capacity], floored at 0).
-    Sinks saw them; {!records} no longer does. *)
-
-val clear : t -> unit
-(** Empty the ring and reset the sequence counter. Sinks stay attached. *)
-
 val event_name : event -> string
 (** Stable snake_case tag, also used as ["type"] in the JSON encoding. *)
 
-val record_to_json : record -> Jsonl.t
-
 val record_to_string : record -> string
 (** One JSONL line (no trailing newline). *)
-
-val record_of_json : Jsonl.t -> (record, string) result
-(** Inverse of {!record_to_json}; [Error] names the missing or
-    ill-typed field. Round-trips every constructor, including bare
-    [nan]/[inf] payload fields (see {!Jsonl}). *)
 
 val record_of_string : string -> (record, string) result
 (** Parse one JSONL line back into a record. *)

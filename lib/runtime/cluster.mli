@@ -15,8 +15,6 @@ val engine : t -> Lla_sim.Engine.t
 
 val workload : t -> Workload.t
 
-val scheduler : t -> Ids.Resource_id.t -> Lla_sched.Scheduler.t
-
 val set_share : t -> Ids.Subtask_id.t -> float -> unit
 (** Enact a share for the subtask on its resource. *)
 

@@ -55,8 +55,6 @@ let create ?obs ?(config = default_config) ?(name = "health") transport =
 
 let config t = t.config
 
-let detector_endpoint t = t.detector
-
 let notify t w ~now =
   Lla_obs.emit_opt t.obs ~at:now
     (Lla_obs.Trace.Health_transition
@@ -100,8 +98,6 @@ let watch t endpoint =
     if t.started && not t.stopped then heartbeat_loop t w
   end
 
-let watched t = List.rev_map (fun w -> w.endpoint) t.watches
-
 let sweep t =
   let now = Engine.now t.engine in
   List.iter
@@ -144,13 +140,6 @@ let stop t =
     Option.iter (Engine.cancel t.engine) t.sweep_tick;
     t.sweep_tick <- None
   end
-
-let find t endpoint =
-  match List.find_opt (fun w -> w.endpoint == endpoint) t.watches with
-  | Some w -> w
-  | None -> invalid_arg "Health.status: endpoint not watched"
-
-let status t endpoint = (find t endpoint).status
 
 let suspects t =
   List.rev t.watches

@@ -43,16 +43,9 @@ val create :
 
 val config : t -> config
 
-val detector_endpoint : t -> Lla_transport.Transport.endpoint
-(** The endpoint heartbeats are addressed to — partition it away from the
-    watched endpoints to simulate an observer cut off from the system. *)
-
 val watch : t -> Lla_transport.Transport.endpoint -> unit
 (** Start monitoring an endpoint (idempotent). Watches added after
     {!start} begin heartbeating immediately. *)
-
-val watched : t -> Lla_transport.Transport.endpoint list
-(** In watch order. *)
 
 val on_transition : t -> (Lla_transport.Transport.endpoint -> status -> now:float -> unit) -> unit
 (** Called on every alive->suspect and suspect->alive transition, in
@@ -65,9 +58,6 @@ val start : t -> unit
 val stop : t -> unit
 (** Cancel all periodic events so the engine can drain. Idempotent; no-op
     before {!start}. *)
-
-val status : t -> Lla_transport.Transport.endpoint -> status
-(** @raise Invalid_argument for an endpoint that is not watched. *)
 
 val suspects : t -> Lla_transport.Transport.endpoint list
 (** Currently suspected endpoints, in watch order. *)

@@ -72,9 +72,9 @@ let create ?obs ?(config = default_config) ~cluster ~dispatcher () =
         (Lla.Error_correction.create ?obs ~name:s.name ~alpha:config.correction_alpha
            ~percentile:(percentile_of s.id) ());
       Ids.Subtask_id.Tbl.replace share_traces s.id
-        (Lla_stdx.Series.create ~name:(s.name ^ ".share") ());
+        (Lla_stdx.Series.create ());
       Ids.Subtask_id.Tbl.replace offset_traces s.id
-        (Lla_stdx.Series.create ~name:(s.name ^ ".offset") ()))
+        (Lla_stdx.Series.create ()))
     (Workload.subtasks workload);
   let t =
     {
@@ -98,8 +98,6 @@ let create ?obs ?(config = default_config) ~cluster ~dispatcher () =
   t
 
 let solver t = t.solver
-
-let rounds t = t.rounds
 
 let share_trace t sid =
   match Ids.Subtask_id.Tbl.find_opt t.share_traces sid with

@@ -63,8 +63,6 @@ val start : t -> unit
 
 val solver : t -> Lla.Solver.t
 
-val rounds : t -> int
-
 val share_trace : t -> Ids.Subtask_id.t -> Lla_stdx.Series.t
 (** Enacted share over time (x = engine ms). *)
 

@@ -125,8 +125,6 @@ let create ?obs ?(config = default_config) problem =
 
 let config t = t.config
 
-let state t = t.state
-
 let in_safe_mode t = match t.state with Safe _ -> true | Optimizing -> false
 
 let fallback t = Array.copy t.fallback

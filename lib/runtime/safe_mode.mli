@@ -120,8 +120,6 @@ val observe_signals :
     utility probe; detector state, grace periods and hysteresis are
     shared with {!observe}. *)
 
-val state : t -> state
-
 val in_safe_mode : t -> bool
 
 val fallback : t -> float array

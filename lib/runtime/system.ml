@@ -76,7 +76,7 @@ let create ?(config = default_config) workload =
       dispatcher;
       optimizer;
       measurements;
-      utility_trace = Lla_stdx.Series.create ~name:"measured-utility" ();
+      utility_trace = Lla_stdx.Series.create ();
       started = false;
       horizon = 0.;
     }
@@ -112,8 +112,6 @@ let cluster t = t.cluster
 let dispatcher t = t.dispatcher
 
 let optimizer t = t.optimizer
-
-let engine t = t.engine
 
 let measured_task_latency t tid ~p =
   let m = Ids.Task_id.Tbl.find t.measurements tid in

@@ -28,8 +28,6 @@ val dispatcher : t -> Dispatcher.t
 
 val optimizer : t -> Optimizer_loop.t
 
-val engine : t -> Lla_sim.Engine.t
-
 val measured_task_latency : t -> Ids.Task_id.t -> p:float -> float option
 (** Percentile of the task's end-to-end latencies over the sliding
     window. *)

@@ -35,9 +35,6 @@ type params = {
   capacity_margin : float;  (** capacity headroom over witness shares, > 1 *)
 }
 
-val default_params : params
-(** 10^4 subtasks over 256 resources, equal shape mix, skew 2. *)
-
 val sized : ?resources:int -> subtasks:int -> unit -> params
 (** [default_params] resized to [subtasks]; [resources] defaults to
     [max 16 (subtasks / 50)] (thousands of resources at 10^5 and up). *)

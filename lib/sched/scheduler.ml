@@ -57,8 +57,6 @@ let create kind engine ~capacity =
     virtual_time = 0.;
   }
 
-let name t = kind_name t.kind
-
 let get_class t class_id =
   match Hashtbl.find_opt t.classes class_id with
   | Some c -> c

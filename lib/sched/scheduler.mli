@@ -38,8 +38,6 @@ val create : kind -> Lla_sim.Engine.t -> capacity:float -> t
 
 val kind_name : kind -> string
 
-val name : t -> string
-
 val set_share : t -> class_id:int -> share:float -> unit
 (** Install or update a class share (>= 0). Takes effect immediately,
     including for jobs in service. *)

@@ -121,8 +121,6 @@ let roster_size t = t.roster_n
 
 let active_in_roster t = t.active_n
 
-let max_active t = t.max_active
-
 let set_max_active t n = t.max_active <- Stdlib.min t.roster_n (Stdlib.max 0 n)
 
 let shed t ~count =

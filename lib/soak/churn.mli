@@ -47,8 +47,6 @@ val roster_size : t -> int
 
 val active_in_roster : t -> int
 
-val max_active : t -> int
-
 val set_max_active : t -> int -> unit
 (** Degradation-ladder hook: cap the active roster (clamped to
     [0..roster_size]). Lowering the cap does not itself retire — call

@@ -70,8 +70,6 @@ let windows t = t.windows
 
 let last_window_end t = t.window_end
 
-let window_events t = t.events
-
 let stalls t = t.stalls
 
 (* The poison menu matches the campaign generator's taste: non-finite

@@ -48,8 +48,4 @@ val windows : t -> int
 val last_window_end : t -> int
 (** Closing tick of the most recent window ([-1] before the first). *)
 
-val window_events : t -> Lla_chaos.Schedule.event list
-(** The most recent window's generated schedule (window-relative [at]
-    times) — for reporting and reproducers. *)
-
 val stalls : t -> int

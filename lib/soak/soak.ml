@@ -286,7 +286,7 @@ let run ?obs ?monitor ?journal ?on_progress config =
         let abandon_probe () = probe := None in
         let start_probe now =
           if !frozen_by = `None && now + config.reconverge_budget < config.horizon then
-            probe := Some (now, Monitor.Probe.start ~at:(float_of_int now))
+            probe := Some (now, Monitor.Probe.start ())
         in
 
         let freeze now ~owner ~reason =

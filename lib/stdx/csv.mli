@@ -1,10 +1,5 @@
 (** Minimal CSV writing (experiment data export). *)
 
-val escape : string -> string
-(** RFC 4180 quoting when the field contains a comma, quote or newline. *)
-
-val row_to_string : string list -> string
-
 val write : path:string -> header:string list -> rows:string list list -> unit
 (** Write a CSV file, creating or truncating [path]. *)
 

@@ -11,10 +11,6 @@ let add t x =
 
 let value t = t.value
 
-let initialized t = t.count > 0
-
-let count t = t.count
-
 let reset t =
   t.value <- 0.;
   t.count <- 0

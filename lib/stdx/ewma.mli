@@ -15,8 +15,4 @@ val add : t -> float -> unit
 val value : t -> float
 (** Current smoothed value; 0 when no sample has been added. *)
 
-val initialized : t -> bool
-
-val count : t -> int
-
 val reset : t -> unit

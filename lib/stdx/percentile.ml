@@ -38,8 +38,6 @@ module Window = struct
 
   let count t = Stdlib.min t.total (Array.length t.data)
 
-  let total t = t.total
-
   let percentile t ~p =
     let n = count t in
     if n = 0 then None else Some (exact (Array.sub t.data 0 n) ~p)
@@ -73,8 +71,6 @@ module P2 = struct
       n = 0;
       init = Array.make 5 0.;
     }
-
-  let count t = t.n
 
   let parabolic t i d =
     let q = t.q and pos = t.pos in

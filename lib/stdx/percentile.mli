@@ -24,9 +24,6 @@ module Window : sig
   val count : t -> int
   (** Number of samples currently held (at most [capacity]). *)
 
-  val total : t -> int
-  (** Number of samples ever added. *)
-
   val percentile : t -> p:float -> float option
   (** [None] when empty. *)
 
@@ -43,8 +40,6 @@ module P2 : sig
   (** Estimator for the [p]-th percentile, [0 < p < 100]. *)
 
   val add : t -> float -> unit
-
-  val count : t -> int
 
   val get : t -> float option
   (** Current estimate; [None] with fewer than 5 samples. *)

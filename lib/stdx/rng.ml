@@ -84,11 +84,6 @@ let normal t ~mean ~stddev =
   let z = sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2) in
   mean +. (stddev *. z)
 
-let pareto t ~shape ~scale =
-  if shape <= 0. || scale <= 0. then invalid_arg "Rng.pareto: non-positive parameter";
-  let u = 1. -. float t in
-  scale /. (u ** (1. /. shape))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t ~bound:(i + 1) in

@@ -36,10 +36,6 @@ val exponential : t -> rate:float -> float
 val normal : t -> mean:float -> stddev:float -> float
 (** Gaussian via Box–Muller. *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto-distributed (heavy tail), minimum value [scale].
-    Requires [shape > 0] and [scale > 0]. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

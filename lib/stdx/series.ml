@@ -1,13 +1,10 @@
 type t = {
-  series_name : string;
   mutable xs : float array;
   mutable ys : float array;
   mutable len : int;
 }
 
-let create ?(name = "") () = { series_name = name; xs = [||]; ys = [||]; len = 0 }
-
-let name t = t.series_name
+let create () = { xs = [||]; ys = [||]; len = 0 }
 
 let grow t =
   let cap = Array.length t.xs in
@@ -40,8 +37,6 @@ let iter t f =
   done
 
 let to_arrays t = (Array.sub t.xs 0 t.len, Array.sub t.ys 0 t.len)
-
-let xs t = Array.sub t.xs 0 t.len
 
 let ys t = Array.sub t.ys 0 t.len
 

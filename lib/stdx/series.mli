@@ -3,9 +3,7 @@
 
 type t
 
-val create : ?name:string -> unit -> t
-
-val name : t -> string
+val create : unit -> t
 
 val add : t -> x:float -> y:float -> unit
 
@@ -20,8 +18,6 @@ val iter : t -> (float -> float -> unit) -> unit
 (** [iter t f] calls [f x y] on every sample, oldest first. *)
 
 val to_arrays : t -> float array * float array
-
-val xs : t -> float array
 
 val ys : t -> float array
 

@@ -18,19 +18,13 @@ let add t x =
   if x > t.max then t.max <- x;
   t.sum <- t.sum +. x
 
-let count t = t.n
-
 let mean t = if t.n = 0 then 0. else t.mean
 
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
 
 let stddev t = sqrt (variance t)
 
-let min t = t.min
-
 let max t = t.max
-
-let sum t = t.sum
 
 let merge a b =
   if a.n = 0 then { b with n = b.n }

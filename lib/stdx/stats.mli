@@ -6,23 +6,13 @@ val create : unit -> t
 
 val add : t -> float -> unit
 
-val count : t -> int
-
 val mean : t -> float
 (** 0 when empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance; 0 with fewer than two samples. *)
-
 val stddev : t -> float
-
-val min : t -> float
-(** [infinity] when empty. *)
 
 val max : t -> float
 (** [neg_infinity] when empty. *)
-
-val sum : t -> float
 
 val merge : t -> t -> t
 (** Statistics of the union of the two sample streams (Chan's parallel

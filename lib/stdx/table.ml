@@ -1,8 +1,6 @@
 type align = Left | Right
 
-type row = Cells of string list | Separator
-
-type t = { headers : string list; aligns : align list; mutable rows : row list }
+type t = { headers : string list; aligns : align list; mutable rows : string list list }
 
 let create ~columns =
   { headers = List.map fst columns; aligns = List.map snd columns; rows = [] }
@@ -10,17 +8,13 @@ let create ~columns =
 let add_row t cells =
   if List.length cells <> List.length t.headers then
     invalid_arg "Table.add_row: row width differs from header";
-  t.rows <- Cells cells :: t.rows
-
-let add_separator t = t.rows <- Separator :: t.rows
+  t.rows <- cells :: t.rows
 
 let render t =
   let rows = List.rev t.rows in
   let widths = Array.of_list (List.map String.length t.headers) in
-  let measure = function
-    | Separator -> ()
-    | Cells cells ->
-      List.iteri (fun i c -> if String.length c > widths.(i) then widths.(i) <- String.length c) cells
+  let measure cells =
+    List.iteri (fun i c -> if String.length c > widths.(i) then widths.(i) <- String.length c) cells
   in
   List.iter measure rows;
   let pad align width s =
@@ -45,7 +39,7 @@ let render t =
   separator ();
   line t.headers (List.map (fun _ -> Left) t.headers);
   separator ();
-  List.iter (function Separator -> separator () | Cells cells -> line cells t.aligns) rows;
+  List.iter (fun cells -> line cells t.aligns) rows;
   separator ();
   Buffer.contents buf
 

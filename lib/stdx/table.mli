@@ -9,8 +9,6 @@ val create : columns:(string * align) list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument when the row width differs from the header. *)
 
-val add_separator : t -> unit
-
 val render : t -> string
 
 val print : t -> unit

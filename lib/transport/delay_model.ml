@@ -1,51 +1,18 @@
 type t =
   | Constant of float
-  | Uniform of { lo : float; hi : float }
   | Jittered of { base : float; jitter : float }
-  | Exponential of { base : float; mean_extra : float }
 
 let constant d =
   if d < 0. then invalid_arg "Delay_model.constant: negative delay";
   Constant d
 
-let uniform ~lo ~hi =
-  if lo < 0. || hi < lo then invalid_arg "Delay_model.uniform: requires 0 <= lo <= hi";
-  Uniform { lo; hi }
-
 let jittered ~base ~jitter =
   if base < 0. || jitter < 0. then invalid_arg "Delay_model.jittered: negative parameter";
   Jittered { base; jitter }
 
-let exponential ~base ~mean_extra =
-  if base < 0. || mean_extra < 0. then invalid_arg "Delay_model.exponential: negative parameter";
-  Exponential { base; mean_extra }
-
-let jitter_bounds ~base ~jitter =
-  (Float.max 0. (base *. (1. -. jitter)), base *. (1. +. jitter))
-
-let mean = function
-  | Constant d -> d
-  | Uniform { lo; hi } -> (lo +. hi) /. 2.
-  | Jittered { base; jitter } ->
-    let lo, hi = jitter_bounds ~base ~jitter in
-    (lo +. hi) /. 2.
-  | Exponential { base; mean_extra } -> base +. mean_extra
-
-let is_random = function Constant _ -> false | Uniform _ | Jittered _ | Exponential _ -> true
-
 let sample t rng =
   match t with
   | Constant d -> d
-  | Uniform { lo; hi } -> if hi > lo then Lla_stdx.Rng.uniform rng ~lo ~hi else lo
   | Jittered { base; jitter } ->
-    let lo, hi = jitter_bounds ~base ~jitter in
+    let lo = Float.max 0. (base *. (1. -. jitter)) and hi = base *. (1. +. jitter) in
     if hi > lo then Lla_stdx.Rng.uniform rng ~lo ~hi else lo
-  | Exponential { base; mean_extra } ->
-    if mean_extra <= 0. then base
-    else base +. Lla_stdx.Rng.exponential rng ~rate:(1. /. mean_extra)
-
-let to_string = function
-  | Constant d -> Printf.sprintf "constant %gms" d
-  | Uniform { lo; hi } -> Printf.sprintf "uniform [%g, %g)ms" lo hi
-  | Jittered { base; jitter } -> Printf.sprintf "%gms +/-%g%%" base (100. *. jitter)
-  | Exponential { base; mean_extra } -> Printf.sprintf "%gms + exp(mean %gms)" base mean_extra

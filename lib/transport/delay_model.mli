@@ -8,33 +8,15 @@
 
 type t =
   | Constant of float  (** every message takes exactly this long (ms). *)
-  | Uniform of { lo : float; hi : float }  (** uniform in [\[lo, hi)]. *)
   | Jittered of { base : float; jitter : float }
       (** uniform in [\[base·(1 − jitter), base·(1 + jitter))], clamped to
           non-negative delays; [jitter] is a fraction (0.5 = ±50%). *)
-  | Exponential of { base : float; mean_extra : float }
-      (** [base] plus an exponentially distributed tail with the given
-          mean — a heavy(ish)-tailed network. *)
 
 val constant : float -> t
 (** @raise Invalid_argument on a negative delay. *)
 
-val uniform : lo:float -> hi:float -> t
-(** @raise Invalid_argument unless [0 <= lo <= hi]. *)
-
 val jittered : base:float -> jitter:float -> t
 (** @raise Invalid_argument on a negative [base] or [jitter]. *)
 
-val exponential : base:float -> mean_extra:float -> t
-(** @raise Invalid_argument on negative parameters. *)
-
-val mean : t -> float
-(** Expected delay of the model. *)
-
-val is_random : t -> bool
-(** [false] only for [Constant]: sampling draws nothing from the RNG. *)
-
 val sample : t -> Lla_stdx.Rng.t -> float
 (** Draw a delay; always non-negative. *)
-
-val to_string : t -> string

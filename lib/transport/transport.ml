@@ -173,11 +173,7 @@ let create ?obs ?(config = default_config) engine =
     shared_cm = None;
   }
 
-let config t = t.config
-
 let engine t = t.engine
-
-let metrics t = t.registry
 
 let set_faults t faults = t.faults <- faults
 
@@ -186,8 +182,6 @@ let active_faults t = t.faults
 let set_extra_jitter t spread =
   if spread < 0. then invalid_arg "Transport.set_extra_jitter: negative spread";
   t.extra_jitter <- spread
-
-let extra_jitter t = t.extra_jitter
 
 (* Trace emission is a single match on the cold [None] path, before the
    record is built; it never schedules events or draws randomness.
@@ -321,6 +315,10 @@ let set_link_delay t ~src ~dst model = (channel t src dst).link_delay <- Some mo
 
 let is_up _t e = e.up
 
+(* A down endpoint neither sends nor receives. [restart] brings it back
+   and runs its restart hooks in registration order; the transport
+   replays nothing, actors rebuild from the next received messages. Both
+   are idempotent. *)
 let crash _t e =
   if e.up then begin
     e.up <- false;
@@ -568,8 +566,3 @@ let delay_percentile t ~p = Window.percentile t.all_window ~p
 
 let channel_delay_percentile _t ~src ~dst ~p =
   match find_channel src dst with Some ch -> Window.percentile ch.cm.window ~p | None -> None
-
-let pp_counters fmt c =
-  Format.fprintf fmt
-    "sent %d, delivered %d, dropped %d, cut %d, lost-down %d, duplicated %d, retried %d, stale %d"
-    c.sent c.delivered c.dropped c.cut c.lost_down c.duplicated c.retried c.stale

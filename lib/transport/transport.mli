@@ -10,8 +10,8 @@
     - {b fault injection}: probabilistic message drop, duplication and
       reordering (extra random delay on a fraction of messages), plus
       scheduled link {!partition}s with heal times;
-    - {b endpoint lifecycle}: endpoints can {!crash} and {!restart} (or be
-      given an outage schedule); messages to or from a down endpoint are
+    - {b endpoint lifecycle}: endpoints crash and restart on an outage
+      schedule ({!schedule_outage}); messages to or from a down endpoint are
       lost, and restart hooks let actors rebuild their state from the next
       received messages;
     - {b delivery policies}: optional retry-with-timeout/backoff on lost
@@ -70,9 +70,6 @@ type policy = {
           messages sent with [~key] participate. *)
 }
 
-val fire_and_forget : policy
-(** No retries, last-write-wins on. *)
-
 type config = {
   delay : Delay_model.t;
   faults : faults;
@@ -92,8 +89,8 @@ type config = {
 }
 
 val default_config : config
-(** Constant 1 ms delay, no faults, {!fire_and_forget}, seed 0,
-    1024-sample histograms, per-channel metrics on. *)
+(** Constant 1 ms delay, no faults, no retries with last-write-wins on,
+    seed 0, 1024-sample histograms, per-channel metrics on. *)
 
 (** {1 Transport and endpoints} *)
 
@@ -108,13 +105,7 @@ val create : ?obs:Lla_obs.t -> ?config:config -> Lla_sim.Engine.t -> t
     private registry and emits nothing — message fates and schedules are
     identical either way. *)
 
-val config : t -> config
-
 val engine : t -> Lla_sim.Engine.t
-
-val metrics : t -> Lla_obs.Metrics.t
-(** The registry holding the [lla_transport_*] metric families — the
-    [obs] one when supplied, otherwise the transport's private one. *)
 
 val endpoint : t -> name:string -> endpoint
 (** Register a named endpoint (initially up). Names are for inspection
@@ -151,8 +142,6 @@ val set_extra_jitter : t -> float -> unit
     preserving the zero-fault determinism guarantee.
     @raise Invalid_argument on a negative spread. *)
 
-val extra_jitter : t -> float
-
 (** {1 Sending} *)
 
 val send : ?key:int -> t -> src:endpoint -> dst:endpoint -> (unit -> unit) -> unit
@@ -185,14 +174,6 @@ val send_traced :
 
 val is_up : t -> endpoint -> bool
 
-val crash : t -> endpoint -> unit
-(** Take the endpoint down: it neither sends nor receives. Idempotent. *)
-
-val restart : t -> endpoint -> unit
-(** Bring the endpoint back up and run its restart hooks (registration
-    order). The transport replays nothing: actors are expected to rebuild
-    state from the next received messages. Idempotent. *)
-
 val on_restart : t -> endpoint -> (unit -> unit) -> unit
 
 val schedule_outage : t -> endpoint -> at:float -> duration:float -> unit
@@ -209,9 +190,6 @@ val partition : t -> at:float -> duration:float -> group_a:endpoint list -> grou
     of the interval. Messages crossing a cut link are counted as [cut]
     (and retried, when a retry policy is set — retries that land after the
     heal succeed). *)
-
-val partitioned : t -> src:endpoint -> dst:endpoint -> bool
-(** Is the [src -> dst] link currently cut? *)
 
 (** {1 Inspection} *)
 
@@ -243,5 +221,3 @@ val delay_percentile : t -> p:float -> float option
     [None] before the first delivery. *)
 
 val channel_delay_percentile : t -> src:endpoint -> dst:endpoint -> p:float -> float option
-
-val pp_counters : Format.formatter -> counters -> unit

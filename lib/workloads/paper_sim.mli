@@ -46,6 +46,3 @@ val reported_critical_paths : (string * float) list
 
 val critical_times : (string * float) list
 (** 45, 76, 53 ms. *)
-
-val resource_availabilities : float array
-(** The derived [B_r] per resource 0..7. *)

@@ -28,9 +28,6 @@ type params = {
   variant : Utility.variant;
 }
 
-val default_params : params
-(** 4 tasks, 8 resources, 3–7 subtasks, exec 1–8 ms, margins 1.15. *)
-
 val generate : ?params:params -> seed:int -> unit -> Workload.t
 (** Deterministic in [seed]. *)
 

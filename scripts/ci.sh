@@ -42,6 +42,17 @@ echo "ci: $total tests run (floor $floor)"
 # cost against the control plane's real-time budget.
 ./_build/default/bench/main.exe profile-smoke
 
+# Examples: the four programs under examples/ must run to completion
+# (exit 0). They are callers of the library's public surface, so a
+# change that breaks what they use fails here, not only at build time.
+for example in quickstart program_trading patient_monitoring sensor_aggregation; do
+  ./_build/default/examples/$example.exe >/dev/null || {
+    echo "ci: example $example exited non-zero" >&2
+    exit 1
+  }
+done
+echo "ci: examples ran"
+
 # Analysis-tier smoke: the full span + series + report pipeline must run
 # end-to-end on the paper's Fig. 5 scenario (settling-time assertions
 # against the optimum live in test/test_analysis.ml).

@@ -29,7 +29,7 @@ let chain_workload () =
 
 let test_equal_slice_values () =
   let w = chain_workload () in
-  let assign = Lla_baseline.Slicing.equal_slice w in
+  let assign = Lla_baseline.Slicing.get `Equal w in
   (* C / path length = 30 / 3 = 10 per subtask. *)
   List.iter (fun i -> check_close "even slice" 10. (assign (Ids.Subtask_id.make i))) [ 1; 2; 3 ]
 
@@ -43,7 +43,7 @@ let test_proportional_slice_values () =
 
 let test_laxity_slice_values () =
   let w = chain_workload () in
-  let assign = Lla_baseline.Slicing.laxity_slice w in
+  let assign = Lla_baseline.Slicing.get `Laxity w in
   (* Laxity = 30 - 10 = 20, over 3 stages -> c_s + 20/3. *)
   check_close ~eps:1e-9 "a" (2. +. (20. /. 3.)) (assign (Ids.Subtask_id.make 1));
   check_close ~eps:1e-9 "b" (6. +. (20. /. 3.)) (assign (Ids.Subtask_id.make 2))
@@ -83,7 +83,7 @@ let test_slicing_may_violate_resources () =
      resource capacities and oversubscribes at least one resource — the
      motivating failure of price-free heuristics. *)
   let workload = base_workload () in
-  let assign = Lla_baseline.Slicing.equal_slice workload in
+  let assign = Lla_baseline.Slicing.get `Equal workload in
   Alcotest.(check bool) "equal slicing oversubscribes" false
     (Lla_baseline.Slicing.respects_resources workload assign)
 

@@ -29,6 +29,9 @@ edge 20 21
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let resource (w : Workload.t) i =
+  List.find (fun (r : Resource.t) -> Ids.Resource_id.to_int r.id = i) w.resources
+
 let parse_exn text =
   match Workload_codec.parse text with
   | Ok w -> w
@@ -41,7 +44,7 @@ let test_parse_sample () =
   let pipeline = Workload.task w (Ids.Task_id.make 1) in
   Alcotest.(check string) "name" "pipeline" pipeline.Task.name;
   check_close "critical time" 50. pipeline.Task.critical_time;
-  check_close "lag parsed" 1. (Workload.resource w (Ids.Resource_id.make 0)).Resource.lag;
+  check_close "lag parsed" 1. (resource w 0).Resource.lag;
   let stage_b = Workload.subtask w (Ids.Subtask_id.make 11) in
   (match stage_b.Subtask.share_spec with
   | Share.Power { exponent } -> check_close "power share" 1.5 exponent
@@ -161,7 +164,7 @@ let test_parse_comments_and_hash_names () =
   Alcotest.(check string) "hash kept inside names" "T1#1"
     (Workload.subtask w (Ids.Subtask_id.make 5)).Subtask.name;
   Alcotest.(check string) "resource name" "cpu#1"
-    (Workload.resource w (Ids.Resource_id.make 0)).Resource.name
+    (resource w 0).Resource.name
 
 (* ------------------------------------------------------------------ *)
 (* Round trips                                                         *)

@@ -532,7 +532,7 @@ let test_kkt_small_at_convergence () =
   Lla.Solver.run solver ~iterations:2000;
   let r = Lla.Kkt.of_solver solver in
   Alcotest.(check bool)
-    (Format.asprintf "KKT residuals small: %a" Lla.Kkt.pp r)
+    (Printf.sprintf "KKT residuals small: worst %.3g" (Lla.Kkt.worst r))
     true
     (Lla.Kkt.worst r < 0.06)
 

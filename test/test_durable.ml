@@ -1,7 +1,7 @@
 (* Lla_durable: CRC-32 known answers, record framing, the
-   torn-tail-at-every-byte-offset sweep, segment rotation and snapshot
-   compaction, the seeded faulty store (torn writes, dropped syncs,
-   ENOSPC wedging), recovery replay + active-segment truncation, and the
+   torn-tail-at-every-byte-offset sweep, segment rotation, the seeded
+   faulty store (torn writes, dropped syncs), ENOSPC wedging on the faulty
+   and the file store, recovery replay + active-segment truncation, and the
    checkpoint-store integration (idempotent replay, non-finite refusal,
    whole-kernel restore_iterate hygiene). *)
 
@@ -105,10 +105,13 @@ let append_exn store path data =
   | Ok () -> ()
   | Error e -> Alcotest.failf "append: %s" e
 
+let sync_exn store path =
+  match Store.sync store path with Ok () -> () | Error e -> Alcotest.failf "sync: %s" e
+
 let test_faulty_store_sync_frontier () =
   let s = Store.faulty () in
   append_exn s "f" "abc";
-  Store.sync s "f";
+  sync_exn s "f";
   append_exn s "f" "def";
   (* unsynced tail is visible to reads but lost on crash *)
   Alcotest.(check (option string)) "read sees tail" (Some "abcdef") (Store.read s "f");
@@ -121,7 +124,7 @@ let test_faulty_store_dropped_sync () =
     Store.faulty ~seed:7 ~faults:{ Store.no_faults with Store.drop_sync = 1. } ()
   in
   append_exn s "f" "abc";
-  Store.sync s "f";
+  sync_exn s "f";
   Store.crash s;
   Alcotest.(check (option string)) "dropped sync loses the tail" (Some "") (Store.read s "f");
   Alcotest.(check bool) "fault accounted" true (Store.faults_injected s > 0)
@@ -132,7 +135,7 @@ let test_faulty_store_deterministic () =
     let s = Store.faulty ~seed:11 ~faults () in
     for i = 0 to 40 do
       (match Store.append s "f" (Printf.sprintf "record-%d" i) with Ok () | Error _ -> ());
-      if i mod 3 = 0 then Store.sync s "f";
+      if i mod 3 = 0 then sync_exn s "f";
       if i mod 17 = 0 then Store.crash s
     done;
     (Store.read s "f", Store.faults_injected s)
@@ -152,7 +155,7 @@ let test_store_faults_validation () =
     (Store.active_faults file = Store.no_faults)
 
 (* ------------------------------------------------------------------ *)
-(* Journal: rotation, snapshot, wedging                                 *)
+(* Journal: rotation, wedging                                           *)
 (* ------------------------------------------------------------------ *)
 
 let test_rotation_and_replay () =
@@ -179,38 +182,66 @@ let test_rotation_and_replay () =
     (fun k p -> Alcotest.(check string) "contiguous suffix" (Printf.sprintf "rec-%03d" (start + k)) p)
     got
 
-let test_snapshot_compaction () =
-  let store = Store.faulty () in
-  let j = Journal.create ~config:{ Journal.default_config with Journal.max_segment_bytes = 64 } store in
-  for i = 1 to 20 do
-    Journal.append j (Printf.sprintf "old-%d" i)
-  done;
-  Journal.snapshot j [ "live-a"; "live-b" ];
-  Journal.append j "after-snap";
-  let got = ref [] in
-  let r = Recovery.replay j ~apply:(fun p -> got := p :: !got; true) in
-  Alcotest.(check (list string)) "snapshot + subsequent appends, in order"
-    [ "live-a"; "live-b"; "after-snap" ] (List.rev !got);
-  Alcotest.(check int) "snapshot records accounted" 2 r.Recovery.snapshot_records;
-  Alcotest.(check int) "wal records accounted" 1 r.Recovery.wal_records
-
+(* A full disk, four ways: the faulty store's injected ENOSPC, and a
+   file store whose active segment is /dev/full, which fails at the
+   first sync's flush or, with a sync cadence no run reaches, once the
+   channel's buffer fills, or at the close of a replay that reads the
+   segment while records are still buffered. Each wedges the journal
+   without a raise, replay still works, and nothing un-wedges it once
+   the store accepts writes again. *)
 let test_enospc_wedges_never_raises () =
-  let store = Store.faulty ~faults:{ Store.no_faults with Store.fail_write = 1. } () in
-  let j = Journal.create store in
-  Journal.append j "doomed";
-  Alcotest.(check bool) "journal wedged" true (Journal.wedged j);
-  Alcotest.(check int) "record not counted" 0 (Journal.appends j);
-  (* wedged journal: appends are silent no-ops, replay still works *)
-  Journal.append j "also dropped";
-  Journal.sync j;
-  let r = Recovery.replay j ~apply:(fun _ -> true) in
-  Alcotest.(check int) "nothing to replay" 0 r.Recovery.applied;
-  (* disk recovers -> snapshot un-wedges *)
-  Store.set_faults store Store.no_faults;
-  Journal.snapshot j [ "fresh" ];
-  Alcotest.(check bool) "snapshot un-wedges" false (Journal.wedged j);
-  Journal.append j "accepted";
-  Alcotest.(check int) "appends flow again" 1 (Journal.appends j)
+  (* each returns the store, a way to let it accept writes again, and a
+     clean-up *)
+  let faulty () =
+    let store = Store.faulty ~faults:{ Store.no_faults with Store.fail_write = 1. } () in
+    (store, (fun () -> Store.set_faults store Store.no_faults), ignore)
+  in
+  let dev_full () =
+    let dir = Filename.temp_dir "lla_durable_full" "" in
+    let wal = Filename.concat dir "journal.wal" in
+    Unix.symlink "/dev/full" wal;
+    (Store.file ~dir, (fun () -> Sys.remove wal), fun () -> Sys.rmdir dir)
+  in
+  let unsynced = { Journal.default_config with Journal.sync_every = 1_000_000 } in
+  let inputs =
+    ("faulty store", faulty, Journal.default_config, false)
+    ::
+    (if Sys.file_exists "/dev/full" then
+       [
+         ("file store on /dev/full", dev_full, Journal.default_config, false);
+         ("file store on /dev/full, no sync barrier", dev_full, unsynced, false);
+         ("file store on /dev/full, replay before the barrier", dev_full, unsynced, true);
+       ]
+     else [])
+  in
+  List.iter
+    (fun (label, make, config, replay_early) ->
+      let check what = Printf.sprintf "%s: %s" label what in
+      let store, disk_recovers, cleanup = make () in
+      let j = Journal.create ~config store in
+      let payload = String.make 100 'x' in
+      let attempts = ref 0 in
+      while (not (Journal.wedged j)) && !attempts < 10_000 do
+        Journal.append j payload;
+        incr attempts;
+        if replay_early && !attempts = 1 then ignore (Recovery.replay j ~apply:(fun _ -> true))
+      done;
+      Alcotest.(check bool) (check "journal wedged") true (Journal.wedged j);
+      Alcotest.(check int) (check "failed record not counted") (!attempts - 1) (Journal.appends j);
+      (* wedged journal: appends are silent no-ops, replay still works *)
+      let accepted = Journal.appends j in
+      Journal.append j "also dropped";
+      Journal.sync j;
+      let r = Recovery.replay j ~apply:(fun _ -> true) in
+      Alcotest.(check int) (check "nothing durable to replay") 0 r.Recovery.applied;
+      (* the store accepts writes again; the journal stays wedged *)
+      disk_recovers ();
+      Journal.append j "still dropped";
+      Journal.sync j;
+      Alcotest.(check bool) (check "stays wedged") true (Journal.wedged j);
+      Alcotest.(check int) (check "no append after the failure") accepted (Journal.appends j);
+      cleanup ())
+    inputs
 
 (* Torn active segment at every byte offset, now through the full
    journal + recovery stack: replay never raises, applies exactly the
@@ -464,7 +495,6 @@ let () =
         [
           Alcotest.test_case "rotation bounds history, replay ordered" `Quick
             test_rotation_and_replay;
-          Alcotest.test_case "snapshot compaction" `Quick test_snapshot_compaction;
           Alcotest.test_case "ENOSPC wedges, never raises" `Quick test_enospc_wedges_never_raises;
           Alcotest.test_case "recovery truncates torn tails at every offset" `Quick
             test_recovery_truncates_torn_tail_every_offset;

@@ -82,9 +82,9 @@ let opt_eq a b =
 let prop_settle_agrees =
   QCheck.Test.make ~name:"Settle.settled_since == Analyze.settling_time, any series" ~count:300
     arb_series (fun (target, series) ->
-      let s = Monitor.Settle.create ~target () in
-      List.iter (fun (at, v) -> Monitor.Settle.observe s ~at v) series;
-      let online = Monitor.Settle.settled_since s in
+      let m = Monitor.create ~target () in
+      List.iter (fun (at, v) -> Monitor.observe_utility m ~at v) series;
+      let online = Monitor.settling_tick m in
       let offline = Analyze.settling_time ~target series in
       if not (opt_eq online offline) then
         QCheck.Test.fail_reportf "online %s, offline %s"
@@ -95,7 +95,7 @@ let prop_settle_agrees =
 let prop_probe_agrees =
   QCheck.Test.make ~name:"Probe.settling == settling_time against the final value" ~count:300
     arb_series (fun (_, series) ->
-      let p = Monitor.Probe.start ~at:0. in
+      let p = Monitor.Probe.start () in
       List.iter (fun (at, v) -> Monitor.Probe.sample p ~at ~value:v) series;
       let offline =
         match List.rev series with
@@ -118,21 +118,6 @@ let prop_episodes_agree =
       && List.for_all2
            (fun (a, b) (c, d) -> Float.abs (a -. c) <= 1e-9 && Float.abs (b -. d) <= 1e-9)
            online offline)
-
-let prop_oscillation_dispersion_agree =
-  QCheck.Test.make ~name:"oscillation/dispersion == Analyze over the retained series" ~count:300
-    arb_series (fun (_, series) ->
-      let m = Monitor.create () in
-      List.iter (fun (at, v) -> Monitor.observe_utility m ~at v) series;
-      let osc_eq =
-        match (Monitor.oscillation m, Analyze.oscillation series) with
-        | None, None -> true
-        | Some a, Some b ->
-          Float.abs (a.Analyze.amplitude -. b.Analyze.amplitude) <= 1e-9
-          && opt_eq a.Analyze.period b.Analyze.period
-        | _ -> false
-      in
-      osc_eq && Float.abs (Monitor.dispersion m -. Analyze.dispersion series) <= 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: the paper scenario on the distributed runtime            *)
@@ -166,15 +151,6 @@ let test_distributed_agreement () =
     (Analyze.settling_time ~target:final utility)
     (Monitor.settling_tick monitor);
   Alcotest.check (foption 1e-9) "last utility agrees" (Some final) (Monitor.last_utility monitor);
-  (match (Monitor.oscillation monitor, Analyze.oscillation utility) with
-  | Some a, Some b ->
-    Alcotest.(check (float 1e-9)) "oscillation amplitude agrees" b.Analyze.amplitude
-      a.Analyze.amplitude;
-    Alcotest.check (foption 1e-9) "oscillation period agrees" b.Analyze.period a.Analyze.period
-  | None, None -> ()
-  | _ -> Alcotest.fail "oscillation presence disagrees");
-  Alcotest.(check (float 1e-9)) "dispersion agrees" (Analyze.dispersion utility)
-    (Monitor.dispersion monitor);
   let congestion = Series.congestion records in
   Alcotest.(check bool) "run produced congestion series" true (congestion <> []);
   List.iter
@@ -279,15 +255,7 @@ let test_scale_agreement () =
   Alcotest.(check int) "every tick observed" 300 (Monitor.utility_samples monitor);
   Alcotest.check (foption 1e-9) "settling tick agrees on the kernel trajectory"
     (Analyze.settling_time ~target:final series)
-    (Monitor.settling_tick monitor);
-  Alcotest.(check (float 1e-9)) "dispersion agrees" (Analyze.dispersion series)
-    (Monitor.dispersion monitor);
-  match (Monitor.oscillation monitor, Analyze.oscillation series) with
-  | Some a, Some b ->
-    Alcotest.(check (float 1e-9)) "oscillation amplitude agrees" b.Analyze.amplitude
-      a.Analyze.amplitude
-  | None, None -> ()
-  | _ -> Alcotest.fail "oscillation presence disagrees"
+    (Monitor.settling_tick monitor)
 
 let () =
   let rand = Random.State.make [| 20260809 |] in
@@ -305,7 +273,6 @@ let () =
             prop_settle_agrees;
             prop_probe_agrees;
             prop_episodes_agree;
-            prop_oscillation_dispersion_agree;
           ] );
       ( "end-to-end",
         [

@@ -68,25 +68,6 @@ let prop_newton_root_is_root =
       Float.abs (f root) < 1e-6)
 
 (* ------------------------------------------------------------------ *)
-(* golden_max                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_golden_parabola () =
-  check_close ~eps:1e-6 "max of -(x-3)^2" 3.
-    (Solve.golden_max ~lo:0. ~hi:10. (fun x -> -.((x -. 3.) ** 2.)))
-
-let test_golden_boundary_max () =
-  check_close ~eps:1e-5 "monotone increasing peaks at hi" 10.
-    (Solve.golden_max ~lo:0. ~hi:10. (fun x -> x))
-
-let prop_golden_finds_concave_max =
-  QCheck.Test.make ~name:"golden_max: finds the vertex of random concave parabolas"
-    QCheck.(float_range 1. 9.)
-    (fun v ->
-      let f x = -.((x -. v) ** 2.) in
-      Float.abs (Solve.golden_max ~lo:0. ~hi:10. f -. v) < 1e-5)
-
-(* ------------------------------------------------------------------ *)
 (* derivative / clamp                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -122,12 +103,6 @@ let () =
             test_newton_flat_derivative_falls_back;
         ]
         @ qcheck [ prop_newton_root_is_root ] );
-      ( "golden",
-        [
-          Alcotest.test_case "parabola" `Quick test_golden_parabola;
-          Alcotest.test_case "boundary maximum" `Quick test_golden_boundary_max;
-        ]
-        @ qcheck [ prop_golden_finds_concave_max ] );
       ( "misc",
         [
           Alcotest.test_case "finite difference" `Quick test_derivative;

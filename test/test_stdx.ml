@@ -85,12 +85,6 @@ let test_rng_normal_moments () =
   Alcotest.(check bool) "normal mean" true (Float.abs (Stats.mean stats -. 3.) < 0.1);
   Alcotest.(check bool) "normal stddev" true (Float.abs (Stats.stddev stats -. 2.) < 0.1)
 
-let test_rng_pareto_minimum () =
-  let rng = Rng.create ~seed:23 in
-  for _ = 1 to 1000 do
-    Alcotest.(check bool) "pareto >= scale" true (Rng.pareto rng ~shape:2. ~scale:1.5 >= 1.5)
-  done
-
 let test_rng_shuffle_permutation () =
   let rng = Rng.create ~seed:29 in
   let a = Array.init 20 Fun.id in
@@ -119,8 +113,7 @@ let test_rng_stream_digest () =
   for _ = 1 to 100 do
     Buffer.add_int64_le b (Rng.int64 child);
     float (Rng.exponential rng ~rate:0.5);
-    float (Rng.normal child ~mean:1. ~stddev:2.);
-    float (Rng.pareto rng ~shape:1.5 ~scale:2.)
+    float (Rng.normal child ~mean:1. ~stddev:2.)
   done;
   let twin = Rng.copy child in
   let a = Array.init 50 Fun.id in
@@ -129,7 +122,7 @@ let test_rng_stream_digest () =
   int (Rng.pick twin a);
   Buffer.add_int64_le b (Rng.int64 child);
   Alcotest.(check string)
-    "seed-42 mixed stream" "59b7ec58cc2cc1e6232153f54182e84b"
+    "seed-42 mixed stream" "9247f13b5330c1ccf1ebc5e7caf13b3f"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* Minor words per draw, by the kernel zero-alloc test's method: the
@@ -188,19 +181,20 @@ let prop_rng_uniform_in_range =
 
 let test_stats_empty () =
   let s = Stats.create () in
-  Alcotest.(check int) "count" 0 (Stats.count s);
+  Alcotest.(check int) "count" 0 (Stats.summary s).n;
   check_float "mean" 0. (Stats.mean s);
-  check_float "variance" 0. (Stats.variance s)
+  check_float "stddev" 0. (Stats.stddev s)
 
 let test_stats_known_values () =
   let s = Stats.create () in
   List.iter (Stats.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
   check_floatish "mean" 5. (Stats.mean s);
   (* sample variance of that classic set is 32/7 *)
-  check_floatish "variance" (32. /. 7.) (Stats.variance s);
-  check_float "min" 2. (Stats.min s);
+  check_floatish "stddev" (sqrt (32. /. 7.)) (Stats.stddev s);
+  let summary = Stats.summary s in
+  check_float "min" 2. summary.min;
   check_float "max" 9. (Stats.max s);
-  check_float "sum" 40. (Stats.sum s)
+  check_float "sum" 40. summary.sum
 
 let test_stats_merge () =
   let a = Stats.create () and b = Stats.create () and whole = Stats.create () in
@@ -209,17 +203,18 @@ let test_stats_merge () =
   List.iter (Stats.add b) ys;
   List.iter (Stats.add whole) (xs @ ys);
   let merged = Stats.merge a b in
-  Alcotest.(check int) "merged count" (Stats.count whole) (Stats.count merged);
-  check_floatish "merged mean" (Stats.mean whole) (Stats.mean merged);
-  check_floatish "merged variance" (Stats.variance whole) (Stats.variance merged);
-  check_float "merged min" (Stats.min whole) (Stats.min merged);
-  check_float "merged max" (Stats.max whole) (Stats.max merged)
+  let w = Stats.summary whole and m = Stats.summary merged in
+  Alcotest.(check int) "merged count" w.n m.n;
+  check_floatish "merged mean" w.mean m.mean;
+  check_floatish "merged stddev" w.stddev m.stddev;
+  check_float "merged min" w.min m.min;
+  check_float "merged max" w.max m.max
 
 let test_stats_merge_empty () =
   let a = Stats.create () and b = Stats.create () in
   Stats.add b 4.;
   let merged = Stats.merge a b in
-  Alcotest.(check int) "count" 1 (Stats.count merged);
+  Alcotest.(check int) "count" 1 (Stats.summary merged).n;
   check_float "mean" 4. (Stats.mean merged)
 
 let prop_stats_mean_bounded =
@@ -228,7 +223,7 @@ let prop_stats_mean_bounded =
     (fun xs ->
       let s = Stats.create () in
       List.iter (Stats.add s) xs;
-      Stats.min s <= Stats.mean s +. 1e-9 && Stats.mean s <= Stats.max s +. 1e-9)
+      (Stats.summary s).min <= Stats.mean s +. 1e-9 && Stats.mean s <= Stats.max s +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Percentile                                                          *)
@@ -265,7 +260,6 @@ let test_window_eviction () =
   List.iter (Percentile.Window.add w) [ 1.; 2.; 3.; 100. ];
   (* window now holds 2, 3, 100 *)
   Alcotest.(check int) "count capped" 3 (Percentile.Window.count w);
-  Alcotest.(check int) "total" 4 (Percentile.Window.total w);
   Alcotest.(check (option (float 1e-9))) "median after eviction" (Some 3.)
     (Percentile.Window.percentile w ~p:50.)
 
@@ -296,8 +290,7 @@ let prop_window_matches_model =
             Percentile.Window.clear w;
             model := []);
           let held = List.filteri (fun i _ -> i < capacity) !model in
-          Percentile.Window.total w = List.length !model
-          && Percentile.Window.count w = List.length held
+          Percentile.Window.count w = List.length held
           && List.for_all
                (fun p ->
                  Percentile.Window.percentile w ~p
@@ -345,7 +338,6 @@ let prop_p2_bounded =
 
 let test_ewma_first_sample () =
   let e = Ewma.create ~alpha:0.25 in
-  Alcotest.(check bool) "uninitialized" false (Ewma.initialized e);
   Ewma.add e 10.;
   check_float "first sample taken as-is" 10. (Ewma.value e)
 
@@ -361,8 +353,9 @@ let test_ewma_reset () =
   let e = Ewma.create ~alpha:0.5 in
   Ewma.add e 5.;
   Ewma.reset e;
-  Alcotest.(check int) "count reset" 0 (Ewma.count e);
-  check_float "value reset" 0. (Ewma.value e)
+  check_float "value reset" 0. (Ewma.value e);
+  Ewma.add e 8.;
+  check_float "first sample after reset taken as-is" 8. (Ewma.value e)
 
 let test_ewma_invalid_alpha () =
   Alcotest.check_raises "alpha 0" (Invalid_argument "Ewma.create: alpha outside (0, 1]")
@@ -383,14 +376,13 @@ let prop_ewma_bounded =
 (* ------------------------------------------------------------------ *)
 
 let fill_series pts =
-  let s = Series.create ~name:"t" () in
+  let s = Series.create () in
   List.iter (fun (x, y) -> Series.add s ~x ~y) pts;
   s
 
 let test_series_basic () =
   let s = fill_series [ (1., 10.); (2., 20.); (3., 30.) ] in
   Alcotest.(check int) "length" 3 (Series.length s);
-  Alcotest.(check string) "name" "t" (Series.name s);
   Alcotest.(check (pair (float 0.) (float 0.))) "get" (2., 20.) (Series.get s 1);
   Alcotest.(check (option (pair (float 0.) (float 0.)))) "last" (Some (3., 30.)) (Series.last s)
 
@@ -466,15 +458,9 @@ let test_table_width_mismatch () =
   Alcotest.check_raises "row width" (Invalid_argument "Table.add_row: row width differs from header")
     (fun () -> Table.add_row t [ "x"; "y" ])
 
-let test_csv_escape () =
-  Alcotest.(check string) "plain" "abc" (Csv.escape "abc");
-  Alcotest.(check string) "comma" "\"a,b\"" (Csv.escape "a,b");
-  Alcotest.(check string) "quote" "\"a\"\"b\"" (Csv.escape "a\"b");
-  Alcotest.(check string) "row" "a,\"b,c\"" (Csv.row_to_string [ "a"; "b,c" ])
-
-let test_csv_write_roundtrip () =
+let csv_lines ~header ~rows =
   let path = Filename.temp_file "lla_test" ".csv" in
-  Csv.write ~path ~header:[ "x"; "y" ] ~rows:[ [ "1"; "2" ]; [ "3"; "4" ] ];
+  Csv.write ~path ~header ~rows;
   let ic = open_in path in
   let lines = ref [] in
   (try
@@ -483,7 +469,20 @@ let test_csv_write_roundtrip () =
      done
    with End_of_file -> close_in ic);
   Sys.remove path;
-  Alcotest.(check (list string)) "content" [ "x,y"; "1,2"; "3,4" ] (List.rev !lines)
+  List.rev !lines
+
+let test_csv_escape () =
+  Alcotest.(check (list string))
+    "plain, comma, quote" [ "abc,\"a,b\",\"a\"\"b\"" ]
+    (csv_lines ~header:[ "abc"; "a,b"; "a\"b" ] ~rows:[]);
+  Alcotest.(check (list string))
+    "row" [ "h,i"; "a,\"b,c\"" ]
+    (csv_lines ~header:[ "h"; "i" ] ~rows:[ [ "a"; "b,c" ] ])
+
+let test_csv_write_roundtrip () =
+  Alcotest.(check (list string))
+    "content" [ "x,y"; "1,2"; "3,4" ]
+    (csv_lines ~header:[ "x"; "y" ] ~rows:[ [ "1"; "2" ]; [ "3"; "4" ] ])
 
 let test_ascii_plot_nonempty () =
   let out = Ascii_plot.render ~title:"test" [ ("a", [ (0., 0.); (1., 1.) ]) ] in
@@ -512,7 +511,6 @@ let () =
           Alcotest.test_case "int invalid bound" `Quick test_rng_int_invalid;
           Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
           Alcotest.test_case "normal moments" `Slow test_rng_normal_moments;
-          Alcotest.test_case "pareto minimum" `Quick test_rng_pareto_minimum;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "seed-42 stream digest" `Quick test_rng_stream_digest;
           Alcotest.test_case "draws allocate at most their result" `Quick test_rng_allocation;
