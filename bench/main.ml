@@ -2,35 +2,15 @@
    evaluation (Table 1, Figures 5-8), runs the ablation suite, and closes
    with Bechamel microbenchmarks of the implementation's hot paths.
 
-   Usage: main.exe [table1|fig5|fig6|fig7|fig8|ablation|chaos|recovery|micro|all]... *)
+   Usage: main.exe [--json DIR] [table1|fig5|fig6|fig7|fig8|ablation|chaos|recovery|micro|all]...
+          main.exe compare FRESH_DIR [BASE_DIR]
 
-let run_table1 () = print_string (Lla_experiments.Table1.report (Lla_experiments.Table1.run ()))
+   [compare] judges a [--json FRESH_DIR] run against the BENCH_*.json
+   history in BASE_DIR (default: the current directory) as snapshot.ml
+   describes: exit 1 when a key fails, 2 when there is nothing to judge. *)
 
-let run_fig5 () = print_string (Lla_experiments.Fig5.report (Lla_experiments.Fig5.run ()))
-
-let run_fig6 () = print_string (Lla_experiments.Fig6.report (Lla_experiments.Fig6.run ()))
-
-let run_fig7 () = print_string (Lla_experiments.Fig7.report (Lla_experiments.Fig7.run ()))
-
-let run_fig8 () = print_string (Lla_experiments.Fig8.report (Lla_experiments.Fig8.run ()))
-
-let run_ablation () =
-  print_string (Lla_experiments.Ablation.report (Lla_experiments.Ablation.run ()))
-
-let run_adaptation () =
-  print_string (Lla_experiments.Adaptation.report (Lla_experiments.Adaptation.run ()))
-
-let run_variation () =
-  print_string
-    (Lla_experiments.Workload_variation.report (Lla_experiments.Workload_variation.run ()))
-
-let run_delay_sweep () =
-  print_string (Lla_experiments.Delay_sweep.report (Lla_experiments.Delay_sweep.run ()))
-
-let run_chaos () = print_string (Lla_experiments.Chaos.report (Lla_experiments.Chaos.run ()))
-
-let run_recovery () =
-  print_string (Lla_experiments.Recovery.report (Lla_experiments.Recovery.run ()))
+(* Runs one of the paper's experiments and prints its report. *)
+let report run render () = print_string (render (run ()))
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead                                              *)
@@ -74,6 +54,8 @@ let profile_overhead ~smoke () =
       | `Enabled -> Some (Lla_obs.create ~spans:true ~profile:(Lla_obs.Profile.create ()) ())
     in
     let d = Lla_runtime.Distributed.create ?obs engine workload in
+    (* the build's garbage is collected here, not inside the timer *)
+    Gc.full_major ();
     let t0 = Unix.gettimeofday () in
     Lla_runtime.Distributed.run d ~duration:horizon;
     let dt = Unix.gettimeofday () -. t0 in
@@ -107,23 +89,13 @@ let profile_overhead ~smoke () =
     "  spans + enabled profiler   %8.1f ms wall  %+6.3f%% of the control-time budget (budget \
      %.0f%%)\n"
     (!best_on *. 1e3) on_overhead on_budget;
-  let failed = ref false in
-  if off_overhead > off_budget then begin
-    Printf.printf "  FAIL: disabled instrumentation hooks exceed the %.0f%% tracing budget\n"
-      off_budget;
-    failed := true
-  end;
-  if on_overhead > on_budget then begin
-    Printf.printf
-      "  FAIL: enabled spans + profiler consume more than %.0f%% of the control-time budget\n"
+  let g = Snapshot.gate () in
+  if off_overhead > off_budget then
+    Snapshot.fail g "disabled instrumentation hooks exceed the %.0f%% tracing budget" off_budget;
+  if on_overhead > on_budget then
+    Snapshot.fail g "enabled spans + profiler consume more than %.0f%% of the control-time budget"
       on_budget;
-    failed := true
-  end;
-  if !failed then exit 1 else print_string "  PASS\n"
-
-let run_profile () = profile_overhead ~smoke:false ()
-
-let run_profile_smoke () = profile_overhead ~smoke:true ()
+  Snapshot.finish g ~pass:true
 
 (* End-to-end control-reaction latency from the causal span tree, and the
    cross-check that makes it trustworthy: the offline reconstruction
@@ -155,13 +127,8 @@ let run_control_latency () =
       && Float.abs (off_sum -. Lla_obs.Metrics.histogram_sum h) <= 1e-6 *. Float.max 1. off_sum
     in
     if agree then print_string "  PASS: offline span reconstruction matches the online histogram\n"
-    else begin
-      print_string "  FAIL: offline and online control-latency views disagree\n";
-      exit 1
-    end
-  | _ ->
-    print_string "  FAIL: no control-latency observations recorded\n";
-    exit 1
+    else Snapshot.abort "offline and online control-latency views disagree"
+  | _ -> Snapshot.abort "no control-latency observations recorded"
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks                                            *)
@@ -332,21 +299,6 @@ let peak_rss_kb () =
     if !hwm > 0 then !hwm else !rss
   with Sys_error _ -> 0
 
-let write_json ~name fields =
-  match !json_dir with
-  | None -> ()
-  | Some dir ->
-    let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" name) in
-    let oc = open_out path in
-    output_string oc "{\n";
-    List.iteri
-      (fun i (key, value) ->
-        Printf.fprintf oc "  %S: %s%s\n" key value (if i = List.length fields - 1 then "" else ","))
-      fields;
-    output_string oc "}\n";
-    close_out oc;
-    Printf.printf "  snapshot written to %s\n" path
-
 (* The scale benchmark: generate a seeded planet-scale scenario, solve it
    with the flat-array kernel, and snapshot the numbers the README's
    BENCH convention promises — iterations/sec (transient and steady
@@ -362,7 +314,6 @@ let scale_bench ~name ~subtasks ~gate () =
   print_string
     (Lla_experiments.Report.header
        (Printf.sprintf "Scale kernel (%d subtasks, seed 42)" subtasks));
-  let failed = ref false in
   let seed = 42 in
   let params = Lla_scale.Generator.sized ~subtasks () in
   let t0 = Unix.gettimeofday () in
@@ -373,9 +324,7 @@ let scale_bench ~name ~subtasks ~gate () =
   let kernel =
     match Lla_scale.Kernel.create ~config:Lla_scale.Kernel.scale_config workload with
     | Ok k -> k
-    | Error e ->
-      Printf.printf "  FAIL: kernel rejected the generated workload: %s\n" e;
-      exit 1
+    | Error e -> Snapshot.abort "kernel rejected the generated workload: %s" e
   in
   let build_s = Unix.gettimeofday () -. t0 in
   Printf.printf "  generate     %8.2f s    compile+compact %8.2f s\n" generate_s build_s;
@@ -387,15 +336,12 @@ let scale_bench ~name ~subtasks ~gate () =
     match converged with
     | Some n -> n
     | None ->
-      Printf.printf "  FAIL: no convergence in 10000 ticks (movement %.2e)\n"
-        (Lla_scale.Kernel.movement kernel);
-      exit 1
+      Snapshot.abort "no convergence in 10000 ticks (movement %.2e)"
+        (Lla_scale.Kernel.movement kernel)
   in
-  if not (Lla_scale.Kernel.feasible kernel) then begin
-    Printf.printf "  FAIL: converged but infeasible: %s\n"
+  if not (Lla_scale.Kernel.feasible kernel) then
+    Snapshot.abort "converged but infeasible: %s"
       (String.concat "; " (Lla_scale.Kernel.violations kernel));
-    exit 1
-  end;
   let n_sub = Lla_scale.Kernel.n_subtasks kernel in
   let solve_tick_s = solve_s /. float_of_int iterations in
   (* ns/subtask/iter = subtasks touched per tick x ns per touched
@@ -494,6 +440,7 @@ let scale_bench ~name ~subtasks ~gate () =
     (Lla_obs.Monitor.utility_samples monitor)
     (Lla_obs.Monitor.alerts_raised monitor)
     (Lla_obs.Monitor.alerts_cleared monitor);
+  let g = Snapshot.gate () in
   if gate then begin
     (* Element-wise agreement under the shared default config: fresh
        kernel vs fresh solver, identical iterate after a prefix of
@@ -517,55 +464,42 @@ let scale_bench ~name ~subtasks ~gate () =
       solver_lat;
     Printf.printf "  agreement    %8.1e worst relative latency gap vs solver after %d ticks\n"
       !worst agree_iters;
-    if !worst > 1e-9 then begin
-      Printf.printf "  FAIL: kernel diverges from the reference solver (tolerance 1e-9)\n";
-      failed := true
-    end;
-    if speedup < 20. then begin
-      Printf.printf "  FAIL: steady-state speedup %.1fx below the 20x gate\n" speedup;
-      failed := true
-    end;
-    if alloc_words <> 0. then begin
-      Printf.printf "  FAIL: kernel tick allocates (%.1f minor words/tick)\n" alloc_words;
-      failed := true
-    end
+    if !worst > 1e-9 then
+      Snapshot.fail g "kernel diverges from the reference solver (tolerance 1e-9)";
+    if speedup < 20. then Snapshot.fail g "steady-state speedup %.1fx below the 20x gate" speedup;
+    if alloc_words <> 0. then
+      Snapshot.fail g "kernel tick allocates (%.1f minor words/tick)" alloc_words
   end;
-  write_json ~name
-    [
-      ("name", Printf.sprintf "%S" name);
-      ("engine", "\"sim\"");
-      ("domains", "1");
-      ("ocaml", Printf.sprintf "%S" Sys.ocaml_version);
-      ("seed", string_of_int seed);
-      ("subtasks", string_of_int n_sub);
-      ("resources", string_of_int (Lla_scale.Kernel.n_resources kernel));
-      ("paths", string_of_int (Lla_scale.Kernel.n_paths kernel));
-      ("tasks", string_of_int (List.length workload.Lla_model.Workload.tasks));
-      ("generate_s", Printf.sprintf "%.3f" generate_s);
-      ("build_s", Printf.sprintf "%.3f" build_s);
-      ("converged_iterations", string_of_int iterations);
-      ("solve_s", Printf.sprintf "%.6f" solve_s);
-      ("transient_iterations_per_s", Printf.sprintf "%.1f" (1. /. solve_tick_s));
-      ( "transient_ns_per_subtask_per_iter",
-        Printf.sprintf "%.1f" (solve_tick_s *. 1e9 /. float_of_int n_sub) );
-      ("steady_iterations_per_s", Printf.sprintf "%.1f" (1. /. steady_tick_s));
-      ( "steady_ns_per_subtask_per_iter",
-        Printf.sprintf "%.4g" (steady_tick_s *. 1e9 /. float_of_int n_sub) );
-      ("steady_subtasks_touched", Printf.sprintf "%.1f" steady_sub);
-      ("steady_resources_touched", Printf.sprintf "%.1f" steady_res);
-      ("steady_paths_touched", Printf.sprintf "%.1f" steady_path);
-      ("alloc_words_per_tick", Printf.sprintf "%.1f" alloc_words);
-      ("solver_ms_per_iter", Printf.sprintf "%.3f" (solver_iter_s *. 1e3));
-      ("kernel_vs_solver_speedup", Printf.sprintf "%.1f" speedup);
-      ("guard_events", string_of_int (Lla_scale.Kernel.guard_events kernel));
-      ("peak_rss_kb", string_of_int rss);
-      ("cores", string_of_int (Domain.recommended_domain_count ()));
-      ("monitor_samples", string_of_int (Lla_obs.Monitor.utility_samples monitor));
-      ("monitor_alerts_raised", string_of_int (Lla_obs.Monitor.alerts_raised monitor));
-      ("monitor_alerts_cleared", string_of_int (Lla_obs.Monitor.alerts_cleared monitor));
-    ];
-  if !failed then exit 1;
-  if gate then print_string "  PASS\n"
+  Snapshot.write ~dir:!json_dir ~name ~engine:"sim" ~domains:1 ~seed
+    Snapshot.
+      [
+        int "subtasks" n_sub;
+        int "resources" (Lla_scale.Kernel.n_resources kernel);
+        int "paths" (Lla_scale.Kernel.n_paths kernel);
+        int "tasks" (List.length workload.Lla_model.Workload.tasks);
+        num ~judge:Info "generate_s" "%.3f" generate_s;
+        num ~judge:Info "build_s" "%.3f" build_s;
+        int "converged_iterations" iterations;
+        num ~judge:Info "solve_s" "%.6f" solve_s;
+        num ~judge:(Perf 4.) "transient_iterations_per_s" "%.1f" (1. /. solve_tick_s);
+        num ~judge:(Perf 4.) "transient_ns_per_subtask_per_iter" "%.1f"
+          (solve_tick_s *. 1e9 /. float_of_int n_sub);
+        num ~judge:(Perf 4.) "steady_iterations_per_s" "%.1f" (1. /. steady_tick_s);
+        num ~judge:(Perf 4.) "steady_ns_per_subtask_per_iter" "%.4g"
+          (steady_tick_s *. 1e9 /. float_of_int n_sub);
+        num "steady_subtasks_touched" "%.1f" steady_sub;
+        num "steady_resources_touched" "%.1f" steady_res;
+        num "steady_paths_touched" "%.1f" steady_path;
+        num "alloc_words_per_tick" "%.1f" alloc_words;
+        num ~judge:Info "solver_ms_per_iter" "%.3f" (solver_iter_s *. 1e3);
+        num ~judge:(Perf 6.) "kernel_vs_solver_speedup" "%.1f" speedup;
+        int "guard_events" (Lla_scale.Kernel.guard_events kernel);
+        int ~judge:Info "peak_rss_kb" rss;
+        int "monitor_samples" (Lla_obs.Monitor.utility_samples monitor);
+        int "monitor_alerts_raised" (Lla_obs.Monitor.alerts_raised monitor);
+        int "monitor_alerts_cleared" (Lla_obs.Monitor.alerts_cleared monitor);
+      ];
+  Snapshot.finish g ~pass:gate
 
 let run_scale () =
   scale_bench ~name:"scale" ~subtasks:100_000 ~gate:false ();
@@ -601,8 +535,6 @@ let run_scale () =
   phase "transient (cold solve)" (fun () -> ignore (K.solve kernel ~max_iterations:10_000));
   phase "steady" (fun () -> K.run kernel ~iterations:1000)
 
-let run_scale_smoke () = scale_bench ~name:"scale_smoke" ~subtasks:10_000 ~gate:true ()
-
 (* Fixed-seed chaos campaign smoke: a handful of randomized fault
    schedules against the fully-armed deployment, every oracle green. The
    report is deterministic, so any diff is a behaviour change. *)
@@ -629,41 +561,31 @@ let soak_bench ~name ~(config : Lla_soak.Soak.config) ~gate () =
   let obs = Lla_obs.create () in
   let monitor = Lla_obs.Monitor.create () in
   match Soak.run ~obs ~monitor config with
-  | Error e ->
-    Printf.printf "  FAIL: soak construction: %s\n" e;
-    exit 1
+  | Error e -> Snapshot.abort "soak construction: %s" e
   | Ok r ->
     print_string (Soak.render r);
     print_newline ();
-    let failed = ref false in
-    let fail msg =
-      Printf.printf "  FAIL: %s\n" msg;
-      failed := true
-    in
+    let g = Snapshot.gate () in
+    let fail fmt = Snapshot.fail g fmt in
     if gate then begin
-      if r.Soak.violation_count > 0 then
-        fail (Printf.sprintf "%d rolling-oracle violations" r.Soak.violation_count);
+      if r.Soak.violation_count > 0 then fail "%d rolling-oracle violations" r.Soak.violation_count;
       if r.Soak.chaos_windows < 1 then fail "no chaos window inside the horizon";
-      if r.Soak.admits < 10 then
-        fail (Printf.sprintf "churn barely exercised (%d admits)" r.Soak.admits);
+      if r.Soak.admits < 10 then fail "churn barely exercised (%d admits)" r.Soak.admits;
       if r.Soak.degradations > 0 then
-        fail
-          (Printf.sprintf "degraded %d times under the generous smoke ceilings"
-             r.Soak.degradations);
+        fail "degraded %d times under the generous smoke ceilings" r.Soak.degradations;
       let rss_ceiling = config.Soak.ceilings.Soak.max_rss_kb in
       if rss_ceiling > 0 && r.Soak.peak_rss_kb > rss_ceiling then
-        fail (Printf.sprintf "peak RSS %d kB over the %d kB ceiling" r.Soak.peak_rss_kb rss_ceiling);
+        fail "peak RSS %d kB over the %d kB ceiling" r.Soak.peak_rss_kb rss_ceiling;
       let tps_floor = config.Soak.ceilings.Soak.min_ticks_per_s in
       if tps_floor > 0. && r.Soak.ticks_per_s < tps_floor then
-        fail (Printf.sprintf "throughput %.0f ticks/s under the %.0f floor" r.Soak.ticks_per_s tps_floor);
+        fail "throughput %.0f ticks/s under the %.0f floor" r.Soak.ticks_per_s tps_floor;
       (* steady-state allocation must not grow over the horizon: the late
          watchdog window may not exceed twice the early one (plus a small
          absolute floor for sampling noise on near-zero rates) *)
       if r.Soak.words_per_tick_late > Float.max 50. (2. *. Float.max 1. r.Soak.words_per_tick_early)
       then
-        fail
-          (Printf.sprintf "minor words/tick grew %.1f -> %.1f over the horizon"
-             r.Soak.words_per_tick_early r.Soak.words_per_tick_late);
+        fail "minor words/tick grew %.1f -> %.1f over the horizon" r.Soak.words_per_tick_early
+          r.Soak.words_per_tick_late;
       (* Breach drill: rerun a short horizon under an impossible RSS
          ceiling — the run must walk the whole degradation ladder into
          the forced-safe bottom rung and come back with a report, not an
@@ -677,7 +599,7 @@ let soak_bench ~name ~(config : Lla_soak.Soak.config) ~gate () =
         }
       in
       (match Soak.run breach_config with
-      | Error e -> fail ("breach drill construction: " ^ e)
+      | Error e -> fail "breach drill construction: %s" e
       | Ok br ->
         Printf.printf
           "  breach drill: %d degradations to level %d, %d safe entries, %d trips recorded\n"
@@ -688,48 +610,40 @@ let soak_bench ~name ~(config : Lla_soak.Soak.config) ~gate () =
           || br.Soak.safe_entries < 1
         then fail "ceiling breach did not walk the degradation ladder into forced safe mode")
     end;
-    write_json ~name
-      [
-        ("name", Printf.sprintf "%S" name);
-        ("engine", "\"sim\"");
-        ("domains", "1");
-        ("ocaml", Printf.sprintf "%S" Sys.ocaml_version);
-        ("seed", string_of_int config.Soak.seed);
-        ("subtasks", string_of_int r.Soak.subtasks);
-        ("tasks", string_of_int r.Soak.tasks);
-        ("ticks", string_of_int r.Soak.ticks);
-        ("elapsed_s", Printf.sprintf "%.3f" r.Soak.elapsed_s);
-        ("ticks_per_s", Printf.sprintf "%.1f" r.Soak.ticks_per_s);
-        ("admits", string_of_int r.Soak.admits);
-        ("retires", string_of_int r.Soak.retires);
-        ("chaos_windows", string_of_int r.Soak.chaos_windows);
-        ("stalls", string_of_int r.Soak.stalls);
-        ("guard_events", string_of_int r.Soak.guard_events);
-        ("safe_entries", string_of_int r.Soak.safe_entries);
-        ("safe_exits", string_of_int r.Soak.safe_exits);
-        ("degradations", string_of_int r.Soak.degradations);
-        ("recoveries", string_of_int r.Soak.recoveries);
-        ("max_level", string_of_int r.Soak.max_level);
-        ("oracle_violations", string_of_int r.Soak.violation_count);
-        ("peak_rss_kb", string_of_int r.Soak.peak_rss_kb);
-        ("words_per_tick_early", Printf.sprintf "%.1f" r.Soak.words_per_tick_early);
-        ("words_per_tick_late", Printf.sprintf "%.1f" r.Soak.words_per_tick_late);
-        ("words_per_tick_max", Printf.sprintf "%.1f" r.Soak.words_per_tick_max);
-        ("reconverge_episodes", string_of_int r.Soak.reconverge_episodes);
-        ("worst_settle_ticks", Printf.sprintf "%.0f" r.Soak.worst_settle_ticks);
-        ("baseline_checks", string_of_int r.Soak.baseline_checks);
-        ("worst_drift", Printf.sprintf "%.4f" r.Soak.worst_drift);
-        ("final_utility", Printf.sprintf "%.3f" r.Soak.final_utility);
-        ("final_feasible", string_of_bool r.Soak.final_feasible);
-        ("final_active_tasks", string_of_int r.Soak.final_active_tasks);
-        ("alerts_raised", string_of_int r.Soak.alerts_raised);
-        ("alerts_cleared", string_of_int r.Soak.alerts_cleared);
-        ("cores", string_of_int (Domain.recommended_domain_count ()));
-      ];
-    if !failed then exit 1;
-    if gate then print_string "  PASS\n"
-
-let run_soak () = soak_bench ~name:"soak" ~config:Lla_soak.Soak.default_config ~gate:false ()
+    Snapshot.write ~dir:!json_dir ~name ~engine:"sim" ~domains:1 ~seed:config.Soak.seed
+      Snapshot.
+        [
+          int "subtasks" r.Soak.subtasks;
+          int "tasks" r.Soak.tasks;
+          int "ticks" r.Soak.ticks;
+          num ~judge:Info "elapsed_s" "%.3f" r.Soak.elapsed_s;
+          num ~judge:(Perf 4.) "ticks_per_s" "%.1f" r.Soak.ticks_per_s;
+          int "admits" r.Soak.admits;
+          int "retires" r.Soak.retires;
+          int "chaos_windows" r.Soak.chaos_windows;
+          int "stalls" r.Soak.stalls;
+          int "guard_events" r.Soak.guard_events;
+          int "safe_entries" r.Soak.safe_entries;
+          int "safe_exits" r.Soak.safe_exits;
+          int "degradations" r.Soak.degradations;
+          int "recoveries" r.Soak.recoveries;
+          int "max_level" r.Soak.max_level;
+          int "oracle_violations" r.Soak.violation_count;
+          int ~judge:Info "peak_rss_kb" r.Soak.peak_rss_kb;
+          num ~judge:(Perf 4.) "words_per_tick_early" "%.1f" r.Soak.words_per_tick_early;
+          num ~judge:(Perf 4.) "words_per_tick_late" "%.1f" r.Soak.words_per_tick_late;
+          num ~judge:(Perf 4.) "words_per_tick_max" "%.1f" r.Soak.words_per_tick_max;
+          int "reconverge_episodes" r.Soak.reconverge_episodes;
+          num "worst_settle_ticks" "%.0f" r.Soak.worst_settle_ticks;
+          int "baseline_checks" r.Soak.baseline_checks;
+          num "worst_drift" "%.4f" r.Soak.worst_drift;
+          num "final_utility" "%.3f" r.Soak.final_utility;
+          bool "final_feasible" r.Soak.final_feasible;
+          int "final_active_tasks" r.Soak.final_active_tasks;
+          int "alerts_raised" r.Soak.alerts_raised;
+          int "alerts_cleared" r.Soak.alerts_cleared;
+        ];
+    Snapshot.finish g ~pass:gate
 
 (* The CI gate: the fixed-seed smoke configuration (>= 50k ticks, three
    chaos windows, two flash crowds) under explicit ceilings, every
@@ -830,15 +744,15 @@ let run_recovery_smoke () =
       true
     | None -> false
   in
+  let restore () =
+    match !latest with
+    | None -> false
+    | Some (lat, mu, lambda) -> Result.is_ok (K.restore_iterate kernel ~lat ~mu ~lambda)
+  in
   let t0 = Unix.gettimeofday () in
   let report = R.replay journal ~apply in
   let replay_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-  let restored =
-    match !latest with
-    | None -> false
-    | Some (lat, mu, lambda) -> (
-      match K.restore_iterate kernel ~lat ~mu ~lambda with Ok () -> true | Error _ -> false)
-  in
+  let restored = restore () in
   let warm_ticks = ticks_to_feasible () in
   Printf.printf
     "  converge %d ticks; crash: cold %d ticks, warm %d ticks (%d records replayed, %.2f ms)\n"
@@ -854,56 +768,46 @@ let run_recovery_smoke () =
   let torn_applied, torn_warm =
     match J.Store.read store active with
     | None -> failwith "recovery smoke: active segment vanished"
-    | Some contents ->
-      J.Store.write store active (String.sub contents 0 (Stdlib.min 5 (String.length contents)));
-      K.crash_reset kernel;
-      latest := None;
-      let r = R.replay journal ~apply in
-      let warm =
-        match !latest with
-        | None -> false
-        | Some (lat, mu, lambda) -> (
-          match K.restore_iterate kernel ~lat ~mu ~lambda with Ok () -> true | Error _ -> false)
-      in
-      ignore (ticks_to_feasible ());
-      (r.R.applied, warm)
+    | Some contents -> (
+      match
+        J.Store.write store active (String.sub contents 0 (Stdlib.min 5 (String.length contents)))
+      with
+      | Error e -> failwith ("recovery smoke: torn drill write failed: " ^ e)
+      | Ok () ->
+        K.crash_reset kernel;
+        latest := None;
+        let r = R.replay journal ~apply in
+        let warm = restore () in
+        ignore (ticks_to_feasible ());
+        (r.R.applied, warm))
   in
   Printf.printf "  torn drill: %d records replayed, %s restart\n" torn_applied
     (if torn_warm then "warm" else "cold");
-  let failed = ref false in
-  let fail msg =
-    Printf.printf "  FAIL: %s\n" msg;
-    failed := true
-  in
+  let g = Snapshot.gate () in
+  let fail fmt = Snapshot.fail g fmt in
   if not restored then fail "warm restore refused the journaled record";
   if report.R.applied < appends then
-    fail (Printf.sprintf "replay applied %d of %d records" report.R.applied appends);
+    fail "replay applied %d of %d records" report.R.applied appends;
   if warm_ticks >= cold_ticks then
-    fail
-      (Printf.sprintf "warm recovery (%d ticks) not faster than cold (%d ticks)" warm_ticks
-         cold_ticks);
+    fail "warm recovery (%d ticks) not faster than cold (%d ticks)" warm_ticks cold_ticks;
   if torn_warm then fail "torn journal still restored warm (corruption not detected)";
   if torn_applied <> 0 then
-    fail (Printf.sprintf "torn drill replayed %d records from a corrupt-at-0 segment" torn_applied);
+    fail "torn drill replayed %d records from a corrupt-at-0 segment" torn_applied;
   if J.wedged journal then fail "journal wedged on a healthy file store";
-  write_json ~name:"recovery_smoke"
-    [
-      ("name", "\"recovery_smoke\"");
-      ("ocaml", Printf.sprintf "%S" Sys.ocaml_version);
-      ("seed", string_of_int seed);
-      ("subtasks", string_of_int subtasks);
-      ("initial_ticks", string_of_int initial_ticks);
-      ("cold_ticks", string_of_int cold_ticks);
-      ("warm_ticks", string_of_int warm_ticks);
-      ("records", string_of_int report.R.applied);
-      ("journal_bytes", string_of_int journal_bytes);
-      ("journal_mb_per_s", Printf.sprintf "%.1f" mb_per_s);
-      ("replay_ms", Printf.sprintf "%.2f" replay_ms);
-      ("torn_drill", Printf.sprintf "%S" (if torn_warm then "warm" else "cold"));
-      ("cores", string_of_int (Domain.recommended_domain_count ()));
-    ];
-  if !failed then exit 1;
-  print_string "  PASS\n"
+  Snapshot.write ~dir:!json_dir ~name:"recovery_smoke" ~seed
+    Snapshot.
+      [
+        int "subtasks" subtasks;
+        int "initial_ticks" initial_ticks;
+        int "cold_ticks" cold_ticks;
+        int "warm_ticks" warm_ticks;
+        int "records" report.R.applied;
+        int "journal_bytes" journal_bytes;
+        num ~judge:(Perf 4.) "journal_mb_per_s" "%.1f" mb_per_s;
+        num ~judge:(Perf 4.) "replay_ms" "%.2f" replay_ms;
+        str "torn_drill" (if torn_warm then "warm" else "cold");
+      ];
+  Snapshot.finish g ~pass:true
 
 (* ------------------------------------------------------------------ *)
 (* Streaming-monitor overhead (BENCH_monitor_smoke.json)               *)
@@ -944,9 +848,7 @@ let monitor_overhead_bench ~name ~subtasks ~gate () =
   let kernel =
     match K.create ~config:K.scale_config workload with
     | Ok k -> k
-    | Error e ->
-      Printf.printf "  FAIL: kernel rejected the generated workload: %s\n" e;
-      exit 1
+    | Error e -> Snapshot.abort "kernel rejected the generated workload: %s" e
   in
   (* Ticking run from cold, health samples collected at the cadence. *)
   let n_samples = ticks / cadence in
@@ -992,30 +894,22 @@ let monitor_overhead_bench ~name ~subtasks ~gate () =
     cadence budget;
   Printf.printf "  monitor      %d samples, %d alerts raised, %d cleared\n"
     (M.utility_samples monitor) (M.alerts_raised monitor) (M.alerts_cleared monitor);
-  write_json ~name
-    [
-      ("name", Printf.sprintf "%S" name);
-      ("engine", "\"sim\"");
-      ("ocaml", Printf.sprintf "%S" Sys.ocaml_version);
-      ("cores", string_of_int (Domain.recommended_domain_count ()));
-      ("seed", "42");
-      ("subtasks", string_of_int subtasks);
-      ("ticks", string_of_int ticks);
-      ("cadence", string_of_int cadence);
-      ("ticks_per_s", Printf.sprintf "%.0f" (1. /. tick_s));
-      ("feed_us", Printf.sprintf "%.3f" (feed_s *. 1e6));
-      ("overhead_pct", Printf.sprintf "%.4f" overhead);
-      ("alerts_raised", string_of_int (M.alerts_raised monitor));
-      ("alerts_cleared", string_of_int (M.alerts_cleared monitor));
-    ];
-  if gate && overhead > budget then begin
-    Printf.printf "  FAIL: monitor feed exceeds the %.0f%% overhead budget\n" budget;
-    exit 1
-  end;
-  if gate then print_string "  PASS\n"
-
-let run_monitor_smoke () =
-  monitor_overhead_bench ~name:"monitor_smoke" ~subtasks:10_000 ~gate:true ()
+  Snapshot.write ~dir:!json_dir ~name ~engine:"sim" ~seed:42
+    Snapshot.
+      [
+        int "subtasks" subtasks;
+        int "ticks" ticks;
+        int "cadence" cadence;
+        num ~judge:(Perf 4.) "ticks_per_s" "%.0f" (1. /. tick_s);
+        num ~judge:(Perf 6.) "feed_us" "%.3f" (feed_s *. 1e6);
+        num ~judge:(Perf 10.) "overhead_pct" "%.4f" overhead;
+        int "alerts_raised" (M.alerts_raised monitor);
+        int "alerts_cleared" (M.alerts_cleared monitor);
+      ];
+  let g = Snapshot.gate () in
+  if gate && overhead > budget then
+    Snapshot.fail g "monitor feed exceeds the %.0f%% overhead budget" budget;
+  Snapshot.finish g ~pass:gate
 
 (* ------------------------------------------------------------------ *)
 (* Domains-parallel runtime benchmark (BENCH_parallel*.json)           *)
@@ -1143,74 +1037,61 @@ let parallel_bench ~name ~subtasks ~duration ~sweeps ~gate () =
     best_parallel
     (if replay_ok then "identical" else "DIVERGED")
     cores;
-  write_json ~name
-    [
-      ("name", Printf.sprintf "%S" name);
-      ("engine", "\"domains\"");
-      ("domains", "4");
-      ("ocaml", Printf.sprintf "%S" Sys.ocaml_version);
-      ("cores", string_of_int cores);
-      ("seed", "42");
-      ("subtasks", string_of_int n_sub);
-      ("resources", string_of_int n_res);
-      ("tasks", string_of_int (List.length workload.Lla_model.Workload.tasks));
-      ("sim_ms", Printf.sprintf "%.0f" duration);
-      ("sweeps", string_of_int sweeps);
-      ("agents_per_s_1_domain", Printf.sprintf "%.0f" a1);
-      ("agents_per_s_2_domains", Printf.sprintf "%.0f" a2);
-      ("agents_per_s_4_domains", Printf.sprintf "%.0f" a4);
-      ("speedup_4_vs_1", Printf.sprintf "%.2f" speedup4);
-      ("speedup_floor", Printf.sprintf "%.2f" floor);
-      ("replay_identical", string_of_bool replay_ok);
-    ];
-  let failed = ref false in
+  Snapshot.write ~dir:!json_dir ~name ~engine:"domains" ~domains:4 ~seed:42
+    Snapshot.
+      [
+        int "subtasks" n_sub;
+        int "resources" n_res;
+        int "tasks" (List.length workload.Lla_model.Workload.tasks);
+        num "sim_ms" "%.0f" duration;
+        int "sweeps" sweeps;
+        num ~judge:(Perf 4.) "agents_per_s_1_domain" "%.0f" a1;
+        num ~judge:(Perf 4.) "agents_per_s_2_domains" "%.0f" a2;
+        num ~judge:(Perf 4.) "agents_per_s_4_domains" "%.0f" a4;
+        num ~judge:(Perf 6.) "speedup_4_vs_1" "%.2f" speedup4;
+        num ~judge:(Perf 6.) "speedup_floor" "%.2f" floor;
+        bool "replay_identical" replay_ok;
+      ];
+  let g = Snapshot.gate () in
   if gate then begin
-    if not replay_ok then begin
-      Printf.printf "  FAIL: same-seed 4-domain runs diverged\n";
-      failed := true
-    end;
-    if gated < floor then begin
-      Printf.printf "  FAIL: %s speedup %.2fx under the %.1fx floor (%d-core host)\n"
+    if not replay_ok then Snapshot.fail g "same-seed 4-domain runs diverged";
+    if gated < floor then
+      Snapshot.fail g "%s speedup %.2fx under the %.1fx floor (%d-core host)"
         (if full_host then "4-domain" else "best parallel")
-        gated floor cores;
-      failed := true
-    end
+        gated floor cores
   end;
-  if !failed then exit 1;
-  if gate then print_string "  PASS\n"
-
-let run_parallel () =
-  parallel_bench ~name:"parallel" ~subtasks:100_000 ~duration:60. ~sweeps:160 ~gate:false ()
-
-let run_parallel_smoke () =
-  parallel_bench ~name:"parallel_smoke" ~subtasks:100_000 ~duration:20. ~sweeps:160 ~gate:true ()
+  Snapshot.finish g ~pass:gate
 
 let experiments =
+  let module E = Lla_experiments in
   [
-    ("table1", run_table1);
-    ("fig5", run_fig5);
-    ("fig6", run_fig6);
-    ("fig7", run_fig7);
-    ("fig8", run_fig8);
-    ("ablation", run_ablation);
-    ("adaptation", run_adaptation);
-    ("variation", run_variation);
-    ("delays", run_delay_sweep);
-    ("chaos", run_chaos);
-    ("recovery", run_recovery);
+    ("table1", report E.Table1.run E.Table1.report);
+    ("fig5", report E.Fig5.run E.Fig5.report);
+    ("fig6", report E.Fig6.run E.Fig6.report);
+    ("fig7", report E.Fig7.run E.Fig7.report);
+    ("fig8", report E.Fig8.run E.Fig8.report);
+    ("ablation", report E.Ablation.run E.Ablation.report);
+    ("adaptation", report E.Adaptation.run E.Adaptation.report);
+    ("variation", report E.Workload_variation.run E.Workload_variation.report);
+    ("delays", report E.Delay_sweep.run E.Delay_sweep.report);
+    ("chaos", report E.Chaos.run E.Chaos.report);
+    ("recovery", report E.Recovery.run E.Recovery.report);
     ("campaign", run_campaign);
-    ("profile", run_profile);
-    ("profile-smoke", run_profile_smoke);
+    ("profile", profile_overhead ~smoke:false);
+    ("profile-smoke", profile_overhead ~smoke:true);
     ("control-latency", run_control_latency);
     ("micro", run_micro);
     ("scale", run_scale);
-    ("scale-smoke", run_scale_smoke);
-    ("soak", run_soak);
+    ("scale-smoke", scale_bench ~name:"scale_smoke" ~subtasks:10_000 ~gate:true);
+    ("soak", soak_bench ~name:"soak" ~config:Lla_soak.Soak.default_config ~gate:false);
     ("soak-smoke", run_soak_smoke);
     ("recovery-smoke", run_recovery_smoke);
-    ("monitor-smoke", run_monitor_smoke);
-    ("parallel", run_parallel);
-    ("parallel-smoke", run_parallel_smoke);
+    ("monitor-smoke", monitor_overhead_bench ~name:"monitor_smoke" ~subtasks:10_000 ~gate:true);
+    ( "parallel",
+      parallel_bench ~name:"parallel" ~subtasks:100_000 ~duration:60. ~sweeps:160 ~gate:false );
+    ( "parallel-smoke",
+      parallel_bench ~name:"parallel_smoke" ~subtasks:100_000 ~duration:20. ~sweeps:160 ~gate:true
+    );
   ]
 
 let () =
@@ -1228,19 +1109,33 @@ let () =
     | [] -> List.rev acc
   in
   let args = strip_json [] (List.tl (Array.to_list Sys.argv)) in
-  let requested =
-    match args with
-    | _ :: _ when not (List.mem "all" args) -> args
-    | _ -> List.map fst experiments
-  in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-        f ();
-        print_newline ()
-      | None ->
-        Printf.eprintf "unknown experiment %S; available: %s all\n" name
-          (String.concat " " (List.map fst experiments));
-        exit 2)
-    requested
+  match args with
+  | [ "compare"; fresh ] | [ "compare"; fresh; _ ] -> (
+    (* judge a fresh [--json DIR] run against the committed snapshots *)
+    let base = match args with [ _; _; base ] -> base | _ -> "." in
+    match Snapshot.compare_dirs ~out:print_endline ~fresh ~base with
+    | Ok true -> print_endline "bench compare: all snapshots within tolerance"
+    | Ok false -> exit 1
+    | Error msg ->
+      prerr_endline ("bench compare: " ^ msg);
+      exit 2)
+  | "compare" :: _ ->
+    prerr_endline "usage: main.exe compare FRESH_DIR [BASE_DIR]";
+    exit 2
+  | _ ->
+    let requested =
+      match args with
+      | _ :: _ when not (List.mem "all" args) -> args
+      | _ -> List.map fst experiments
+    in
+    List.iter
+      (fun name ->
+        match List.assoc_opt name experiments with
+        | Some f ->
+          f ();
+          print_newline ()
+        | None ->
+          Printf.eprintf "unknown experiment %S; available: %s all\n" name
+            (String.concat " " (List.map fst experiments));
+          exit 2)
+      requested

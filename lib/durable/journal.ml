@@ -302,23 +302,32 @@ module Store = struct
 
   let write t path data =
     match t with
-    | File st ->
+    | File st -> (
         forget_channel st path;
         let real = resolve st path in
         let tmp = real ^ ".tmp" in
-        let oc = open_out_bin tmp in
-        output_string oc data;
-        flush oc;
-        (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-        close_out oc;
-        Sys.rename tmp real
+        match open_out_bin tmp with
+        | exception Sys_error msg -> Error msg
+        | oc -> (
+            match
+              output_string oc data;
+              flush oc;
+              (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
+              close_out oc;
+              Sys.rename tmp real
+            with
+            | () -> Ok ()
+            | exception Sys_error msg ->
+                close_out_noerr oc;
+                Error msg))
     | Faulty fs ->
         (* tmp + rename is crash-atomic by construction; the model keeps
            the replacement atomic and durable (the journal's vulnerable
            path is the append stream). *)
         let f = ffile fs path in
         f.durable <- data;
-        Buffer.clear f.pending
+        Buffer.clear f.pending;
+        Ok ()
 
   let exists t path =
     match t with
@@ -480,6 +489,13 @@ let append t payload =
             meter_add t (fun m -> m.m_bytes) (String.length framed)
           end
   end
+
+let truncate_active t prefix =
+  match Store.write t.store (active_path t) prefix with
+  | Ok () -> true
+  | Error _ ->
+      wedge t;
+      false
 
 let wedged t = t.wedged
 

@@ -127,8 +127,10 @@ module Store : sig
   val read : t -> string -> string option
   (** Whole-file contents; [None] when the path does not exist. *)
 
-  val write : t -> string -> string -> unit
-  (** Atomic whole-file replace. *)
+  val write : t -> string -> string -> (unit, string) result
+  (** Atomic whole-file replace: [Error] when a file store fails to
+      open, write, flush, close or rename the [tmp] file, and then the
+      file keeps its old contents. *)
 end
 
 (** {1 The journal} *)
@@ -157,6 +159,14 @@ val append : t -> string -> unit
 val sync : t -> unit
 (** Explicit sync barrier on the active segment; a failed barrier wedges
     the journal. *)
+
+val truncate_active : t -> string -> bool
+(** [truncate_active t prefix] replaces the active segment with
+    [prefix], its valid records ({!Recovery}'s cut of a torn tail), and
+    answers [true]. When the store fails the write, the segment keeps
+    its torn tail and the journal wedges, so no later append lands
+    behind the corrupt frame where replay would never reach it; the
+    answer is [false]. *)
 
 val wedged : t -> bool
 

@@ -28,12 +28,12 @@ let replay ?obs ?(at = 0.) journal ~apply =
               (* the active segment keeps taking appends after recovery,
                  so its torn tail is cut physically; older segments are
                  immutable and just read short *)
-              if path = active then begin
+              if
+                path = active
+                && Journal.truncate_active journal (String.sub contents 0 scan.Journal.good_bytes)
+              then
                 truncated_bytes :=
-                  !truncated_bytes + (scan.Journal.total_bytes - scan.Journal.good_bytes);
-                Journal.Store.write store path
-                  (String.sub contents 0 scan.Journal.good_bytes)
-              end);
+                  !truncated_bytes + (scan.Journal.total_bytes - scan.Journal.good_bytes));
           List.iter (fun p -> if apply p then incr applied else incr refused) payloads)
     (Journal.segment_paths journal);
   (match obs with

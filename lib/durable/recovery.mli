@@ -4,10 +4,10 @@
     segments oldest to newest, then the active segment — decoding each
     one with {!Journal.decode}. Within a segment replay stops at the
     first bad CRC (everything past a corruption is suspect); a torn tail
-    on the {e active} segment is additionally truncated in place so the
-    journal can keep appending from a clean frontier. Every decoded
-    payload is handed to the caller's [apply] callback, which owns the
-    semantic checks — in practice
+    on the {e active} segment is additionally truncated in place
+    ({!Journal.truncate_active}) so the journal can keep appending from
+    a clean frontier. Every decoded payload is handed to the caller's
+    [apply] callback, which owns the semantic checks — in practice
     {!Lla_runtime.Checkpoint}'s save path, so non-finite refusal and
     staleness discard apply to disk state exactly as to live state.
 
@@ -18,8 +18,9 @@
     failed append: a real write failure wedges a file-backed journal as
     the faulty store's ENOSPC does, and the store keeps that failure as
     the path's [Error] instead of raising it when replay reads the
-    segment back. Truncating a torn tail is a whole-file write, which a
-    file store on a full disk still raises.
+    segment back. Nor does the cut of a torn tail raise: when a file
+    store on a full disk fails that whole-file write, replay leaves the
+    tail in place, wedges the journal and still returns its report.
 
     With [?obs], the recovery report additionally lands as trace
     [Note] events ([journal.replayed], [journal.refused],
@@ -32,7 +33,9 @@ type report = {
   applied : int;  (** records the [apply] callback accepted. *)
   refused : int;  (** records the [apply] callback rejected. *)
   corrupt_segments : int;  (** segments with a corrupt suffix. *)
-  truncated_bytes : int;  (** torn-tail bytes cut from the active segment. *)
+  truncated_bytes : int;
+      (** torn-tail bytes cut from the active segment (0 when the cut
+          failed and wedged the journal). *)
 }
 
 val replay : ?obs:Lla_obs.t -> ?at:float -> Journal.t -> apply:(string -> bool) -> report

@@ -24,28 +24,6 @@ let bisect ?(tolerance = 1e-12) ?(max_iterations = 200) ~lo ~hi f =
     loop lo hi flo max_iterations
   end
 
-let newton_bisect ?(tolerance = 1e-12) ?(max_iterations = 100) ~df ~lo ~hi f =
-  let flo = f lo and fhi = f hi in
-  if flo = 0. then lo
-  else if fhi = 0. then hi
-  else begin
-    check_bracket "Solve.newton_bisect" flo fhi;
-    (* Invariant: the root stays bracketed by [lo, hi]; x is the current
-       iterate inside the bracket. *)
-    let rec loop lo hi flo x fx iterations =
-      if iterations = 0 || Float.abs fx < tolerance || hi -. lo < tolerance then x
-      else begin
-        let lo, hi, flo = if flo *. fx < 0. then (lo, x, flo) else (x, hi, fx) in
-        let dfx = df x in
-        let newton = if dfx = 0. then infinity else x -. (fx /. dfx) in
-        let x' = if newton > lo && newton < hi then newton else 0.5 *. (lo +. hi) in
-        loop lo hi flo x' (f x') (iterations - 1)
-      end
-    in
-    let x0 = 0.5 *. (lo +. hi) in
-    loop lo hi flo x0 (f x0) max_iterations
-  end
-
 let derivative ?h f x =
   let h = match h with Some h -> h | None -> 1e-6 *. Float.max 1. (Float.abs x) in
   (f (x +. h) -. f (x -. h)) /. (2. *. h)

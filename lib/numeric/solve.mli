@@ -3,8 +3,7 @@
     The latency-allocation step (paper §4.2) sets the derivative of the
     Lagrangian w.r.t. each subtask latency to zero; for non-linear
     utilities or non-reciprocal share functions that stationarity equation
-    has no closed form and is solved with the bracketed Newton/bisection
-    hybrid below. *)
+    has no closed form and [Lla.Allocation] solves it with {!bisect}. *)
 
 exception No_bracket of string
 (** Raised when the supplied interval does not bracket a root. *)
@@ -14,18 +13,6 @@ val bisect :
 (** [bisect ~lo ~hi f] finds [x] in [\[lo, hi\]] with [f x = 0], assuming
     [f lo] and [f hi] have opposite signs (or one of them is zero).
     @raise No_bracket when the signs agree. *)
-
-val newton_bisect :
-  ?tolerance:float ->
-  ?max_iterations:int ->
-  df:(float -> float) ->
-  lo:float ->
-  hi:float ->
-  (float -> float) ->
-  float
-(** Safeguarded Newton–Raphson: takes Newton steps while they remain
-    inside the current bracket and make progress, otherwise bisects. Same
-    bracketing requirement as {!bisect}. *)
 
 val derivative : ?h:float -> (float -> float) -> float -> float
 (** Central finite difference, for validation and for utilities supplied

@@ -44,96 +44,3 @@ module Window = struct
 
   let clear t = t.total <- 0
 end
-
-module P2 = struct
-  (* Jain & Chlamtac's P-squared algorithm: five markers track the min, the
-     p/2, p, (1+p)/2 quantiles and the max; marker heights are adjusted with
-     a piecewise-parabolic prediction as samples stream in. *)
-  type t = {
-    p : float;
-    q : float array; (* marker heights *)
-    np : float array; (* desired marker positions *)
-    pos : int array; (* actual marker positions *)
-    dn : float array; (* desired position increments *)
-    mutable n : int;
-    init : float array; (* first five samples *)
-  }
-
-  let create ~p =
-    if p <= 0. || p >= 100. then invalid_arg "Percentile.P2.create: p outside (0, 100)";
-    let p = p /. 100. in
-    {
-      p;
-      q = Array.make 5 0.;
-      np = [| 0.; 2. *. p; 4. *. p; 2. +. (2. *. p); 4. |];
-      pos = [| 0; 1; 2; 3; 4 |];
-      dn = [| 0.; p /. 2.; p; (1. +. p) /. 2.; 1. |];
-      n = 0;
-      init = Array.make 5 0.;
-    }
-
-  let parabolic t i d =
-    let q = t.q and pos = t.pos in
-    let fi j = float_of_int pos.(j) in
-    q.(i)
-    +. (d /. (fi (i + 1) -. fi (i - 1))
-       *. (((fi i -. fi (i - 1) +. d) *. (q.(i + 1) -. q.(i)) /. (fi (i + 1) -. fi i))
-          +. ((fi (i + 1) -. fi i -. d) *. (q.(i) -. q.(i - 1)) /. (fi i -. fi (i - 1)))))
-
-  let linear t i d =
-    let q = t.q and pos = t.pos in
-    let j = if d > 0. then i + 1 else i - 1 in
-    q.(i) +. (d *. (q.(j) -. q.(i)) /. float_of_int (pos.(j) - pos.(i)))
-
-  let add t x =
-    if t.n < 5 then begin
-      t.init.(t.n) <- x;
-      t.n <- t.n + 1;
-      if t.n = 5 then begin
-        Array.sort compare t.init;
-        Array.blit t.init 0 t.q 0 5
-      end
-    end
-    else begin
-      t.n <- t.n + 1;
-      let k =
-        if x < t.q.(0) then begin
-          t.q.(0) <- x;
-          0
-        end
-        else if x >= t.q.(4) then begin
-          t.q.(4) <- x;
-          3
-        end
-        else begin
-          let rec find i = if x < t.q.(i + 1) then i else find (i + 1) in
-          find 0
-        end
-      in
-      for i = k + 1 to 4 do
-        t.pos.(i) <- t.pos.(i) + 1
-      done;
-      for i = 0 to 4 do
-        t.np.(i) <- t.np.(i) +. t.dn.(i)
-      done;
-      for i = 1 to 3 do
-        let d = t.np.(i) -. float_of_int t.pos.(i) in
-        let right = t.pos.(i + 1) - t.pos.(i) and left = t.pos.(i - 1) - t.pos.(i) in
-        if (d >= 1. && right > 1) || (d <= -1. && left < -1) then begin
-          let d = if d >= 0. then 1. else -1. in
-          let q' = parabolic t i d in
-          let q' = if t.q.(i - 1) < q' && q' < t.q.(i + 1) then q' else linear t i d in
-          t.q.(i) <- q';
-          t.pos.(i) <- t.pos.(i) + int_of_float d
-        end
-      done
-    end
-
-  let get t =
-    if t.n = 0 then None
-    else if t.n < 5 then begin
-      let first = Array.sub t.init 0 t.n in
-      Some (exact first ~p:(t.p *. 100.))
-    end
-    else Some t.q.(2)
-end

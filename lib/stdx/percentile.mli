@@ -1,4 +1,5 @@
-(** Percentile estimation: exact (from stored samples) and streaming (P²).
+(** Percentile estimation, exact from stored samples: over an array, or
+    over a window of the most recent samples.
 
     The paper computes utilities from configurable latency percentiles
     (§2.1) and feeds "high percentile samples (greater than 90th
@@ -28,19 +29,4 @@ module Window : sig
   (** [None] when empty. *)
 
   val clear : t -> unit
-end
-
-(** Streaming P² estimator (Jain & Chlamtac, 1985): O(1) memory, no stored
-    samples. Accurate for stationary streams; used where windows would be
-    too costly. *)
-module P2 : sig
-  type t
-
-  val create : p:float -> t
-  (** Estimator for the [p]-th percentile, [0 < p < 100]. *)
-
-  val add : t -> float -> unit
-
-  val get : t -> float option
-  (** Current estimate; [None] with fewer than 5 samples. *)
 end

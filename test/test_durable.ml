@@ -182,13 +182,15 @@ let test_rotation_and_replay () =
     (fun k p -> Alcotest.(check string) "contiguous suffix" (Printf.sprintf "rec-%03d" (start + k)) p)
     got
 
-(* A full disk, four ways: the faulty store's injected ENOSPC, and a
+(* A full disk, five ways: the faulty store's injected ENOSPC, and a
    file store whose active segment is /dev/full, which fails at the
    first sync's flush or, with a sync cadence no run reaches, once the
    channel's buffer fills, or at the close of a replay that reads the
    segment while records are still buffered. Each wedges the journal
    without a raise, replay still works, and nothing un-wedges it once
-   the store accepts writes again. *)
+   the store accepts writes again. The fifth is replay's cut of a torn
+   tail, whose whole-file write goes through a tmp file on /dev/full:
+   replay returns its report, keeps the tail and wedges the journal. *)
 let test_enospc_wedges_never_raises () =
   (* each returns the store, a way to let it accept writes again, and a
      clean-up *)
@@ -241,7 +243,34 @@ let test_enospc_wedges_never_raises () =
       Alcotest.(check bool) (check "stays wedged") true (Journal.wedged j);
       Alcotest.(check int) (check "no append after the failure") accepted (Journal.appends j);
       cleanup ())
-    inputs
+    inputs;
+  if Sys.file_exists "/dev/full" then begin
+    let check what = "torn tail, tmp on /dev/full: " ^ what in
+    let dir = Filename.temp_dir "lla_durable_full" "" in
+    let j = Journal.create (Store.file ~dir) in
+    List.iter (Journal.append j) [ "one"; "two"; "three" ];
+    Journal.sync j;
+    let wal = Filename.concat dir (Journal.active_path j) in
+    Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 wal (fun oc ->
+        output_string oc "tor");
+    let synced = String.length (In_channel.with_open_bin wal In_channel.input_all) in
+    let tmp = wal ^ ".tmp" in
+    Unix.symlink "/dev/full" tmp;
+    let store = Store.file ~dir in
+    let j = Journal.create store in
+    let r = Recovery.replay j ~apply:(fun _ -> true) in
+    Alcotest.(check int) (check "synced records replayed") 3 r.Recovery.applied;
+    Alcotest.(check int) (check "corrupt suffix seen") 1 r.Recovery.corrupt_segments;
+    Alcotest.(check int) (check "nothing cut") 0 r.Recovery.truncated_bytes;
+    Alcotest.(check bool) (check "journal wedged") true (Journal.wedged j);
+    Journal.append j "four";
+    Alcotest.(check (option int))
+      (check "torn tail kept, nothing appended behind it")
+      (Some synced)
+      (Option.map String.length (Store.read store (Journal.active_path j)));
+    List.iter Sys.remove [ tmp; wal ];
+    Sys.rmdir dir
+  end
 
 (* Torn active segment at every byte offset, now through the full
    journal + recovery stack: replay never raises, applies exactly the
@@ -253,7 +282,7 @@ let test_recovery_truncates_torn_tail_every_offset () =
   for cut = 0 to String.length raw do
     let store = Store.faulty () in
     let j = Journal.create store in
-    Store.write store (Journal.active_path j) (String.sub raw 0 cut);
+    Result.get_ok (Store.write store (Journal.active_path j) (String.sub raw 0 cut));
     let applied = ref [] in
     let r = Recovery.replay j ~apply:(fun p -> applied := p :: !applied; true) in
     let applied = List.rev !applied in

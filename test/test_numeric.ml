@@ -33,41 +33,6 @@ let test_bisect_decreasing () =
   check_close "decreasing function" 3. (Solve.bisect ~lo:0. ~hi:10. (fun x -> 9. -. (3. *. x)))
 
 (* ------------------------------------------------------------------ *)
-(* newton_bisect                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_newton_cubic () =
-  let f x = (x *. x *. x) -. 8. and df x = 3. *. x *. x in
-  check_close ~eps:1e-9 "cube root of 8" 2. (Solve.newton_bisect ~df ~lo:0. ~hi:5. f)
-
-let test_newton_matches_bisect () =
-  (* The stationarity equation shape used by the allocation step:
-     g(lat) = -w - lsum + mu * (c + l) / lat^2. *)
-  let mu = 40. and work = 5. and pressure = 2.5 in
-  let f lat = -.pressure +. (mu *. work /. (lat *. lat)) in
-  let df lat = -2. *. mu *. work /. (lat *. lat *. lat) in
-  let by_newton = Solve.newton_bisect ~df ~lo:0.1 ~hi:100. f in
-  let by_bisect = Solve.bisect ~lo:0.1 ~hi:100. f in
-  let analytic = sqrt (mu *. work /. pressure) in
-  check_close ~eps:1e-6 "newton vs analytic" analytic by_newton;
-  check_close ~eps:1e-6 "bisect vs analytic" analytic by_bisect
-
-let test_newton_flat_derivative_falls_back () =
-  (* df = 0 everywhere forces pure bisection; must still find the root. *)
-  check_close ~eps:1e-6 "flat derivative" 1.
-    (Solve.newton_bisect ~df:(fun _ -> 0.) ~lo:0. ~hi:3. (fun x -> x -. 1.))
-
-let prop_newton_root_is_root =
-  QCheck.Test.make ~name:"newton_bisect: returned point is a root of a random quadratic"
-    QCheck.(pair (float_range 0.5 20.) (float_range 0.5 20.))
-    (fun (a, b) ->
-      (* f(x) = a * x^2 - b has a positive root sqrt(b / a). *)
-      let f x = (a *. x *. x) -. b and df x = 2. *. a *. x in
-      let hi = sqrt (b /. a) +. 10. in
-      let root = Solve.newton_bisect ~df ~lo:0. ~hi f in
-      Float.abs (f root) < 1e-6)
-
-(* ------------------------------------------------------------------ *)
 (* derivative / clamp                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -82,8 +47,6 @@ let test_clamp () =
   Alcotest.check_raises "inverted bounds" (Invalid_argument "Solve.clamp: lo > hi") (fun () ->
       ignore (Solve.clamp ~lo:2. ~hi:1. 0.))
 
-let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
-
 let () =
   Alcotest.run "lla_numeric"
     [
@@ -95,14 +58,6 @@ let () =
           Alcotest.test_case "no bracket raises" `Quick test_bisect_no_bracket;
           Alcotest.test_case "decreasing function" `Quick test_bisect_decreasing;
         ] );
-      ( "newton",
-        [
-          Alcotest.test_case "cubic" `Quick test_newton_cubic;
-          Alcotest.test_case "allocation-shaped equation" `Quick test_newton_matches_bisect;
-          Alcotest.test_case "flat derivative fallback" `Quick
-            test_newton_flat_derivative_falls_back;
-        ]
-        @ qcheck [ prop_newton_root_is_root ] );
       ( "misc",
         [
           Alcotest.test_case "finite difference" `Quick test_derivative;
