@@ -7,7 +7,7 @@ type result = {
   kkt_worst : float;
 }
 
-let solve ?(iterations = 20000) ?(gamma0 = 2.) workload =
+let solve ?(iterations = 20000) workload =
   let problem = Lla.Problem.compile workload in
   let n = Lla.Problem.n_subtasks problem in
   let lat = Array.init n (fun i -> problem.subtasks.(i).lat_hi) in
@@ -18,7 +18,7 @@ let solve ?(iterations = 20000) ?(gamma0 = 2.) workload =
      convex program, at the cost of speed LLA gets from adaptive steps. *)
   for k = 1 to iterations do
     Lla.Allocation.allocate problem ~mu ~lambda ~offsets ~sweeps:2 ~lat;
-    let gamma = gamma0 /. sqrt (float_of_int k) in
+    let gamma = 2. /. sqrt (float_of_int k) in
     for r = 0 to Lla.Problem.n_resources problem - 1 do
       ignore (Lla.Price_update.update_resource problem r ~lat ~offsets ~gamma ~mu)
     done;

@@ -13,8 +13,8 @@ type result = {
   kkt_worst : float;  (** worst KKT residual at the returned point. *)
 }
 
-val solve : ?iterations:int -> ?gamma0:float -> Workload.t -> result
-(** Dual ascent with step [gamma0 / sqrt(k)] (default [iterations = 20000],
-    [gamma0 = 2.]). Deterministic. *)
+val solve : ?iterations:int -> Workload.t -> result
+(** Dual ascent with step [2 / sqrt(k)] (default [iterations = 20000]).
+    Deterministic. *)
 
 val assignment : result -> Ids.Subtask_id.t -> float

@@ -44,9 +44,8 @@ let resilience_of_setup (s : Schedule.setup) =
     let d = Distributed.default_resilience in
     Some
       {
-        d with
         Distributed.checkpoint_period = (if s.checkpoints then d.Distributed.checkpoint_period else None);
-        health = (if s.health then d.Distributed.health else None);
+        health = s.health && d.Distributed.health;
         safe_mode = (if s.safe_mode then d.Distributed.safe_mode else None);
       }
 

@@ -22,10 +22,6 @@ type execution = {
   verdicts : Oracle.verdict list;
 }
 
-val workload_of_name : string -> (Lla_model.Workload.t, string) result
-(** ["base"] (the paper's 3-task workload), ["six"] (two copies),
-    ["prototype"], or ["random:<seed>"] ({!Lla_workloads.Random_gen}). *)
-
 val run_schedule : ?engine:engine -> Schedule.t -> (execution, string) result
 (** Execute one schedule: resolve and compile its workload (validating
     every event index against it), build a fresh engine + traced
@@ -54,25 +50,6 @@ val generate : ?fragile:bool -> seed:int -> unit -> Schedule.t
     {!Schedule.fragile_setup} with an aggressive sampled fixed step —
     the deliberately breakable deployment used to prove the oracles
     bite. Same [seed] (and flag), same schedule. *)
-
-val reproduces : ?engine:engine -> failing:string list -> Schedule.t -> bool
-(** Does running the schedule fail at least one of the named oracles?
-    [false] on runner errors. *)
-
-val shrink :
-  ?engine:engine ->
-  ?max_attempts:int ->
-  failing:string list ->
-  Schedule.t ->
-  Schedule.t
-(** Minimize a failing schedule while it still {!reproduces} one of
-    [failing]: delta-debugging (ddmin) over the event list, then
-    per-event simplification passes (halve durations, spreads and
-    magnitudes; zero fault probabilities one at a time; shed partition
-    members; tame non-finite poison values) to a fixpoint, spending at
-    most [max_attempts] (default 120) runner executions. The result
-    always still reproduces (the input is returned unchanged if nothing
-    smaller does). *)
 
 type failure = {
   run_index : int;
@@ -103,8 +80,14 @@ val run :
   summary
 (** The campaign loop. Each generated schedule is first round-tripped
     through the JSON codec (a mismatch is reported as a [codec-roundtrip]
-    failure); failing runs are shrunk and, when [out] is given, both the
-    original and the minimized schedule are saved there as
+    failure). A failing run is shrunk while it still fails one of the
+    same oracles on the same engine: delta-debugging (ddmin) over the
+    event list, then per-event simplification passes (halve durations,
+    spreads and magnitudes; zero fault probabilities one at a time; shed
+    partition members; tame non-finite poison values) to a fixpoint,
+    spending at most [shrink_attempts] (default 120) runner executions;
+    the input is kept when nothing smaller fails. When [out] is given,
+    both the original and the minimized schedule are saved there as
     [repro-<seed>.json] / [repro-<seed>.min.json] (the directory is
     created if needed). *)
 

@@ -1,23 +1,27 @@
 type config = {
   tolerance : float;
   sustained_fraction : float;
-  min_violations : int;
   regret_bound : float;
-  heal_grace : float;
-  lockout_window : float;
-  final_tolerance : float;
 }
 
 let default_config =
   {
     tolerance = 0.12;
     sustained_fraction = 0.02;
-    min_violations = 10;
     regret_bound = 0.08;
-    heal_grace = 6000.;
-    lockout_window = 10_000.;
-    final_tolerance = 0.30;
   }
+
+(* absolute violation count below which the sustained fraction is moot *)
+let min_violations = 10
+
+(* ms after the last fault heals before the trace oracle judges *)
+let heal_grace = 6000.
+
+(* ending inside a safe-mode dwell at least this long (ms) is a lockout *)
+let lockout_window = 10_000.
+
+(* slack on the final enacted point *)
+let final_tolerance = 0.30
 
 type recovery_outcome = {
   crashes : int;
@@ -89,13 +93,13 @@ let judged_price_records ~from records =
          | _ -> false)
        records)
 
-let constraints_after_heal cfg o =
-  let from = o.last_fault_end +. cfg.heal_grace in
-  let vs = Lla_obs.Invariant.check_constraints ~tolerance:cfg.tolerance ~from o.records in
+let constraints_after_heal o =
+  let from = o.last_fault_end +. heal_grace in
+  let vs = Lla_obs.Invariant.check_constraints ~tolerance:default_config.tolerance ~from o.records in
   let n = List.length vs in
   let judged = judged_price_records ~from o.records in
   let fraction = if judged = 0 then 0. else float_of_int n /. float_of_int judged in
-  if n >= cfg.min_violations && fraction > cfg.sustained_fraction then
+  if n >= min_violations && fraction > default_config.sustained_fraction then
     let sample =
       List.filteri (fun i _ -> i < 3) vs
       |> List.map (Format.asprintf "%a" Lla_obs.Invariant.pp_violation)
@@ -103,7 +107,7 @@ let constraints_after_heal cfg o =
     fail "constraints-after-heal"
       (Printf.sprintf
          "%d of %d judged price records (%.1f%%) violate Eq.3/4 beyond tol %.2f after t=%.0f"
-         n judged (100. *. fraction) cfg.tolerance from
+         n judged (100. *. fraction) default_config.tolerance from
       :: sample)
   else pass "constraints-after-heal"
 
@@ -118,34 +122,34 @@ let last_safe_entry o =
       match r.event with Lla_obs.Trace.Safe_mode_entered _ -> Some r.at | _ -> acc)
     None o.records
 
-let reconvergence cfg o =
+let reconvergence o =
   if o.in_safe_mode then pass "reconvergence"
   else
     let opt = o.optimum_utility in
     let scale = Float.max 1. (Float.abs opt) in
     let gap = (opt -. o.final_utility) /. scale in
     if Float.is_nan o.final_utility then fail "reconvergence" [ "final utility is nan" ]
-    else if gap > cfg.regret_bound then
+    else if gap > default_config.regret_bound then
       fail "reconvergence"
         [
           Printf.sprintf "final utility %.4f vs optimum %.4f: relative regret %.4f > bound %.4f"
-            o.final_utility opt gap cfg.regret_bound;
+            o.final_utility opt gap default_config.regret_bound;
         ]
     else pass "reconvergence"
 
-let no_lockout cfg o =
+let no_lockout o =
   if not o.in_safe_mode then pass "no-lockout"
   else
     match last_safe_entry o with
     | None -> fail "no-lockout" [ "in safe mode at the end without any recorded entry" ]
     | Some entered ->
         let dwell = o.end_time -. entered in
-        if dwell >= cfg.lockout_window then
+        if dwell >= lockout_window then
           fail "no-lockout"
             [
               Printf.sprintf
                 "in safe mode for the last %.0f ms (>= lockout window %.0f; entries=%d)" dwell
-                cfg.lockout_window o.safe_entries;
+                lockout_window o.safe_entries;
             ]
         else pass "no-lockout"
 
@@ -186,31 +190,31 @@ let recovery o =
           :: !vs;
       match List.rev !vs with [] -> pass "recovery" | vs -> fail "recovery" vs
 
-let final_feasibility cfg o =
+let final_feasibility o =
   let vs = ref [] in
-  if not (Float.is_finite o.max_share_violation) || o.max_share_violation > cfg.final_tolerance
+  if not (Float.is_finite o.max_share_violation) || o.max_share_violation > final_tolerance
   then
     vs :=
       Printf.sprintf "final Eq.3 excess %.4f > tolerance %.2f" o.max_share_violation
-        cfg.final_tolerance
+        final_tolerance
       :: !vs;
-  if not (Float.is_finite o.max_path_violation) || o.max_path_violation > cfg.final_tolerance then
+  if not (Float.is_finite o.max_path_violation) || o.max_path_violation > final_tolerance then
     vs :=
       Printf.sprintf "final Eq.4 excess %.4f > tolerance %.2f" o.max_path_violation
-        cfg.final_tolerance
+        final_tolerance
       :: !vs;
   match List.rev !vs with [] -> pass "final-feasibility" | vs -> fail "final-feasibility" vs
 
-let evaluate ?(config = default_config) ?(merged = false) o =
+let evaluate ?(merged = false) o =
   [
     trace_monotone ~merged o;
-    constraints_after_heal config o;
+    constraints_after_heal o;
     safe_mode_causality o;
-    reconvergence config o;
-    no_lockout config o;
+    reconvergence o;
+    no_lockout o;
     warm_restore_consistency o;
     recovery o;
-    final_feasibility config o;
+    final_feasibility o;
   ]
 
 let failures verdicts = List.filter (fun v -> v.violations <> []) verdicts

@@ -18,10 +18,10 @@
     - [trace-monotone]: the trace stream is well-formed
       ({!Lla_obs.Invariant.monotone}) — a meta-oracle; its failure voids
       the others.
-    - [constraints-after-heal]: among trace records after
-      [last_fault_end + heal_grace], the Eq. 3/4 violations (within
-      [tolerance], via {!Lla_obs.Invariant.check_constraints}) must stay
-      below [min_violations] {e and} [sustained_fraction] of the judged
+    - [constraints-after-heal]: among trace records from 6 s after
+      [last_fault_end], the Eq. 3/4 violations (within [tolerance], via
+      {!Lla_obs.Invariant.check_constraints}) must stay below 10
+      {e and} [sustained_fraction] of the judged
       price records — transient overshoot is the method, persistent
       infeasibility is a bug. A poison value leaking into steady state
       violates on every round and is caught by the same rule.
@@ -34,8 +34,8 @@
       fallback trades optimality for feasibility; [no-lockout] bounds
       the dwell).
     - [no-lockout]: a run may end {e inside} a safe-mode cycle, but not
-      after dwelling there for the last [lockout_window] ms — that is
-      permanent degradation.
+      after dwelling there for the last 10 s — that is permanent
+      degradation.
     - [warm-restore-consistency]: every actor restart produced exactly one
       restore, warm or cold ([warm + cold = outages + crash_restores] —
       a node crash restarts every actor without an endpoint outage);
@@ -47,30 +47,21 @@
       (idempotence), warm crash recoveries require a journal and at
       least one replayed record. Vacuously passes otherwise.
     - [final-feasibility]: the enacted latency assignment at the end of
-      the run satisfies Eq. 3/4 within [final_tolerance] — whatever mode
-      the system landed in, the {e plant} must be left near-feasible.
-      [final_tolerance] is wider than [tolerance] because the run ends at
-      an arbitrary phase of the iteration's oscillation envelope. *)
+      the run satisfies Eq. 3/4 within 0.30 — whatever mode the system
+      landed in, the {e plant} must be left near-feasible. That slack is
+      wider than [tolerance] because the run ends at an arbitrary phase
+      of the iteration's oscillation envelope. *)
 
 type config = {
   tolerance : float;  (** per-record Eq. 3/4 slack, default 0.12. *)
   sustained_fraction : float;
       (** violating fraction of judged price records that counts as
           sustained, default 0.02. *)
-  min_violations : int;
-      (** absolute violation count below which the fraction is moot,
-          default 10. *)
   regret_bound : float;  (** relative utility gap to the optimum, default 0.08. *)
-  heal_grace : float;
-      (** ms after the last fault heals before the trace oracle judges,
-          default 6000. *)
-  lockout_window : float;
-      (** ending inside a safe-mode dwell at least this long (ms) is a
-          lockout, default 10000. *)
-  final_tolerance : float;  (** slack on the final enacted point, default 0.30. *)
 }
 
 val default_config : config
+(** The thresholds {!evaluate} judges by. *)
 
 type recovery_outcome = {
   crashes : int;  (** whole-node crash drills executed. *)
@@ -110,7 +101,7 @@ type outcome = {
 type verdict = { oracle : string; violations : string list }
 (** Empty [violations] = pass. *)
 
-val evaluate : ?config:config -> ?merged:bool -> outcome -> verdict list
+val evaluate : ?merged:bool -> outcome -> verdict list
 (** All oracles, in a fixed order. [merged] (default [false]) calibrates
     the order-sensitive [trace-monotone] oracle for records assembled by
     {!Lla_obs.Trace.merge} from several per-shard streams: per-shard

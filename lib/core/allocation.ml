@@ -46,7 +46,7 @@ let general (problem : Problem.t) i ~mu_r ~lsum ~offset ~rest_aggregate ~utility
   in
   if g lo <= 0. then lo
   else if g hi >= 0. then hi
-  else Lla_numeric.Solve.bisect ~tolerance:1e-10 ~lo ~hi g
+  else Lla_numeric.Solve.bisect ~lo ~hi g
 
 let reciprocal_share (s : Problem.subtask) =
   (* The closed form is only valid for the reciprocal share model; detect

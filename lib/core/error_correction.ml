@@ -8,13 +8,13 @@ type t = {
   mutable skipped : int;
 }
 
-let create ?obs ?(name = "corrector") ?(alpha = 0.3) ?(percentile = 95.) ?(window = 256) () =
+let create ?obs ?(name = "corrector") ?(percentile = 95.) () =
   if percentile <= 0. || percentile > 100. then
     invalid_arg "Error_correction.create: percentile outside (0, 100]";
   {
     percentile;
-    window = Lla_stdx.Percentile.Window.create ~capacity:window;
-    error = Lla_stdx.Ewma.create ~alpha;
+    window = Lla_stdx.Percentile.Window.create ~capacity:256;
+    error = Lla_stdx.Ewma.create ~alpha:0.3;
     obs;
     name;
     rounds = 0;
@@ -60,9 +60,3 @@ let correct ?(at = 0.) t ~predicted =
         (Lla_obs.Trace.Correction_applied { subtask = t.name; offset });
       Some offset
   end
-
-let reset t =
-  Lla_stdx.Percentile.Window.clear t.window;
-  Lla_stdx.Ewma.reset t.error;
-  t.rounds <- 0;
-  t.skipped <- 0

@@ -12,10 +12,11 @@
 type t
 
 val create :
-  ?obs:Lla_obs.t -> ?name:string -> ?alpha:float -> ?percentile:float -> ?window:int -> unit -> t
-(** Defaults: [alpha = 0.3] (smoothing weight of a new error sample),
-    [percentile = 95] (the paper uses "greater than 90th percentile"
-    samples), [window = 256] measured latencies per correction round.
+  ?obs:Lla_obs.t -> ?name:string -> ?percentile:float -> unit -> t
+(** Default [percentile = 95] (the paper uses "greater than 90th
+    percentile" samples), over a window of 256 measured latencies per
+    correction round; a new error sample enters the smoothed offset with
+    weight 0.3.
     When [obs] is supplied the corrector emits
     {!Lla_obs.Trace.Correction_applied} on every completed round and
     [Guard_fired] for every skipped non-finite sample/prediction, tagged
@@ -46,5 +47,3 @@ val offset : t -> float
 
 val corrections : t -> int
 (** Number of completed correction rounds. *)
-
-val reset : t -> unit

@@ -5,28 +5,27 @@ let log = Logs.Src.create "lla.solver" ~doc:"LLA synchronous solver"
 module Log = (val Logs.src_log log)
 
 
-type config = {
-  step_policy : Step_size.policy;
-  mu0 : float;
-  lambda0 : float;
-  sweeps : int;
-  convergence_tolerance : float;
-  convergence_window : int;
-  feasibility_tolerance : float;
-  record_shares : bool;
-}
+type config = { step_policy : Step_size.policy; record_shares : bool }
 
-let default_config =
-  {
-    step_policy = Step_size.adaptive ~initial:1.0 ();
-    mu0 = 1.0;
-    lambda0 = 0.0;
-    sweeps = 2;
-    convergence_tolerance = 0.01;
-    convergence_window = 50;
-    feasibility_tolerance = 0.005;
-    record_shares = false;
-  }
+let default_config = { step_policy = Step_size.adaptive ~initial:1.0 (); record_shares = false }
+
+(* Initial resource and path prices. *)
+let mu0 = 1.0
+
+let lambda0 = 0.0
+
+(* Gauss-Seidel sweeps per allocation (non-linear utilities). *)
+let sweeps = 2
+
+(* Convergence: the utility's relative spread over [convergence_window]
+   iterations stays below [convergence_tolerance] (the paper's prototype
+   stops at "utility improvement below 1%"). *)
+let convergence_tolerance = 0.01
+
+let convergence_window = 50
+
+(* Relative slack allowed on Eq. 3 and 4. *)
+let feasibility_tolerance = 0.005
 
 type obs_meters = {
   iterations_c : Lla_obs.Metrics.counter;
@@ -86,8 +85,8 @@ let create ?obs ?(config = default_config) workload =
     problem;
     config;
     lat;
-    mu = Array.make (Problem.n_resources problem) config.mu0;
-    lambda = Array.make (Problem.n_paths problem) config.lambda0;
+    mu = Array.make (Problem.n_resources problem) mu0;
+    lambda = Array.make (Problem.n_paths problem) lambda0;
     offsets = Array.make n 0.;
     steps = Step_size.create problem config.step_policy;
     obs;
@@ -101,8 +100,6 @@ let create ?obs ?(config = default_config) workload =
   }
 
 let problem t = t.problem
-
-let config t = t.config
 
 let iteration t = t.iteration
 
@@ -121,7 +118,7 @@ let step t =
   let guards = ref 0 in
   prof t "allocate" (fun () ->
       Allocation.allocate ?obs:t.obs ~at ~guards t.problem ~mu:t.mu ~lambda:t.lambda
-        ~offsets:t.offsets ~sweeps:t.config.sweeps ~lat:t.lat);
+        ~offsets:t.offsets ~sweeps:sweeps ~lat:t.lat);
   let congestion =
     prof t "price_update" (fun () ->
         Price_update.update ?obs:t.obs ~at t.problem ~lat:t.lat ~offsets:t.offsets ~steps:t.steps
@@ -206,7 +203,7 @@ let critical_paths t =
 (* Constraint checks read the problem's capacity array (not the immutable
    workload) so that Solver.set_capacity is reflected. *)
 let violations t =
-  let tolerance = t.config.feasibility_tolerance in
+  let tolerance = feasibility_tolerance in
   let resource_violations = ref [] in
   for r = Problem.n_resources t.problem - 1 downto 0 do
     let used = Problem.share_sum t.problem r ~lat:t.lat ~offsets:t.offsets in
@@ -240,8 +237,8 @@ let converged_at t =
   if not (feasible t) then None
   else begin
     match
-      Lla_stdx.Series.converged_at t.utility_trace ~tolerance:t.config.convergence_tolerance
-        ~window:t.config.convergence_window
+      Lla_stdx.Series.converged_at t.utility_trace ~tolerance:convergence_tolerance
+        ~window:convergence_window
     with
     | None -> None
     | Some settled ->
@@ -249,16 +246,16 @@ let converged_at t =
          trailing window (a flat utility can mask a price limit cycle). *)
       let ys = Lla_stdx.Series.ys t.movement_trace in
       let n = Array.length ys in
-      let from = Stdlib.max 0 (n - t.config.convergence_window) in
+      let from = Stdlib.max 0 (n - convergence_window) in
       let still = ref true in
       for i = from to n - 1 do
-        if ys.(i) > t.config.convergence_tolerance then still := false
+        if ys.(i) > convergence_tolerance then still := false
       done;
       if !still then Some settled else None
   end
 
 let run_until_converged t ~max_iterations =
-  let batch = Stdlib.max 1 t.config.convergence_window in
+  let batch = Stdlib.max 1 convergence_window in
   let rec loop () =
     if t.iteration >= max_iterations then converged_at t
     else begin

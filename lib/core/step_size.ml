@@ -1,18 +1,17 @@
 type policy =
   | Fixed of float
-  | Adaptive of { initial : float; multiplier : float; cap : float }
+  | Adaptive of { initial : float; cap : float }
   | Split of { resource : policy; path : policy }
 
 let fixed gamma =
   if gamma <= 0. then invalid_arg "Step_size.fixed: gamma <= 0";
   Fixed gamma
 
-let adaptive ?(multiplier = 2.) ?cap ~initial () =
+let adaptive ?cap ~initial () =
   if initial <= 0. then invalid_arg "Step_size.adaptive: initial <= 0";
-  if multiplier <= 1. then invalid_arg "Step_size.adaptive: multiplier <= 1";
   let cap = match cap with Some c -> c | None -> 4. *. initial in
   if cap < initial then invalid_arg "Step_size.adaptive: cap below initial";
-  Adaptive { initial; multiplier; cap }
+  Adaptive { initial; cap }
 
 let split ~resource ~path =
   (match (resource, path) with
@@ -33,8 +32,7 @@ let initial = function
 let adapt policy gamma ~congested =
   match policy with
   | Fixed g -> g
-  | Adaptive { initial; multiplier; cap } ->
-    if congested then Float.min cap (gamma *. multiplier) else initial
+  | Adaptive { initial; cap } -> if congested then Float.min cap (gamma *. 2.) else initial
   | Split _ -> invalid_arg "Step_size.adapt: Split has one step per family"
 
 type t = {

@@ -2,13 +2,13 @@
 
     Fixed policies use a constant [gamma] for every resource and path.
     The adaptive policy implements the paper's heuristic: start from an
-    initial value; while a resource is congested, multiply its step size
+    initial value; while a resource is congested, double its step size
     (and those of all paths traversing it) each iteration; as soon as the
     resource becomes uncongested, revert to the initial value. *)
 
 type policy =
   | Fixed of float
-  | Adaptive of { initial : float; multiplier : float; cap : float }
+  | Adaptive of { initial : float; cap : float }
   | Split of { resource : policy; path : policy }
       (** Distinct policies for the two price families; components are
           never themselves [Split]. *)
@@ -16,13 +16,13 @@ type policy =
 val fixed : float -> policy
 (** @raise Invalid_argument on a non-positive value. *)
 
-val adaptive : ?multiplier:float -> ?cap:float -> initial:float -> unit -> policy
-(** Defaults: [multiplier = 2.] (the paper doubles) and
-    [cap = 4 * initial]. The cap is our addition: unbounded doubling lets
-    prices overshoot so far during sustained congestion that the system
-    never settles; a small cap preserves the speed-up while keeping the
-    oscillation bounded (see the fig5 ablation in the benchmark
-    harness). *)
+val adaptive : ?cap:float -> initial:float -> unit -> policy
+(** The step doubles per congested iteration (the paper's rule) up to
+    [cap] (default [4 * initial]). The cap is our addition: unbounded
+    doubling lets prices overshoot so far during sustained congestion
+    that the system never settles; a small cap preserves the speed-up
+    while keeping the oscillation bounded (see the fig5 ablation in the
+    benchmark harness). *)
 
 val split : resource:policy -> path:policy -> policy
 (** Separate step policies for resource prices (Eq. 8) and path prices

@@ -21,19 +21,14 @@ let replay ?obs ?(at = 0.) journal ~apply =
       | Some contents ->
           let payloads, scan = Journal.decode contents in
           wal_records := !wal_records + List.length payloads;
-          (match scan.Journal.corrupt_at with
-          | None -> ()
-          | Some _ ->
-              incr corrupt_segments;
-              (* the active segment keeps taking appends after recovery,
-                 so its torn tail is cut physically; older segments are
-                 immutable and just read short *)
-              if
-                path = active
-                && Journal.truncate_active journal (String.sub contents 0 scan.Journal.good_bytes)
-              then
-                truncated_bytes :=
-                  !truncated_bytes + (scan.Journal.total_bytes - scan.Journal.good_bytes));
+          if scan.Journal.corrupt_at <> None then incr corrupt_segments;
+          (* the active segment keeps taking appends after recovery, so
+             its torn tail is cut physically; older segments are
+             immutable and just read short *)
+          if path = active && Journal.truncate_active journal contents scan.Journal.good_bytes
+          then
+            truncated_bytes :=
+              !truncated_bytes + (scan.Journal.total_bytes - scan.Journal.good_bytes);
           List.iter (fun p -> if apply p then incr applied else incr refused) payloads)
     (Journal.segment_paths journal);
   (match obs with

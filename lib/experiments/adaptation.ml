@@ -15,7 +15,7 @@ type result = {
   series : Lla_stdx.Series.t;
 }
 
-let run ?(iterations_per_phase = 1500) ?(capacity_drop = 0.25) () =
+let run ?(iterations_per_phase = 1500) () =
   (* The paper's base workload is engineered so that critical paths sit
      exactly at the critical times — any capacity loss there is
      unschedulable by construction. Adaptation needs headroom, so the
@@ -51,7 +51,7 @@ let run ?(iterations_per_phase = 1500) ?(capacity_drop = 0.25) () =
   (* Sequential lets: OCaml evaluates list elements right to left, and the
      phases are stateful. *)
   let nominal = run_phase "nominal" original in
-  let degraded = run_phase "degraded" (original *. (1. -. capacity_drop)) in
+  let degraded = run_phase "degraded" (original *. 0.75) in
   let recovered = run_phase "recovered" original in
   let phases = [ nominal; degraded; recovered ] in
   { resource = Ids.Resource_id.to_string rid; phases; series = Lla.Solver.utility_series solver }

@@ -21,9 +21,8 @@ type result = {
   series : Lla_stdx.Series.t;  (** full utility trajectory. *)
 }
 
-val run : ?iterations_per_phase:int -> ?capacity_drop:float -> unit -> result
+val run : ?iterations_per_phase:int -> unit -> result
 (** Defaults: 1500 iterations per phase; the perturbed resource (r4, the
-    busiest) loses [capacity_drop = 0.25] of its availability in phase
-    two. *)
+    busiest) loses a quarter of its availability in phase two. *)
 
 val report : result -> string

@@ -9,7 +9,7 @@ type point = {
 
 type result = { points : point list }
 
-let run ?(iterations = 2000) ?(copies = [ 1; 2; 4 ]) () =
+let run ?(iterations = 2000) () =
   let points =
     List.map
       (fun n_copies ->
@@ -29,7 +29,7 @@ let run ?(iterations = 2000) ?(copies = [ 1; 2; 4 ]) () =
           utility_per_task_normalized = utility /. float_of_int n_tasks /. factor;
           series = Lla.Solver.utility_series solver;
         })
-      copies
+      [ 1; 2; 4 ]
   in
   { points }
 

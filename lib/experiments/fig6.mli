@@ -17,7 +17,7 @@ type point = {
 
 type result = { points : point list }
 
-val run : ?iterations:int -> ?copies:int list -> unit -> result
-(** Defaults: 2000 iterations; copies [\[1; 2; 4\]] (3, 6 and 12 tasks). *)
+val run : ?iterations:int -> unit -> result
+(** Default 2000 iterations; 1, 2 and 4 copies (3, 6 and 12 tasks). *)
 
 val report : result -> string

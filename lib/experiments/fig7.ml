@@ -13,8 +13,7 @@ let run ?(iterations = 500) () =
   let workload = Lla_workloads.Paper_sim.unschedulable_six () in
   let config =
     {
-      Lla.Solver.default_config with
-      step_policy = Lla.Step_size.adaptive ~initial:1.0 ~cap:1e6 ();
+      Lla.Solver.step_policy = Lla.Step_size.adaptive ~initial:1.0 ~cap:1e6 ();
       record_shares = true;
     }
   in

@@ -19,18 +19,22 @@ let share_around series ~time =
   Array.iteri (fun i x -> if x <= time then value := ys.(i)) xs;
   !value
 
-let run ?(duration = 120_000.) ?(enable_correction_at = 60_000.)
-    ?(scheduler = Lla_sched.Scheduler.Sfs { quantum = 1.0 }) () =
+let run ?(duration = 120_000.) ?(enable_correction_at = 60_000.) () =
   let workload = Lla_workloads.Prototype.workload () in
   let optimizer =
     {
       Lla_runtime.Optimizer_loop.default_config with
       error_correction = `Enabled_at enable_correction_at;
-      period = 1000.;
       iterations_per_round = 100;
     }
   in
-  let config = { Lla_runtime.System.default_config with scheduler; optimizer } in
+  let config =
+    {
+      Lla_runtime.System.default_config with
+      scheduler = Lla_sched.Scheduler.Sfs { quantum = 1.0 };
+      optimizer;
+    }
+  in
   let system = Lla_runtime.System.create ~config workload in
   Lla_runtime.System.run system ~until:duration;
   let opt = Lla_runtime.System.optimizer system in

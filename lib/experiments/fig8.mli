@@ -23,10 +23,9 @@ type result = {
 val run :
   ?duration:float ->
   ?enable_correction_at:float ->
-  ?scheduler:Lla_sched.Scheduler.kind ->
   unit ->
   result
-(** Defaults: 120 s simulated, correction enabled at 60 s, SFS scheduler
-    with a 1 ms quantum. *)
+(** Defaults: 120 s simulated, correction enabled at 60 s. The cluster
+    runs an SFS scheduler with a 1 ms quantum. *)
 
 val report : result -> string

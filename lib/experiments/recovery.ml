@@ -49,10 +49,8 @@ type result = {
 let no_resilience_but_counters =
   {
     Distributed.checkpoint_period = None;
-    checkpoint_max_age = infinity;
-    health = None;
+    health = false;
     safe_mode = None;
-    watchdog_period = 10.;
   }
 
 let all_endpoints workload d =
@@ -203,7 +201,7 @@ let detect ~seed () =
   let transport = Transport.create ~config:{ Transport.default_config with seed } engine in
   let d =
     Distributed.create
-      ~resilience:{ no_resilience_but_counters with Distributed.health = Some Health.default_config }
+      ~resilience:{ no_resilience_but_counters with Distributed.health = true }
       ~transport engine workload
   in
   let victim_id = (List.hd workload.Lla_model.Workload.resources).Lla_model.Resource.id in
@@ -223,7 +221,7 @@ let detect ~seed () =
       else if status = Health.Suspect then incr false_suspicions);
   Distributed.run d ~duration:10_000.;
   {
-    timeout = (Health.config h).Health.timeout;
+    timeout = Health.timeout;
     detected_in = Option.map (fun at -> at -. crash_at) !suspected_at;
     cleared = !cleared;
     false_suspicions = !false_suspicions;

@@ -6,31 +6,27 @@ let deviation ~paper ~measured =
   if paper = 0. then if measured = 0. then 0. else infinity
   else (measured -. paper) /. Float.abs paper
 
-let paper_vs_measured ?(extra_columns = []) ~rows () =
+let paper_vs_measured ~rows () =
   let columns =
     [ ("", Lla_stdx.Table.Left); ("paper", Lla_stdx.Table.Right); ("measured", Lla_stdx.Table.Right);
       ("deviation", Lla_stdx.Table.Right) ]
-    @ List.map (fun (name, _) -> (name, Lla_stdx.Table.Right)) extra_columns
   in
   let table = Lla_stdx.Table.create ~columns in
   List.iter
     (fun (label, paper, measured) ->
-      let base =
+      Lla_stdx.Table.add_row table
         [
           label;
           Lla_stdx.Table.cell_f ~decimals:2 paper;
           Lla_stdx.Table.cell_f ~decimals:2 measured;
           Printf.sprintf "%+.1f%%" (100. *. deviation ~paper ~measured);
-        ]
-      in
-      let extras = List.map (fun (_, f) -> f label) extra_columns in
-      Lla_stdx.Table.add_row table (base @ extras))
+        ])
     rows;
   Lla_stdx.Table.render table
 
-let series_block ?(max_points = 60) ~title series =
+let series_block ~title series =
   let plotted =
-    List.map (fun (name, s) -> (name, Lla_stdx.Series.downsample s ~max_points)) series
+    List.map (fun (name, s) -> (name, Lla_stdx.Series.downsample s ~max_points:60)) series
   in
   let plot = Lla_stdx.Ascii_plot.render ~title plotted in
   let appendix =

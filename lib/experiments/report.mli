@@ -4,12 +4,12 @@ val header : string -> string
 (** Banner line for an experiment section. *)
 
 val paper_vs_measured :
-  ?extra_columns:(string * (string -> string)) list ->
   rows:(string * float * float) list ->
   unit ->
   string
 (** Render a (label, paper value, measured value) table with a relative
     deviation column. *)
 
-val series_block : ?max_points:int -> title:string -> (string * Lla_stdx.Series.t) list -> string
-(** ASCII plot of the series plus a downsampled numeric appendix. *)
+val series_block : title:string -> (string * Lla_stdx.Series.t) list -> string
+(** ASCII plot of the series plus a numeric appendix downsampled to 60
+    points. *)

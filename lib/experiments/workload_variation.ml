@@ -29,7 +29,6 @@ let run ?(duration = 180_000.) ?(switch_at = 90_000.) () =
       Lla_runtime.Optimizer_loop.default_config with
       error_correction = `Enabled_at 20_000.;
       track_arrival_rates = true;
-      period = 1000.;
       iterations_per_round = 100;
     }
   in

@@ -181,8 +181,6 @@ let counts_to_leaves t =
   done;
   counts
 
-let path_count t = (counts_to_leaves t).(t.graph_root)
-
 let weights t ~variant =
   let weight =
     match (variant : Utility.variant) with

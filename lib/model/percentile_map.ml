@@ -2,16 +2,11 @@ open Ids
 
 let subtask_percentile ~task_percentile ~path_length =
   if task_percentile <= 0. || task_percentile > 100. then
-    invalid_arg "Percentile_map.subtask_percentile: percentile outside (0, 100]";
-  if path_length < 1 then invalid_arg "Percentile_map.subtask_percentile: path_length < 1";
+    invalid_arg "Percentile_map.for_task: percentile outside (0, 100]";
+  if path_length < 1 then invalid_arg "Percentile_map.for_task: path_length < 1";
   let n = float_of_int path_length in
   (* p^(1/n) * 100^((n-1)/n); equals 100 * (p/100)^(1/n). *)
   (task_percentile ** (1. /. n)) *. (100. ** ((n -. 1.) /. n))
-
-let compose sub_p n =
-  if sub_p <= 0. || sub_p > 100. then invalid_arg "Percentile_map.compose: percentile";
-  if n < 1 then invalid_arg "Percentile_map.compose: n < 1";
-  100. *. ((sub_p /. 100.) ** float_of_int n)
 
 let for_task (task : Task.t) =
   let p = task.Task.latency_percentile in

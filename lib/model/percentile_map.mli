@@ -15,19 +15,8 @@
 
 open Ids
 
-val subtask_percentile : task_percentile:float -> path_length:int -> float
-(** @raise Invalid_argument unless [0 < task_percentile <= 100] and
-    [path_length >= 1]. [subtask_percentile ~task_percentile:100.] is 100
-    for every length (worst case composes trivially). *)
-
 val for_task : Task.t -> float Subtask_id.Map.t
 (** Per-subtask sampling percentile for the task's configured
     [latency_percentile]. When path lengths differ, a subtask uses the
     longest path through it (the conservative choice the paper's "separate
     latency functions" remark motivates). *)
-
-val compose : float -> int -> float
-(** [compose sub_p n] is the end-to-end percentile achieved when [n]
-    subtasks each meet their bound at percentile [sub_p]:
-    [100 * (sub_p/100)^n]. Inverse of {!subtask_percentile}; exposed for
-    tests and diagnostics. *)

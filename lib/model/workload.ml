@@ -77,14 +77,6 @@ let min_share t id =
   let s = subtask t id in
   Task.arrival_rate (owner t id) *. s.exec_time
 
-let latency_bounds t id =
-  let share = share_function t id in
-  let lat_min = share.Share.lat_min in
-  let floor_share = min_share t id in
-  let stability = if floor_share > 0. then share.Share.inverse floor_share else infinity in
-  let critical_time = (owner t id).Task.critical_time in
-  (lat_min, Float.min stability critical_time)
-
 let total_utility t ~latency =
   List.fold_left (fun acc task -> acc +. Task.utility_value task ~latency) 0. t.tasks
 

@@ -41,14 +41,6 @@ val min_share : t -> Subtask_id.t -> float
     (§6.2: a fast subtask with WCET 5 ms arriving 40/s needs 0.2). Below
     this share, jobs queue without bound. *)
 
-val latency_bounds : t -> Subtask_id.t -> float * float
-(** [(lat_min, lat_max)] for the optimizer: [lat_min] makes the share 1
-    (a subtask cannot exceed its whole resource); [lat_max] is the
-    smallest of the share-stability bound (latency at which share drops to
-    {!min_share}) and the task's critical time. Always
-    [lat_min <= lat_max] is NOT guaranteed for infeasible workloads; the
-    solver clamps accordingly. *)
-
 val total_utility : t -> latency:(Subtask_id.t -> float) -> float
 (** The optimization objective (Eq. 2) under the given latency
     assignment. *)

@@ -5,7 +5,7 @@ let check_bracket name flo fhi =
     raise
       (No_bracket (Printf.sprintf "%s: f(lo)=%g and f(hi)=%g have the same sign" name flo fhi))
 
-let bisect ?(tolerance = 1e-12) ?(max_iterations = 200) ~lo ~hi f =
+let bisect ~lo ~hi f =
   let flo = f lo and fhi = f hi in
   if flo = 0. then lo
   else if fhi = 0. then hi
@@ -13,7 +13,7 @@ let bisect ?(tolerance = 1e-12) ?(max_iterations = 200) ~lo ~hi f =
     check_bracket "Solve.bisect" flo fhi;
     let rec loop lo hi flo iterations =
       let mid = 0.5 *. (lo +. hi) in
-      if hi -. lo < tolerance || iterations = 0 then mid
+      if hi -. lo < 1e-10 || iterations = 0 then mid
       else begin
         let fmid = f mid in
         if fmid = 0. then mid
@@ -21,11 +21,11 @@ let bisect ?(tolerance = 1e-12) ?(max_iterations = 200) ~lo ~hi f =
         else loop mid hi fmid (iterations - 1)
       end
     in
-    loop lo hi flo max_iterations
+    loop lo hi flo 200
   end
 
-let derivative ?h f x =
-  let h = match h with Some h -> h | None -> 1e-6 *. Float.max 1. (Float.abs x) in
+let derivative f x =
+  let h = 1e-6 *. Float.max 1. (Float.abs x) in
   (f (x +. h) -. f (x -. h)) /. (2. *. h)
 
 let clamp ~lo ~hi x =

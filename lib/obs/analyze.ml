@@ -62,12 +62,12 @@ let dispersion series =
     let var = List.fold_left (fun acc v -> acc +. ((v -. mean) ** 2.)) 0. vs /. n in
     sqrt var
 
-let episodes ?(threshold = 1.) series =
+let episodes series =
   let out = ref [] in
   let current = ref None in
   List.iter
     (fun (at, v) ->
-      if v > threshold then
+      if v > 1. then
         match !current with
         | None -> current := Some (at, at)
         | Some (s, _) -> current := Some (s, at)

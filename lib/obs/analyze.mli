@@ -20,20 +20,13 @@ val settling_time :
 type oscillation = { amplitude : float; period : float option }
 (** [amplitude] is half the peak-to-peak range of the second half of
     the series; [period] the mean spacing of its local maxima (needs at
-    least two). *)
+    least two). A report has none when the tail has fewer than two
+    samples or no finite values. *)
 
-val oscillation : (float * float) list -> oscillation option
-(** [None] when the tail has fewer than two samples or no finite
-    values. *)
-
-val dispersion : (float * float) list -> float
-(** Population standard deviation of the second half of the series —
-    how much a trajectory is still wandering after its transient. *)
-
-val episodes : ?threshold:float -> (float * float) list -> (float * float) list
+val episodes : (float * float) list -> (float * float) list
 (** Maximal [(start, stop)] intervals of consecutive samples with value
-    strictly above [threshold] (default [1.], the Eq. 3 load-factor
-    boundary of {!Series.congestion}). An episode still open at stream
+    strictly above [1.], the Eq. 3 load-factor boundary of
+    {!Series.congestion}. An episode still open at stream
     end closes at its last sample. *)
 
 type latency = { count : int; mean : float; p50 : float; p90 : float; p99 : float; max : float }
@@ -42,6 +35,8 @@ type resource_report = {
   resource : int;
   final_price : float;
   price_dispersion : float;
+      (** population standard deviation of the second half of the
+          price series: how much it still wanders after its transient. *)
   overload : (float * float) list;
 }
 

@@ -1,7 +1,5 @@
 type span = { id : int; parent : int; trace : int; kind : string; actor : string; at : float }
 
-type node = { span : span; children : node list }
-
 let spans records =
   List.filter_map
     (fun (r : Trace.record) ->
@@ -10,27 +8,6 @@ let spans records =
         Some { id = span; parent; trace; kind; actor; at = r.at }
       | _ -> None)
     records
-
-let trees records =
-  let all = spans records in
-  let by_id = Hashtbl.create 256 in
-  List.iter (fun s -> Hashtbl.replace by_id s.id s) all;
-  let kids = Hashtbl.create 256 in
-  let roots = ref [] in
-  List.iter
-    (fun s ->
-      if s.parent >= 0 && Hashtbl.mem by_id s.parent then
-        Hashtbl.replace kids s.parent (s :: Option.value ~default:[] (Hashtbl.find_opt kids s.parent))
-      else roots := s :: !roots)
-    all;
-  let rec build s =
-    let children =
-      List.rev_map build (Option.value ~default:[] (Hashtbl.find_opt kids s.id))
-    in
-    (* Reverse-accumulated twice: children end up in emission (= id) order. *)
-    { span = s; children }
-  in
-  List.rev_map build !roots
 
 (* For each alloc span, walk the parent chain to the price update it
    reacted to, skipping over the message deliveries that relayed it.
@@ -57,12 +34,3 @@ let control_latencies records =
   List.filter_map
     (fun s -> if String.equal s.kind "alloc" then latency_of s else None)
     all
-
-let rec end_at n = List.fold_left (fun m c -> Float.max m (end_at c)) n.span.at n.children
-
-let rec critical_path n =
-  match n.children with
-  | [] -> [ n.span ]
-  | first :: rest ->
-    let best = List.fold_left (fun b c -> if end_at c > end_at b then c else b) first rest in
-    n.span :: critical_path best

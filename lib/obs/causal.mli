@@ -1,9 +1,9 @@
-(** Causal span-tree reconstruction.
+(** Causal span-chain reconstruction.
 
     The runtime emits one {!Trace.Span} record per unit of
     causally-connected control-plane work (see {!Span} for the context
     carried on messages). This module turns a flat record stream back
-    into trees and derives the metric the paper's control loop is judged
+    into spans and derives the metric the paper's control loop is judged
     by: the end-to-end {e control-reaction latency} from a price change
     at a resource agent to the next allocation applied at a task
     controller that consumed it.
@@ -16,16 +16,8 @@ type span = { id : int; parent : int; trace : int; kind : string; actor : string
 (** One span record lifted out of the stream; [parent = -1] for roots,
     [kind] as documented on {!Trace.Span}. *)
 
-type node = { span : span; children : node list }
-(** A span with its causal descendants, children in emission order. *)
-
 val spans : Trace.record list -> span list
 (** Every span in the stream, in stream order. *)
-
-val trees : Trace.record list -> node list
-(** Reconstructed forest, roots in stream order. A span whose parent id
-    is absent from the stream (evicted from the ring, or [-1]) starts
-    its own tree. *)
 
 val control_latencies : Trace.record list -> float list
 (** For each [alloc] span that consumed a fresh price (its parent chain
@@ -35,10 +27,3 @@ val control_latencies : Trace.record list -> float list
     and are excluded — the same rule the online
     [lla_control_latency_ms] histogram applies, so the two views agree
     on the same stream. *)
-
-val critical_path : node -> span list
-(** Root-to-leaf path towards the subtree that ends latest — the chain
-    of work and deliveries that bounds this tree's end-to-end time. *)
-
-val end_at : node -> float
-(** Latest timestamp anywhere in the subtree. *)

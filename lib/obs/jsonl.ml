@@ -217,3 +217,15 @@ let str = function Str s -> Some s | _ -> None
 let bool = function Bool b -> Some b | _ -> None
 
 let arr = function Arr items -> Some items | _ -> None
+
+let floats a = Arr (List.map (fun x -> Num x) (Array.to_list a))
+
+let array_field elem key json =
+  match Option.bind (member key json) arr with
+  | None -> None
+  | Some items ->
+      let rec collect acc = function
+        | [] -> Some (Array.of_list (List.rev acc))
+        | item :: rest -> ( match elem item with Some v -> collect (v :: acc) rest | None -> None)
+      in
+      collect [] items

@@ -37,3 +37,11 @@ val str : t -> string option
 val bool : t -> bool option
 
 val arr : t -> t list option
+
+val floats : float array -> t
+(** A JSON array of the numbers, in order. *)
+
+val array_field : (t -> 'a option) -> string -> t -> 'a array option
+(** [array_field elem key json]: the array bound to [key], each item read
+    by [elem]; [None] when [key] is absent or not an array, or when any
+    item does not read. *)

@@ -20,12 +20,12 @@ type t = {
   mutable span_stride : int;
 }
 
-let create ?trace_capacity ?(trace_io = false) ?(spans = false) ?profile ?(span_base = 0)
+let create ?(trace_io = false) ?(spans = false) ?profile ?(span_base = 0)
     ?(span_stride = 1) () =
   if span_stride < 1 then invalid_arg "Lla_obs.create: span_stride < 1";
   {
     metrics = Metrics.create ();
-    trace = Trace.create ?capacity:trace_capacity ();
+    trace = Trace.create ();
     trace_io;
     spans;
     profile = (match profile with Some p -> p | None -> Profile.disabled ());

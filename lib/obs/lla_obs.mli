@@ -46,7 +46,6 @@ type t = {
     for direct use). *)
 
 val create :
-  ?trace_capacity:int ->
   ?trace_io:bool ->
   ?spans:bool ->
   ?profile:Profile.t ->

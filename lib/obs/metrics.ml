@@ -1,13 +1,11 @@
 type counter = { c_labels : (string * string) list; mutable c_value : int }
 
 type gauge = {
-  g_labels : (string * string) list;
   mutable g_value : float;
   mutable g_at : float;  (* last-writer stamp for the shard merge; -inf = never stamped *)
 }
 
 type histogram = {
-  h_labels : (string * string) list;
   bounds : float array;  (* strictly increasing upper bounds, +Inf implicit *)
   counts : int array;  (* non-cumulative per bucket; length = bounds + 1 *)
   mutable h_sum : float;
@@ -35,10 +33,8 @@ let create () = { families = Hashtbl.create 32; order = [] }
 let normalize_labels labels =
   List.sort (fun (a, _) (b, _) -> String.compare a b) labels
 
-let instance_labels = function
-  | Counter c -> c.c_labels
-  | Gauge g -> g.g_labels
-  | Histogram h -> h.h_labels
+(* Only counters carry labels. *)
+let instance_labels = function Counter c -> c.c_labels | Gauge _ | Histogram _ -> []
 
 let family t ~name ~help ~kind =
   match Hashtbl.find_opt t.families name with
@@ -67,14 +63,13 @@ let counter t ?(help = "") ?(labels = []) name =
     f.instances <- Counter c :: f.instances;
     c
 
-let gauge t ?(help = "") ?(labels = []) name =
-  let labels = normalize_labels labels in
+let gauge t ?(help = "") name =
   let f = family t ~name ~help ~kind:"gauge" in
-  match find_instance f labels with
-  | Some (Gauge g) -> g
-  | Some _ -> assert false
-  | None ->
-    let g = { g_labels = labels; g_value = 0.; g_at = neg_infinity } in
+  match f.instances with
+  | Gauge g :: _ -> g
+  | _ :: _ -> assert false
+  | [] ->
+    let g = { g_value = 0.; g_at = neg_infinity } in
     f.instances <- Gauge g :: f.instances;
     g
 
@@ -87,21 +82,19 @@ let valid_bounds bounds =
   done;
   !ok
 
-let histogram t ?(help = "") ?(labels = []) ?(buckets = default_buckets) name =
+let histogram t ?(help = "") ?(buckets = default_buckets) name =
   if not (valid_bounds buckets) then
     invalid_arg "Metrics.histogram: bucket bounds must be finite and strictly increasing";
-  let labels = normalize_labels labels in
   let f = family t ~name ~help ~kind:"histogram" in
-  match find_instance f labels with
-  | Some (Histogram h) ->
+  match f.instances with
+  | Histogram h :: _ ->
     if h.bounds <> buckets then
       invalid_arg (Printf.sprintf "Metrics.histogram: %s re-registered with a different layout" name);
     h
-  | Some _ -> assert false
-  | None ->
+  | _ :: _ -> assert false
+  | [] ->
     let h =
       {
-        h_labels = labels;
         bounds = Array.copy buckets;
         counts = Array.make (Array.length buckets + 1) 0;
         h_sum = 0.;
@@ -204,11 +197,9 @@ let find t ?(labels = []) name =
 let find_counter t ?labels name =
   match find t ?labels name with Some (Counter c) -> Some c | _ -> None
 
-let find_gauge t ?labels name =
-  match find t ?labels name with Some (Gauge g) -> Some g | _ -> None
+let find_gauge t name = match find t name with Some (Gauge g) -> Some g | _ -> None
 
-let find_histogram t ?labels name =
-  match find t ?labels name with Some (Histogram h) -> Some h | _ -> None
+let find_histogram t name = match find t name with Some (Histogram h) -> Some h | _ -> None
 
 (* --- shard merge ------------------------------------------------------ *)
 
@@ -231,8 +222,8 @@ let merge ts =
                 let c' = counter out ~help:f.f_help ~labels:c.c_labels f.f_name in
                 c'.c_value <- c'.c_value + c.c_value
               | Gauge g ->
-                let g' = gauge out ~help:f.f_help ~labels:g.g_labels f.f_name in
-                let key = (f.f_name, g.g_labels) in
+                let g' = gauge out ~help:f.f_help f.f_name in
+                let key = f.f_name in
                 let take =
                   match Hashtbl.find_opt gauge_src key with
                   | None -> true
@@ -247,7 +238,7 @@ let merge ts =
                 end
               | Histogram h ->
                 let h' =
-                  histogram out ~help:f.f_help ~labels:h.h_labels ~buckets:h.bounds f.f_name
+                  histogram out ~help:f.f_help ~buckets:h.bounds f.f_name
                 in
                 Array.iteri (fun i n -> h'.counts.(i) <- h'.counts.(i) + n) h.counts;
                 h'.h_sum <- h'.h_sum +. h.h_sum;
@@ -326,23 +317,20 @@ let expose t =
             Buffer.add_string buf (Printf.sprintf " %d\n" c.c_value)
           | Gauge g ->
             Buffer.add_string buf f.f_name;
-            render_labels buf g.g_labels;
             Buffer.add_string buf (Printf.sprintf " %s\n" (render_float g.g_value))
           | Histogram h ->
             List.iter
               (fun (bound, count) ->
                 Buffer.add_string buf f.f_name;
                 Buffer.add_string buf "_bucket";
-                render_labels buf (h.h_labels @ [ ("le", render_float bound) ]);
+                render_labels buf [ ("le", render_float bound) ];
                 Buffer.add_string buf (Printf.sprintf " %d\n" count))
               (bucket_counts h);
             Buffer.add_string buf f.f_name;
             Buffer.add_string buf "_sum";
-            render_labels buf h.h_labels;
             Buffer.add_string buf (Printf.sprintf " %s\n" (render_float h.h_sum));
             Buffer.add_string buf f.f_name;
             Buffer.add_string buf "_count";
-            render_labels buf h.h_labels;
             Buffer.add_string buf (Printf.sprintf " %d\n" h.h_count))
         instances)
     (List.rev t.order);

@@ -1,8 +1,8 @@
-(** Metrics registry: named, labeled counters, gauges and histograms with
-    O(1) hot-path updates.
+(** Metrics registry: named counters, gauges and histograms with O(1)
+    hot-path updates.
 
-    A metric instance is identified by its name plus its (sorted) label
-    set; registering the same identity twice returns the {e same} instance,
+    A metric instance is identified by its name plus, for a counter, its
+    (sorted) label set; registering the same identity twice returns the {e same} instance,
     so independent components can share a counter without coordination.
     Updates touch only the instance record — no table lookups — which is
     what lets the runtime replace its ad-hoc [mutable int] counters with
@@ -28,10 +28,9 @@ val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> c
 (** Find-or-create. @raise Invalid_argument when the name is already
     registered as a different metric kind. *)
 
-val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
+val gauge : t -> ?help:string -> string -> gauge
 
-val histogram :
-  t -> ?help:string -> ?labels:(string * string) list -> ?buckets:float array -> string -> histogram
+val histogram : t -> ?help:string -> ?buckets:float array -> string -> histogram
 (** [buckets] are the upper bounds of the cumulative buckets (an implicit
     [+Inf] bucket is always appended); they must be strictly increasing.
     Default: 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500 and 1000. @raise Invalid_argument on an empty or
@@ -97,9 +96,9 @@ val summary : ?name:string -> histogram -> string
 val find_counter : t -> ?labels:(string * string) list -> string -> counter option
 (** Lookup without creating (tests, expositions of foreign components). *)
 
-val find_gauge : t -> ?labels:(string * string) list -> string -> gauge option
+val find_gauge : t -> string -> gauge option
 
-val find_histogram : t -> ?labels:(string * string) list -> string -> histogram option
+val find_histogram : t -> string -> histogram option
 
 val merge : t list -> t
 (** Snapshot-merge per-shard registries into one fresh registry (the

@@ -153,7 +153,7 @@ module Probe = struct
 
   let sample t ~at ~value = Lla_stdx.Series.add t ~x:at ~y:value
 
-  let settling = settling_against_last
+  let settling p = settling_against_last ~tolerance:0.02 p
 end
 
 let drift ~baseline v = Float.abs (v -. baseline) /. Float.max 1. (Float.abs baseline)
@@ -164,32 +164,29 @@ type severity = Info | Warning | Critical
 
 let severity_label = function Info -> "info" | Warning -> "warning" | Critical -> "critical"
 
-type config = {
-  tolerance : float;
-  infeasibility_tolerance : float;
-  overload_threshold : float;
-  sustain_budget : float;
-  clear_after : float;
-  oscillation_window : int;
-  oscillation_threshold : float;
-  min_reversals : int;
-  drift_tolerance : float;
-  warmup : float;
-}
+(* Eq. 3/4 slack, the oscillation detector's window, spread and
+   reversals; the safe-mode watchdog's defaults read these. *)
+let infeasibility_tolerance = 0.05
 
-let default_config =
-  {
-    tolerance = Analyze.default_tolerance;
-    infeasibility_tolerance = 0.05;
-    overload_threshold = 1.;
-    sustain_budget = 200.;
-    clear_after = 500.;
-    oscillation_window = 32;
-    oscillation_threshold = 0.2;
-    min_reversals = 8;
-    drift_tolerance = 0.25;
-    warmup = 0.;
-  }
+let oscillation_window = 32
+
+let oscillation_threshold = 0.2
+
+let min_reversals = 8
+
+(* Settling band; the load factor opening an overload episode (as in
+   [Analyze.episodes]); time a condition must hold before its alert
+   raises, and time of health before an active alert clears (the
+   asymmetric exit hysteresis); relative drift against the baseline. *)
+let tolerance = Analyze.default_tolerance
+
+let overload_threshold = 1.
+
+let sustain_budget = 200.
+
+let clear_after = 500.
+
+let drift_tolerance = 0.25
 
 (* Asymmetric hysteresis state: [bad]/[good] accumulate contiguous
    condition time; entering needs [bad >= enter_after], leaving needs
@@ -217,7 +214,6 @@ type res_state = {
 }
 
 type t = {
-  config : config;
   mutable emit : (at:float -> Trace.event -> unit) option;
   (* utility stream *)
   series : Lla_stdx.Series.t;
@@ -242,12 +238,12 @@ type t = {
   a_recovery : alert;
 }
 
-let mk_alert config ~name ~severity ~enter =
+let mk_alert ~name ~severity ~enter =
   {
     a_name = name;
     a_severity = severity;
     enter_after = enter;
-    exit_after = config.clear_after;
+    exit_after = clear_after;
     a_active = false;
     a_since = Float.nan;
     a_value = Float.nan;
@@ -258,32 +254,31 @@ let mk_alert config ~name ~severity ~enter =
     last_at = Float.nan;
   }
 
-let create ?(config = default_config) ?target ?baseline ?tasks () =
+let create ?target ?tasks () =
   {
-    config;
     emit = None;
     series = Lla_stdx.Series.create ();
-    settle = Option.map (fun target -> Settle.create ~tolerance:config.tolerance ~target ()) target;
+    settle = Option.map (fun target -> Settle.create ~tolerance ~target ()) target;
     tasks;
     latest = Int_tbl.create 64;
     latest_sum = 0.;
     saw_iteration = false;
     osc =
-      Oscillation.create ~window:config.oscillation_window
-        ~threshold:config.oscillation_threshold ~min_reversals:config.min_reversals;
+      Oscillation.create ~window:oscillation_window ~threshold:oscillation_threshold
+        ~min_reversals;
     res = Int_tbl.create 16;
     res_order = [];
     res_bad = 0;
     path_bad = Int_tbl.create 16;
-    baseline;
-    a_eq3 = mk_alert config ~name:"eq3_sustained" ~severity:Critical ~enter:config.sustain_budget;
-    a_eq4 = mk_alert config ~name:"eq4_sustained" ~severity:Critical ~enter:config.sustain_budget;
-    a_osc = mk_alert config ~name:"oscillation" ~severity:Warning ~enter:0.;
+    baseline = None;
+    a_eq3 = mk_alert ~name:"eq3_sustained" ~severity:Critical ~enter:sustain_budget;
+    a_eq4 = mk_alert ~name:"eq4_sustained" ~severity:Critical ~enter:sustain_budget;
+    a_osc = mk_alert ~name:"oscillation" ~severity:Warning ~enter:0.;
     a_drift =
-      mk_alert config ~name:"utility_drift" ~severity:Warning ~enter:config.sustain_budget;
-    a_div = mk_alert config ~name:"diverged" ~severity:Critical ~enter:0.;
+      mk_alert ~name:"utility_drift" ~severity:Warning ~enter:sustain_budget;
+    a_div = mk_alert ~name:"diverged" ~severity:Critical ~enter:0.;
     a_recovery =
-      mk_alert config ~name:"recovery_stuck" ~severity:Critical ~enter:config.sustain_budget;
+      mk_alert ~name:"recovery_stuck" ~severity:Critical ~enter:sustain_budget;
   }
 
 let on_alert t f = t.emit <- Some f
@@ -308,22 +303,20 @@ let clear_alert t a ~at =
 
 (* One hysteresis step. [value] is the signal quoted in transitions. *)
 let observe_alert t a ~at ~ok ~value =
-  if at >= t.config.warmup then begin
-    let dt = if Float.is_nan a.last_at then 0. else Float.max 0. (at -. a.last_at) in
-    a.last_at <- at;
-    a.a_value <- value;
-    if ok then begin
-      a.bad <- 0.;
-      if a.a_active then begin
-        a.good <- a.good +. dt;
-        if a.good >= a.exit_after then clear_alert t a ~at
-      end
+  let dt = if Float.is_nan a.last_at then 0. else Float.max 0. (at -. a.last_at) in
+  a.last_at <- at;
+  a.a_value <- value;
+  if ok then begin
+    a.bad <- 0.;
+    if a.a_active then begin
+      a.good <- a.good +. dt;
+      if a.good >= a.exit_after then clear_alert t a ~at
     end
-    else begin
-      a.good <- 0.;
-      a.bad <- a.bad +. dt;
-      if (not a.a_active) && a.bad >= a.enter_after then raise_alert t a ~at
-    end
+  end
+  else begin
+    a.good <- 0.;
+    a.bad <- a.bad +. dt;
+    if (not a.a_active) && a.bad >= a.enter_after then raise_alert t a ~at
   end
 
 let observe_utility t ~at v =
@@ -337,7 +330,7 @@ let observe_utility t ~at v =
   match t.baseline with
   | Some b ->
     let d = drift ~baseline:b v in
-    observe_alert t t.a_drift ~at ~ok:(d <= t.config.drift_tolerance) ~value:d
+    observe_alert t t.a_drift ~at ~ok:(d <= drift_tolerance) ~value:d
   | None -> ()
 
 let res_state t resource =
@@ -352,7 +345,7 @@ let res_state t resource =
 let observe_load t ~at ~resource ~load =
   let st = res_state t resource in
   (* overload episodes: Analyze.episodes semantics, online *)
-  if load > t.config.overload_threshold then
+  if load > overload_threshold then
     st.ep_open <- (match st.ep_open with None -> Some (at, at) | Some (s, _) -> Some (s, at))
   else (
     match st.ep_open with
@@ -362,14 +355,14 @@ let observe_load t ~at ~resource ~load =
       st.ep_open <- None);
   (* Eq. 3 sustained-infeasibility: a resource is bad while its load
      exceeds 1 + tol; the alert sees the aggregate verdict. *)
-  let bad = load > 1. +. t.config.infeasibility_tolerance in
+  let bad = load > 1. +. infeasibility_tolerance in
   if bad && not st.infeasible then t.res_bad <- t.res_bad + 1
   else if (not bad) && st.infeasible then t.res_bad <- t.res_bad - 1;
   st.infeasible <- bad;
   observe_alert t t.a_eq3 ~at ~ok:(t.res_bad = 0) ~value:(float_of_int t.res_bad)
 
 let observe_path_slack t ~at ~path ~latency ~critical_time =
-  let bad = latency > critical_time *. (1. +. t.config.infeasibility_tolerance) in
+  let bad = latency > critical_time *. (1. +. infeasibility_tolerance) in
   if bad then Int_tbl.replace t.path_bad path () else Int_tbl.remove t.path_bad path;
   observe_alert t t.a_eq4 ~at
     ~ok:(Int_tbl.length t.path_bad = 0)
@@ -422,7 +415,7 @@ let attach t trace =
 let settling_tick t =
   match t.settle with
   | Some s -> Settle.settled_since s
-  | None -> settling_against_last ~tolerance:t.config.tolerance t.series
+  | None -> settling_against_last ~tolerance t.series
 
 let overload_episodes t ~resource =
   match Int_tbl.find_opt t.res resource with

@@ -93,11 +93,11 @@ module Probe : sig
 
   val sample : t -> at:float -> value:float -> unit
 
-  val settling : ?tolerance:float -> t -> float option
+  val settling : t -> float option
   (** Absolute settling time of the collected series against its final
-      value; [None] when it never settles (or no samples). Equals
-      [Analyze.settling_time ~tolerance ~target:final] on the same
-      series. *)
+      value, within 2 % of it; [None] when it never settles (or no
+      samples). Equals [Analyze.settling_time ~tolerance:0.02
+      ~target:final] on the same series. *)
 end
 
 val drift : baseline:float -> float -> float
@@ -108,44 +108,33 @@ val drift : baseline:float -> float -> float
 
 type severity = Info | Warning | Critical
 
-type config = {
-  tolerance : float;  (** settling band (default [Analyze.default_tolerance]). *)
-  infeasibility_tolerance : float;
-      (** relative Eq. 3/4 slack before a sample counts as infeasible
-          (default 0.05, matching [Safe_mode]). *)
-  overload_threshold : float;
-      (** load factor opening an overload episode (default 1.0,
-          matching [Analyze.episodes]). *)
-  sustain_budget : float;
-      (** time units a condition must hold before its alert raises
-          (default 200). *)
-  clear_after : float;
-      (** time units of health before an active alert clears — the
-          asymmetric exit hysteresis (default 500). *)
-  oscillation_window : int;  (** utility ring length (default 32). *)
-  oscillation_threshold : float;
-      (** relative spread of the window that reads as oscillation
-          (default 0.2). *)
-  min_reversals : int;
-      (** direction reversals the window must also contain (default 8) —
-          a monotone transient has spread but no reversals. *)
-  drift_tolerance : float;
-      (** relative drift vs the baseline checkpoint (default 0.25). *)
-  warmup : float;
-      (** alerts stay silent before this time; detector readouts are
-          unaffected (default 0). *)
-}
+val infeasibility_tolerance : float
+(** 0.05: relative Eq. 3/4 slack before a sample counts as infeasible. *)
 
-val default_config : config
+val oscillation_window : int
+(** 32: the utility ring length of the oscillation detector. *)
+
+val oscillation_threshold : float
+(** 0.2: relative spread of the window that reads as oscillation. *)
+
+val min_reversals : int
+(** 8: direction reversals the window must also contain — a monotone
+    transient has spread but no reversals. *)
+
+(** The monitor settles within {!Analyze.default_tolerance} of its
+    target, opens an overload episode above load factor 1 (as
+    {!Analyze.episodes}), raises an alert once its condition has held
+    for 200 time units and clears it after 500 units of health (the
+    asymmetric exit hysteresis), and reads a drift above 0.25 of the
+    baseline as [utility_drift]. *)
 
 type t
 
-val create : ?config:config -> ?target:float -> ?baseline:float -> ?tasks:int -> unit -> t
+val create : ?target:float -> ?tasks:int -> unit -> t
 (** [target]: the known optimum, arming the O(1) online settling
     detector (without it {!settling_tick} replays the retained series
-    against its final value, as offline [analyze] does). [baseline]:
-    initial [Lla_baseline] checkpoint for the drift alert (none until
-    {!set_baseline} otherwise). [tasks]: expected task count, letting
+    against its final value, as offline [analyze] does). The drift
+    alert has no baseline until {!set_baseline}. [tasks]: expected task count, letting
     the sink rebuild the global objective from per-task
     [Allocation_solved] events exactly when every task has reported —
     required for utility tracking on distributed traces, which emit no

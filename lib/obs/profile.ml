@@ -24,11 +24,13 @@ type t = {
 
 let make_node name = { name; total = ref 0.; calls = 0; children = [] }
 
-let create ?(clock = Unix.gettimeofday) ?(enabled = true) () =
+let make ~clock ~enabled =
   let root = make_node "total" in
   { clock; root; current = root; enabled }
 
-let disabled () = create ~enabled:false ()
+let create ?(clock = Unix.gettimeofday) () = make ~clock ~enabled:true
+
+let disabled () = make ~clock:Unix.gettimeofday ~enabled:false
 
 let enabled t = t.enabled
 

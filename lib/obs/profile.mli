@@ -6,7 +6,7 @@
     price update, transport route → deliver, checkpoint save → JSONL
     encode) appear as trees in the {!report}.
 
-    A disabled profiler ({!create} [~enabled:false], the default inside
+    A disabled profiler ({!disabled}, the default inside
     {!Lla_obs.create}) reduces [time] to a single branch plus the call
     to [f]: instrumented hot paths pay nothing measurable until profiling
     is switched on, and the engine schedule is never touched either way
@@ -18,9 +18,9 @@
 
 type t
 
-val create : ?clock:(unit -> float) -> ?enabled:bool -> unit -> t
-(** [clock] returns seconds (default [Unix.gettimeofday]; inject a fake
-    for tests). [enabled] defaults to [true]. *)
+val create : ?clock:(unit -> float) -> unit -> t
+(** An enabled profiler. [clock] returns seconds (default
+    [Unix.gettimeofday]; inject a fake for tests). *)
 
 val disabled : unit -> t
 (** A fresh profiler with [enabled = false]. *)

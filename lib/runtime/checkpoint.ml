@@ -16,7 +16,6 @@ type controller_state = {
 type 'a slot = { state : 'a; at : float }
 
 type t = {
-  max_age : float;
   obs : Lla_obs.t option;
   journal : Lla_durable.Journal.t option;
   agents : agent_state slot option array;
@@ -24,15 +23,12 @@ type t = {
   mutable saves : int;
   mutable restores : int;
   mutable rejected_saves : int;
-  mutable stale_restores : int;
   mutable replaying : bool;
 }
 
-let create ?obs ?journal ?(max_age = infinity) ~n_agents ~n_controllers () =
-  if max_age <= 0. then invalid_arg "Checkpoint.create: non-positive max_age";
+let create ?obs ?journal ~n_agents ~n_controllers () =
   if n_agents < 0 || n_controllers < 0 then invalid_arg "Checkpoint.create: negative size";
   {
-    max_age;
     obs;
     journal;
     agents = Array.make n_agents None;
@@ -40,7 +36,6 @@ let create ?obs ?journal ?(max_age = infinity) ~n_agents ~n_controllers () =
     saves = 0;
     restores = 0;
     rejected_saves = 0;
-    stale_restores = 0;
     replaying = false;
   }
 
@@ -67,8 +62,6 @@ let actor_name prefix i = Printf.sprintf "%s:%d" prefix i
 (* The journal record: one JSON object per accepted save, read back by
    [load_line] through the same save path. *)
 
-let floats a = Jsonl.Arr (List.map (fun x -> Jsonl.Num x) (Array.to_list a))
-
 let bools a = Jsonl.Arr (List.map (fun b -> Jsonl.Bool b) (Array.to_list a))
 
 let agent_line i { state; at } =
@@ -80,7 +73,7 @@ let agent_line i { state; at } =
          ("at", Jsonl.Num at);
          ("price", Jsonl.Num state.price);
          ("gamma", Jsonl.Num state.gamma);
-         ("lat_view", floats state.lat_view);
+         ("lat_view", Jsonl.floats state.lat_view);
        ])
 
 let controller_line i { state; at } =
@@ -90,10 +83,10 @@ let controller_line i { state; at } =
          ("kind", Jsonl.Str "controller");
          ("index", Jsonl.Num (float_of_int i));
          ("at", Jsonl.Num at);
-         ("mu_view", floats state.mu_view);
+         ("mu_view", Jsonl.floats state.mu_view);
          ("congested_view", bools state.congested_view);
-         ("lambda", floats state.lambda);
-         ("gamma_p", floats state.gamma_p);
+         ("lambda", Jsonl.floats state.lambda);
+         ("gamma_p", Jsonl.floats state.gamma_p);
        ])
 
 (* A non-finite save time would stall the save cadence and keep the
@@ -131,22 +124,16 @@ let save_agent t i ~now state =
 let save_controller t i ~now state =
   save t.controllers copy_controller controller_finite controller_line "controller" t i ~now state
 
-let restore slots copy t i ~now =
+let restore slots copy t i =
   match slots.(i) with
   | None -> None
-  | Some { state; at } ->
-    if now -. at > t.max_age then begin
-      t.stale_restores <- t.stale_restores + 1;
-      None
-    end
-    else begin
-      t.restores <- t.restores + 1;
-      Some (copy state)
-    end
+  | Some { state; _ } ->
+    t.restores <- t.restores + 1;
+    Some (copy state)
 
-let restore_agent t i ~now = restore t.agents copy_agent t i ~now
+let restore_agent t i = restore t.agents copy_agent t i
 
-let restore_controller t i ~now = restore t.controllers copy_controller t i ~now
+let restore_controller t i = restore t.controllers copy_controller t i
 
 let last_save slots i = Option.map (fun { at; _ } -> at) slots.(i)
 
@@ -160,21 +147,11 @@ let restores t = t.restores
 
 let rejected_saves t = t.rejected_saves
 
-let stale_restores t = t.stale_restores
-
 (* --- journal records ----------------------------------------------- *)
 
 let ( let* ) = Option.bind
 
 let num_field name json = Option.bind (Jsonl.member name json) Jsonl.num
-
-let array_field elem name json =
-  let* items = Option.bind (Jsonl.member name json) Jsonl.arr in
-  let rec collect acc = function
-    | [] -> Some (Array.of_list (List.rev acc))
-    | item :: rest -> ( match elem item with Some v -> collect (v :: acc) rest | None -> None)
-  in
-  collect [] items
 
 (* [int_of_float] maps nan, the infinities and out-of-range values to 0,
    so an index counts only when it converts back to itself. *)
@@ -194,13 +171,13 @@ let load_line t line =
   | Some "agent" when i >= 0 && i < Array.length t.agents ->
     let* price = num_field "price" json in
     let* gamma = num_field "gamma" json in
-    let* lat_view = array_field Jsonl.num "lat_view" json in
+    let* lat_view = Jsonl.array_field Jsonl.num "lat_view" json in
     Some (save_agent t i ~now:at { price; gamma; lat_view })
   | Some "controller" when i >= 0 && i < Array.length t.controllers ->
-    let* mu_view = array_field Jsonl.num "mu_view" json in
-    let* congested_view = array_field Jsonl.bool "congested_view" json in
-    let* lambda = array_field Jsonl.num "lambda" json in
-    let* gamma_p = array_field Jsonl.num "gamma_p" json in
+    let* mu_view = Jsonl.array_field Jsonl.num "mu_view" json in
+    let* congested_view = Jsonl.array_field Jsonl.bool "congested_view" json in
+    let* lambda = Jsonl.array_field Jsonl.num "lambda" json in
+    let* gamma_p = Jsonl.array_field Jsonl.num "gamma_p" json in
     Some (save_controller t i ~now:at { mu_view; congested_view; lambda; gamma_p })
   | _ -> None
 

@@ -16,19 +16,15 @@
       time, is {e refused at save time} (counted in {!rejected_saves}),
       so a diverging actor can never checkpoint its poisoned state and
       resurrect it after a crash, and a replayed record cannot pin a
-      slot's save time where neither the save cadence nor [max_age]
-      moves it again;
-    - a snapshot older than [max_age] at restore time is considered stale
-      and discarded (counted in {!stale_restores}); the actor then falls
-      back to the cold-restart path.
+      slot's save time where the save cadence never moves it again.
 
     The in-memory store can be backed by a real write-ahead journal
     ({!Lla_durable.Journal}): with [?journal], every accepted save also
     appends one record to the journal — a JSON object carrying the
     slot's kind, index, save time and state — and {!recover} replays the
     journal back through the normal save path after a process crash,
-    so the non-finite refusal and staleness discard apply to disk state
-    exactly as to live state. That record is the store's only
+    so the non-finite refusal applies to disk state exactly as to live
+    state. That record is the store's only
     persistence format. Without [?journal] nothing touches storage and
     no record is encoded. Arrays are defensively copied both ways. *)
 
@@ -50,19 +46,16 @@ type t
 val create :
   ?obs:Lla_obs.t ->
   ?journal:Lla_durable.Journal.t ->
-  ?max_age:float ->
   n_agents:int ->
   n_controllers:int ->
   unit ->
   t
-(** [max_age] (ms, default [infinity]): snapshots older than this at
-    restore time are stale. [obs] makes every save emit a
+(** [obs] makes every save emit a
     {!Lla_obs.Trace.Checkpoint_saved} or [Checkpoint_rejected] record
     (actor ["agent:<i>"] / ["controller:<i>"], stamped with the save
     time). [journal] persists every accepted save as a write-ahead
     record (see {!recover}); omitted, the store never touches storage.
-    @raise Invalid_argument on a non-positive [max_age] or negative
-    sizes. *)
+    @raise Invalid_argument on negative sizes. *)
 
 val save_agent : t -> int -> now:float -> agent_state -> bool
 (** Snapshot agent [r]'s state at time [now]. [false] when the state
@@ -71,11 +64,11 @@ val save_agent : t -> int -> now:float -> agent_state -> bool
 
 val save_controller : t -> int -> now:float -> controller_state -> bool
 
-val restore_agent : t -> int -> now:float -> agent_state option
-(** The latest accepted snapshot of agent [r], unless none exists or it is
-    older than [max_age]. Returned arrays are fresh copies. *)
+val restore_agent : t -> int -> agent_state option
+(** The latest accepted snapshot of agent [r], if any. Returned arrays
+    are fresh copies. *)
 
-val restore_controller : t -> int -> now:float -> controller_state option
+val restore_controller : t -> int -> controller_state option
 
 val last_agent_save : t -> int -> float option
 (** Time of the latest accepted snapshot, for save-period gating. *)
@@ -91,9 +84,6 @@ val restores : t -> int
 val rejected_saves : t -> int
 (** Snapshots refused because they contained a non-finite value or
     carried a non-finite save time. *)
-
-val stale_restores : t -> int
-(** Restore attempts that found only a stale snapshot. *)
 
 (** {1 Durability}
 

@@ -29,7 +29,7 @@ type t = {
   mutable started : bool;
 }
 
-let create ?(work_model = Wcet) ?(seed = 1) ~cluster () =
+let create ?(work_model = Wcet) ~cluster () =
   (match work_model with
   | Uniform_fraction { lo } ->
     if lo <= 0. || lo > 1. then invalid_arg "Dispatcher.create: Uniform_fraction lo outside (0, 1]"
@@ -37,7 +37,7 @@ let create ?(work_model = Wcet) ?(seed = 1) ~cluster () =
   {
     cluster;
     work_model;
-    rng = Lla_stdx.Rng.create ~seed;
+    rng = Lla_stdx.Rng.create ~seed:1;
     release_times = Ids.Task_id.Tbl.create 8;
     subtask_observers = [];
     task_observers = [];

@@ -20,11 +20,10 @@ type t
 
 val create :
   ?work_model:work_model ->
-  ?seed:int ->
   cluster:Cluster.t ->
   unit ->
   t
-(** Defaults: [Wcet], seed 1. *)
+(** Default [Wcet]; execution-time draws use seed 1. *)
 
 val on_subtask_completion : t -> (Ids.Subtask_id.t -> latency:float -> now:float -> unit) -> unit
 (** Register an observer of per-job subtask latencies (eligibility to

@@ -1,13 +1,13 @@
 module Transport = Lla_transport.Transport
 module Engine = Lla_sim.Engine
 
-type config = {
-  heartbeat_period : float;
-  timeout : float;
-  check_period : float;
-}
+(* ms between heartbeats per watched endpoint, of silence before an
+   endpoint is suspected, and between detector sweeps *)
+let heartbeat_period = 50.
 
-let default_config = { heartbeat_period = 50.; timeout = 250.; check_period = 25. }
+let timeout = 250.
+
+let check_period = 25.
 
 type status = Alive | Suspect
 
@@ -19,7 +19,6 @@ type watch = {
 }
 
 type t = {
-  config : config;
   obs : Lla_obs.t option;
   transport : Transport.t;
   engine : Engine.t;
@@ -34,15 +33,12 @@ type t = {
   mutable recoveries : int;
 }
 
-let create ?obs ?(config = default_config) ?(name = "health") transport =
-  if config.heartbeat_period <= 0. || config.timeout <= 0. || config.check_period <= 0. then
-    invalid_arg "Health.create: non-positive period";
+let create ?obs transport =
   {
-    config;
     obs;
     transport;
     engine = Transport.engine transport;
-    detector = Transport.endpoint transport ~name;
+    detector = Transport.endpoint transport ~name:"health";
     watches = [];
     callbacks = [];
     sweep_tick = None;
@@ -52,8 +48,6 @@ let create ?obs ?(config = default_config) ?(name = "health") transport =
     suspicions = 0;
     recoveries = 0;
   }
-
-let config t = t.config
 
 let notify t w ~now =
   Lla_obs.emit_opt t.obs ~at:now
@@ -82,7 +76,7 @@ let beat t w =
 let rec heartbeat_loop t w =
   w.hb_tick <-
     Some
-      (Engine.schedule_after t.engine ~delay:t.config.heartbeat_period (fun _ ->
+      (Engine.schedule_after t.engine ~delay:heartbeat_period (fun _ ->
            if not t.stopped then begin
              Transport.send ~key:0 t.transport ~src:w.endpoint ~dst:t.detector (fun () ->
                  beat t w);
@@ -102,7 +96,7 @@ let sweep t =
   let now = Engine.now t.engine in
   List.iter
     (fun w ->
-      if w.status = Alive && now -. w.last_seen > t.config.timeout then begin
+      if w.status = Alive && now -. w.last_seen > timeout then begin
         w.status <- Suspect;
         t.suspicions <- t.suspicions + 1;
         notify t w ~now
@@ -112,7 +106,7 @@ let sweep t =
 let rec sweep_loop t =
   t.sweep_tick <-
     Some
-      (Engine.schedule_after t.engine ~delay:t.config.check_period (fun _ ->
+      (Engine.schedule_after t.engine ~delay:check_period (fun _ ->
            if not t.stopped then begin
              sweep t;
              sweep_loop t

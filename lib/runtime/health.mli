@@ -19,29 +19,20 @@
     The detector itself runs directly on the engine (the observer is
     assumed reliable); only the heartbeats travel the faulty network. *)
 
-type config = {
-  heartbeat_period : float;  (** ms between heartbeats per watched endpoint. *)
-  timeout : float;
-      (** silence (ms) after which an endpoint is suspected. Must exceed
-          [heartbeat_period] plus the expected delivery delay, or healthy
-          endpoints will be flagged. *)
-  check_period : float;  (** ms between detector sweeps. *)
-}
-
-val default_config : config
-(** 50 ms heartbeats, 250 ms timeout, 25 ms sweeps. *)
+val timeout : float
+(** 250: silence (ms) after which an endpoint is suspected. Watched
+    endpoints heartbeat every 50 ms and the detector sweeps every 25 ms;
+    the timeout exceeds the heartbeat period plus the expected delivery
+    delay, so healthy endpoints are not flagged. *)
 
 type status = Alive | Suspect
 
 type t
 
-val create :
-  ?obs:Lla_obs.t -> ?config:config -> ?name:string -> Lla_transport.Transport.t -> t
-(** Registers one detector endpoint named [name] (default ["health"]) on
+val create : ?obs:Lla_obs.t -> Lla_transport.Transport.t -> t
+(** Registers one detector endpoint named ["health"] on
     the transport. [obs] makes every status transition emit a
     {!Lla_obs.Trace.Health_transition} record before the callbacks run. *)
-
-val config : t -> config
 
 val watch : t -> Lla_transport.Transport.endpoint -> unit
 (** Start monitoring an endpoint (idempotent). Watches added after

@@ -6,14 +6,8 @@ module Log = (val Logs.src_log log)
 
 
 type config = {
-  solver_config : Lla.Solver.config;
-  warmup_iterations : int;
-  period : float;
   iterations_per_round : int;
   error_correction : [ `Disabled | `Enabled_at of float ];
-  correction_percentile : float;
-  correction_alpha : float;
-  correction_min_samples : int;
   correction_per_task_percentiles : bool;
   enact_threshold : float;
   track_arrival_rates : bool;
@@ -21,18 +15,24 @@ type config = {
 
 let default_config =
   {
-    solver_config = Lla.Solver.default_config;
-    warmup_iterations = 2000;
-    period = 1000.;
     iterations_per_round = 50;
     error_correction = `Disabled;
-    correction_percentile = 95.;
-    correction_alpha = 0.3;
-    correction_min_samples = 8;
     correction_per_task_percentiles = false;
     enact_threshold = 0.;
     track_arrival_rates = false;
   }
+
+(* LLA iterations before the first enactment, and ms between rounds *)
+let warmup_iterations = 2000
+
+let period = 1000.
+
+(* The flat sampling percentile of error correction (§6.3 uses > 90th
+   percentile samples), and the samples a subtask needs before a
+   correction round. *)
+let correction_percentile = 95.
+
+let correction_min_samples = 8
 
 type t = {
   config : config;
@@ -50,7 +50,7 @@ type t = {
 
 let create ?obs ?(config = default_config) ~cluster ~dispatcher () =
   let workload = Cluster.workload cluster in
-  let solver = Lla.Solver.create ?obs ~config:config.solver_config workload in
+  let solver = Lla.Solver.create ?obs workload in
   let correctors = Ids.Subtask_id.Tbl.create 32 in
   let share_traces = Ids.Subtask_id.Tbl.create 32 in
   let offset_traces = Ids.Subtask_id.Tbl.create 32 in
@@ -64,13 +64,12 @@ let create ?obs ?(config = default_config) ~cluster ~dispatcher () =
         workload.Workload.tasks;
       fun sid -> Ids.Subtask_id.Tbl.find table sid
     end
-    else fun _ -> config.correction_percentile
+    else fun _ -> correction_percentile
   in
   List.iter
     (fun (s : Subtask.t) ->
       Ids.Subtask_id.Tbl.replace correctors s.id
-        (Lla.Error_correction.create ?obs ~name:s.name ~alpha:config.correction_alpha
-           ~percentile:(percentile_of s.id) ());
+        (Lla.Error_correction.create ?obs ~name:s.name ~percentile:(percentile_of s.id) ());
       Ids.Subtask_id.Tbl.replace share_traces s.id
         (Lla_stdx.Series.create ());
       Ids.Subtask_id.Tbl.replace offset_traces s.id
@@ -124,7 +123,7 @@ let apply_corrections t ~now =
       let enacted = Cluster.share t.cluster sid in
       if
         enacted > 0.
-        && Lla.Error_correction.sample_count corrector >= t.config.correction_min_samples
+        && Lla.Error_correction.sample_count corrector >= correction_min_samples
       then begin
         let share_fn = Workload.share_function workload sid in
         let predicted = share_fn.Share.inverse enacted in
@@ -187,11 +186,11 @@ let round t ~now =
 
 let start t =
   let core = Cluster.engine t.cluster in
-  ignore (Lla.Solver.run_until_converged t.solver ~max_iterations:t.config.warmup_iterations);
+  ignore (Lla.Solver.run_until_converged t.solver ~max_iterations:warmup_iterations);
   enact t ~now:(Lla_sim.Engine.now core);
   let rec tick () =
     ignore
-      (Lla_sim.Engine.schedule_after core ~delay:t.config.period (fun eng ->
+      (Lla_sim.Engine.schedule_after core ~delay:period (fun eng ->
            round t ~now:(Lla_sim.Engine.now eng);
            tick ()))
   in

@@ -7,23 +7,14 @@
 open Lla_model
 
 type config = {
-  solver_config : Lla.Solver.config;
-  warmup_iterations : int;
-      (** LLA iterations before the first enactment ("the optimizer runs
-          continuously until the utility improvement ... is below 1%"). *)
-  period : float;  (** ms between subsequent optimization rounds. *)
   iterations_per_round : int;
   error_correction : [ `Disabled | `Enabled_at of float ];
       (** absolute engine time (ms) at which correction turns on. *)
-  correction_percentile : float;  (** §6.3 uses > 90th percentile samples. *)
-  correction_alpha : float;  (** exponential smoothing weight. *)
-  correction_min_samples : int;
-      (** skip a correction round for a subtask with fewer samples. *)
   correction_per_task_percentiles : bool;
       (** when true, each subtask samples at the percentile derived from
           its task's [latency_percentile] via
           {!Lla_model.Percentile_map.for_task} (paper §2.1) instead of
-          [correction_percentile]. *)
+          the flat 95th percentile. *)
   enact_threshold : float;
       (** relative share change below which a new allocation is not pushed
           to the scheduler (the paper enacts "only when significant
@@ -35,10 +26,18 @@ type config = {
           specification — the paper's workload-variation adaptivity. *)
 }
 
+(** The optimizer runs a {!Lla.Solver} with its default config for 2000
+    warmup iterations before the first enactment ("the optimizer runs
+    continuously until the utility improvement ... is below 1%"), then a
+    round every {!period}. Error correction skips a subtask with fewer
+    than 8 samples. *)
+
+val period : float
+(** 1000: ms between optimization rounds. *)
+
 val default_config : config
-(** 2000 warmup iterations, 1000 ms period, 50 iterations/round,
-    correction disabled, percentile 95, alpha 0.3, min 8 samples, flat
-    percentiles, threshold 0 (always enact), rate tracking off. *)
+(** 50 iterations/round, correction disabled, flat percentiles,
+    threshold 0 (always enact), rate tracking off. *)
 
 type t
 

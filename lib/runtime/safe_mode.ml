@@ -1,25 +1,31 @@
 type config = {
-  mu_cap : float;
-  infeasibility_tolerance : float;
   violation_rounds : int;
   oscillation_window : int;
   oscillation_threshold : float;
   min_reversals : int;
   warmup_rounds : int;
   reentry_grace_rounds : int;
-  settle_threshold : float;
   settle_rounds : int;
   min_safe_time : float;
 }
 
+(* A resource price above this is treated as divergence. *)
+let mu_cap = 1e6
+
+(* Eq. 3/4 slack before an observation counts as a violation, as in the
+   monitor. *)
+let infeasibility_tolerance = Lla_obs.Monitor.infeasibility_tolerance
+
+(* Max relative per-price movement for an observation to count as
+   settled. *)
+let settle_threshold = 0.02
+
 let default_config =
   {
-    mu_cap = 1e6;
-    infeasibility_tolerance = 0.05;
     violation_rounds = 10;
-    oscillation_window = 32;
-    oscillation_threshold = 0.2;
-    min_reversals = 8;
+    oscillation_window = Lla_obs.Monitor.oscillation_window;
+    oscillation_threshold = Lla_obs.Monitor.oscillation_threshold;
+    min_reversals = Lla_obs.Monitor.min_reversals;
     warmup_rounds = 500;
     (* = warmup_rounds: entry resets prices and controller dual state to
        the cold point, so the post-exit transient is a full cold
@@ -27,7 +33,6 @@ let default_config =
        mid-transient and re-tripping at exit+600 ms forever (campaign
        repro: price poison, base workload). *)
     reentry_grace_rounds = 500;
-    settle_threshold = 0.02;
     settle_rounds = 10;
     min_safe_time = 1_000.;
   }
@@ -123,8 +128,6 @@ let create ?obs ?(config = default_config) problem =
     exits = 0;
   }
 
-let config t = t.config
-
 let in_safe_mode t = match t.state with Safe _ -> true | Optimizing -> false
 
 let fallback t = Array.copy t.fallback
@@ -139,7 +142,7 @@ let exits t = t.exits
 
 let violating t ~lat ~offsets =
   let p = t.problem in
-  let tol = 1. +. t.config.infeasibility_tolerance in
+  let tol = 1. +. infeasibility_tolerance in
   let resource_violated =
     let n = Lla.Problem.n_resources p in
     let rec loop r =
@@ -185,7 +188,7 @@ let observe_optimizing t ~now ~mu ~utility ~violating_now =
   let silent = t.grace > 0 in
   if silent then t.grace <- t.grace - 1;
   let price_blown =
-    Array.exists (fun m -> (not (Float.is_finite m)) || m > t.config.mu_cap) mu
+    Array.exists (fun m -> (not (Float.is_finite m)) || m > mu_cap) mu
   in
   if price_blown || not (Float.is_finite utility) then
     enter t ~now
@@ -209,7 +212,7 @@ let observe_safe t ~now ~since ~mu =
     let m = mu.(r) and p = t.prev_mu.(r) in
     if
       (not (Float.is_finite m))
-      || not (Float.abs (m -. p) <= t.config.settle_threshold *. Float.max 1. (Float.abs p))
+      || not (Float.abs (m -. p) <= settle_threshold *. Float.max 1. (Float.abs p))
     then settled := false
   done;
   if !settled then t.settled_streak <- t.settled_streak + 1 else t.settled_streak <- 0;

@@ -58,11 +58,10 @@
     fails to produce a feasible point, the proportional slice is kept as
     best effort and {!fallback_guaranteed} is [false]. *)
 
+val mu_cap : float
+(** 1e6: a resource price above this is treated as divergence. *)
+
 type config = {
-  mu_cap : float;  (** resource price above this is treated as divergence. *)
-  infeasibility_tolerance : float;
-      (** relative slack on Eq. 3/4 before an observation counts as a
-          violation. *)
   violation_rounds : int;  (** consecutive violating observations to trip. *)
   oscillation_window : int;  (** utility samples in the oscillation detector. *)
   oscillation_threshold : float;  (** relative utility spread to trip. *)
@@ -78,14 +77,19 @@ type config = {
           500 = 5 s, equal to [warmup_rounds]): entry resets prices and
           the controllers' dual state, so the re-entered optimization
           repeats a full cold transient (see above). *)
-  settle_threshold : float;
-      (** max relative per-price movement for an observation to count as
-          settled. *)
-  settle_rounds : int;  (** consecutive settled observations to exit. *)
+  settle_rounds : int;
+      (** consecutive settled observations (no price moving by more than
+          2 % of itself) to exit. *)
   min_safe_time : float;  (** minimum dwell (ms) in safe mode. *)
 }
+(** An observation violates when Eq. 3/4 miss by more than
+    {!Lla_obs.Monitor.infeasibility_tolerance}. *)
 
 val default_config : config
+(** The oscillation detector as in {!Lla_obs.Monitor} (32-sample window,
+    0.2 relative spread, 8 reversals); 10 violating rounds to trip, 500
+    rounds of warmup and of re-entry grace, 10 settled rounds and 1 s
+    of dwell to exit. *)
 
 type state = Optimizing | Safe of { since : float; reason : string }
 
@@ -99,8 +103,6 @@ val create : ?obs:Lla_obs.t -> ?config:config -> Lla.Problem.t -> t
 (** Precomputes the fallback assignment for the problem (see above).
     [obs] makes every trip emit a {!Lla_obs.Trace.Watchdog_trip} record
     (stamped with the observation time) before the state flips to safe. *)
-
-val config : t -> config
 
 val observe : t -> now:float -> mu:float array -> lat:float array -> offsets:float array -> event option
 (** Feed one watchdog observation of the running system's resource prices

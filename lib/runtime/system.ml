@@ -4,8 +4,6 @@ type config = {
   scheduler : Lla_sched.Scheduler.kind;
   optimizer : Optimizer_loop.config;
   work_model : Dispatcher.work_model;
-  seed : int;
-  latency_window : int;
 }
 
 let default_config =
@@ -13,9 +11,10 @@ let default_config =
     scheduler = Lla_sched.Scheduler.Sfs { quantum = 1.0 };
     optimizer = Optimizer_loop.default_config;
     work_model = Dispatcher.Wcet;
-    seed = 1;
-    latency_window = 512;
   }
+
+(* per-task window for measured latency percentiles *)
+let latency_window = 512
 
 type task_measurement = {
   window : Lla_stdx.Percentile.Window.t;
@@ -55,14 +54,14 @@ let measured_utility t =
 let create ?(config = default_config) workload =
   let engine = Lla_sim.Engine.create () in
   let cluster = Cluster.create ~kind:config.scheduler engine workload in
-  let dispatcher = Dispatcher.create ~work_model:config.work_model ~seed:config.seed ~cluster () in
+  let dispatcher = Dispatcher.create ~work_model:config.work_model ~cluster () in
   let optimizer = Optimizer_loop.create ~config:config.optimizer ~cluster ~dispatcher () in
   let measurements = Ids.Task_id.Tbl.create 8 in
   List.iter
     (fun (task : Task.t) ->
       Ids.Task_id.Tbl.replace measurements task.Task.id
         {
-          window = Lla_stdx.Percentile.Window.create ~capacity:config.latency_window;
+          window = Lla_stdx.Percentile.Window.create ~capacity:latency_window;
           stats = Lla_stdx.Stats.create ();
           misses = 0;
         })
@@ -91,7 +90,7 @@ let create ?(config = default_config) workload =
 
 let rec sample_utility t =
   ignore
-    (Lla_sim.Engine.schedule_after t.engine ~delay:t.config.optimizer.Optimizer_loop.period
+    (Lla_sim.Engine.schedule_after t.engine ~delay:Optimizer_loop.period
        (fun eng ->
          if Lla_sim.Engine.now eng <= t.horizon then
            Lla_stdx.Series.add t.utility_trace ~x:(Lla_sim.Engine.now eng) ~y:(measured_utility t);

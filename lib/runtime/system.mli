@@ -8,8 +8,6 @@ type config = {
   scheduler : Lla_sched.Scheduler.kind;
   optimizer : Optimizer_loop.config;
   work_model : Dispatcher.work_model;
-  seed : int;
-  latency_window : int;  (** per-task window for measured latency percentiles. *)
 }
 
 val default_config : config
@@ -29,8 +27,8 @@ val dispatcher : t -> Dispatcher.t
 val optimizer : t -> Optimizer_loop.t
 
 val measured_task_latency : t -> Ids.Task_id.t -> p:float -> float option
-(** Percentile of the task's end-to-end latencies over the sliding
-    window. *)
+(** Percentile of the task's end-to-end latencies over a sliding window
+    of the last 512. *)
 
 val task_latency_stats : t -> Ids.Task_id.t -> Lla_stdx.Stats.summary
 (** All-time statistics of the task's measured end-to-end latencies. *)

@@ -6,14 +6,7 @@ type params = {
   chain_weight : float;
   fan_out_weight : float;
   aggregation_weight : float;
-  depth_range : int * int;
-  width_range : int * int;
   sharing_skew : float;
-  exec_range : float * float;
-  latency_slack : float;
-  utility_k_range : float * float;
-  critical_margin_range : float * float;
-  capacity_margin : float;
 }
 
 let default_params =
@@ -23,15 +16,27 @@ let default_params =
     chain_weight = 1.;
     fan_out_weight = 1.;
     aggregation_weight = 1.;
-    depth_range = (2, 8);
-    width_range = (2, 6);
     sharing_skew = 2.;
-    exec_range = (1., 8.);
-    latency_slack = 4.;
-    utility_k_range = (1.5, 3.);
-    critical_margin_range = (1.25, 1.6);
-    capacity_margin = 1.25;
   }
+
+(* The draws every scenario shares: chain length / trunk depth and
+   leaves / parallel branches (inclusive), per-subtask execution time in
+   ms, the witness latency factor [exec * U(2, 2 + latency_slack)], the
+   linear utility slope, the critical time over the witness critical
+   path, and the capacity headroom over witness shares. *)
+let depth_range = (2, 8)
+
+let width_range = (2, 6)
+
+let exec_range = (1., 8.)
+
+let latency_slack = 4.
+
+let utility_k_range = (1.5, 3.)
+
+let critical_margin_range = (1.25, 1.6)
+
+let capacity_margin = 1.25
 
 let sized ?resources ~subtasks () =
   let resources =
@@ -46,19 +51,7 @@ let validate p =
     invalid_arg "Generator: negative shape weight";
   if p.chain_weight +. p.fan_out_weight +. p.aggregation_weight <= 0. then
     invalid_arg "Generator: all shape weights zero";
-  (let lo, hi = p.depth_range in
-   if lo < 2 || hi < lo then invalid_arg "Generator: bad depth_range");
-  (let lo, hi = p.width_range in
-   if lo < 2 || hi < lo then invalid_arg "Generator: bad width_range");
-  if p.sharing_skew < 1. then invalid_arg "Generator: sharing_skew < 1";
-  (let lo, hi = p.exec_range in
-   if lo <= 0. || hi < lo then invalid_arg "Generator: bad exec_range");
-  if p.latency_slack <= 0. then invalid_arg "Generator: latency_slack <= 0";
-  (let lo, hi = p.utility_k_range in
-   if lo < 1. || hi < lo then invalid_arg "Generator: bad utility_k_range (k >= 1)");
-  (let lo, hi = p.critical_margin_range in
-   if lo <= 1. || hi < lo then invalid_arg "Generator: bad critical_margin_range");
-  if p.capacity_margin <= 1. then invalid_arg "Generator: capacity_margin <= 1"
+  if p.sharing_skew < 1. then invalid_arg "Generator: sharing_skew < 1"
 
 type shape =
   | Chain
@@ -124,7 +117,7 @@ let generate ?(params = default_params) ~seed () =
   validate params;
   let p = params in
   let rng = Lla_stdx.Rng.create ~seed in
-  let exec_lo, exec_hi = p.exec_range in
+  let exec_lo, exec_hi = exec_range in
   (* Pass 1: draw drafts until the subtask budget is reached. Draw order
      is fixed (shape, depth, width, execs, latency factors, resources,
      utility slope, critical margin) so generation is deterministic. *)
@@ -133,19 +126,19 @@ let generate ?(params = default_params) ~seed () =
   let next_task = ref 1 in
   while !total_subtasks < p.target_subtasks do
     let shape = draw_shape rng p in
-    let depth = draw_in_range rng p.depth_range in
-    let width = draw_in_range rng p.width_range in
+    let depth = draw_in_range rng depth_range in
+    let width = draw_in_range rng width_range in
     let n, edges = shape_edges shape ~depth ~width in
     let execs = Array.init n (fun _ -> Lla_stdx.Rng.uniform rng ~lo:exec_lo ~hi:exec_hi) in
     let lats =
       Array.map
-        (fun e -> e *. Lla_stdx.Rng.uniform rng ~lo:2. ~hi:(2. +. p.latency_slack))
+        (fun e -> e *. Lla_stdx.Rng.uniform rng ~lo:2. ~hi:(2. +. latency_slack))
         execs
     in
     let resources = Array.init n (fun _ -> draw_resource rng p) in
-    let ulo, uhi = p.utility_k_range in
+    let ulo, uhi = utility_k_range in
     let k = Lla_stdx.Rng.uniform rng ~lo:ulo ~hi:uhi in
-    let mlo, mhi = p.critical_margin_range in
+    let mlo, mhi = critical_margin_range in
     let margin = Lla_stdx.Rng.uniform rng ~lo:mlo ~hi:mhi in
     drafts :=
       { task_id = !next_task; first_sid = !total_subtasks + 1; edges; execs; lats;
@@ -168,7 +161,7 @@ let generate ?(params = default_params) ~seed () =
     sums
   in
   let max_sum = Array.fold_left Float.max 0. (witness_share ()) in
-  let scale = Float.max 1. (max_sum *. p.capacity_margin) in
+  let scale = Float.max 1. (max_sum *. capacity_margin) in
   List.iter (fun d -> Array.iteri (fun j lat -> d.lats.(j) <- lat *. scale) d.lats) drafts;
   let sums = witness_share () in
   (* The trigger period must exceed every witness latency so admission's
@@ -210,7 +203,7 @@ let generate ?(params = default_params) ~seed () =
   let resources =
     List.init p.n_resources (fun r ->
         let availability =
-          if sums.(r) = 0. then 1. else Float.min 1. (p.capacity_margin *. sums.(r))
+          if sums.(r) = 0. then 1. else Float.min 1. (capacity_margin *. sums.(r))
         in
         Resource.make ~availability r)
   in

@@ -23,17 +23,15 @@ type params = {
   chain_weight : float;  (** relative odds of drawing a chain task *)
   fan_out_weight : float;  (** ... a fan-out tree task *)
   aggregation_weight : float;  (** ... an aggregation (join) DAG task *)
-  depth_range : int * int;  (** chain length / trunk depth, inclusive, lo >= 2 *)
-  width_range : int * int;  (** leaves / parallel branches, inclusive, lo >= 2 *)
   sharing_skew : float;
       (** resource-pick exponent: 1 = uniform; larger concentrates load
           on low-index resources (zipf-ish hot spots) *)
-  exec_range : float * float;  (** per-subtask execution time draw, ms *)
-  latency_slack : float;  (** witness latency is exec * U(2, 2 + slack) *)
-  utility_k_range : float * float;  (** linear utility slope draw, >= 1 *)
-  critical_margin_range : float * float;  (** critical time over witness, > 1 *)
-  capacity_margin : float;  (** capacity headroom over witness shares, > 1 *)
 }
+(** Every scenario draws chains of 2–8 subtasks and trees or joins of
+    2–6 branches, execution times from [U(1, 8)] ms, witness latencies
+    of [exec * U(2, 6)], linear utility slopes from [U(1.5, 3)] and
+    critical times [U(1.25, 1.6)] over the witness critical path, and
+    gives every resource 25 % headroom over its witness shares. *)
 
 val sized : ?resources:int -> subtasks:int -> unit -> params
 (** [default_params] resized to [subtasks]; [resources] defaults to

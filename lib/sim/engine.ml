@@ -34,9 +34,9 @@ let vacant = { time = 0.; action = ignore; live = false }
 
 let initial_capacity = 64
 
-let create ?(start_time = 0.) () =
+let create () =
   {
-    clock = start_time;
+    clock = 0.;
     next_seq = 0;
     live_count = 0;
     fired = 0;
@@ -213,11 +213,7 @@ let run_until t horizon =
   done;
   t.clock <- horizon
 
-let run t ?(max_events = max_int) () =
-  let remaining = ref max_events in
-  while !remaining > 0 && step t do
-    decr remaining
-  done
+let run t () = while step t do () done
 
 let pending t = t.live_count
 

@@ -8,7 +8,8 @@ type t
 
 type event_id
 
-val create : ?start_time:float -> unit -> t
+val create : unit -> t
+(** An empty engine at time 0. *)
 
 val now : t -> float
 
@@ -32,8 +33,8 @@ val run_until : t -> float -> unit
     fired events schedule, then advance {!now} to the horizon. No event
     past the horizon fires, even when cancelled events head the queue. *)
 
-val run : t -> ?max_events:int -> unit -> unit
-(** Fire events until none remain (or [max_events] fired). *)
+val run : t -> unit -> unit
+(** Fire events until none remain. *)
 
 val pending : t -> int
 (** Number of live (non-cancelled) scheduled events. *)

@@ -3,11 +3,8 @@ type params = {
   every : int;
   base_load : float;
   diurnal_period : int;
-  diurnal_amplitude : float;
-  turnover : float;
   flash_every : int;
   flash_duration : int;
-  flash_boost : float;
 }
 
 let default_params =
@@ -16,12 +13,18 @@ let default_params =
     every = 200;
     base_load = 0.6;
     diurnal_period = 100_000;
-    diurnal_amplitude = 0.25;
-    turnover = 0.5;
     flash_every = 150_000;
     flash_duration = 8_000;
-    flash_boost = 0.3;
   }
+
+(* Amplitude of the diurnal swing and the extra active fraction during a
+   flash crowd, as fractions of the roster. *)
+let diurnal_amplitude = 0.25
+
+let flash_boost = 0.3
+
+(* Chance of one steady-state swap per churn step. *)
+let turnover = 0.5
 
 type op = Admit of int | Retire of int
 
@@ -55,10 +58,10 @@ let target t ~now =
   let diurnal =
     if p.diurnal_period <= 0 then 0.
     else
-      p.diurnal_amplitude
+      diurnal_amplitude
       *. sin (2. *. Float.pi *. float_of_int now /. float_of_int p.diurnal_period)
   in
-  let flash = if in_flash t ~now then p.flash_boost else 0. in
+  let flash = if in_flash t ~now then flash_boost else 0. in
   let f = clamp01 (p.base_load +. diurnal +. flash) in
   let n = int_of_float (Float.round (f *. float_of_int t.roster_n)) in
   Stdlib.min t.max_active (Stdlib.max 0 n)
@@ -166,11 +169,7 @@ let step t ~now =
     (* Steady-state turnover: same-count swaps, retire before admit. The
        admit candidate is drawn first so a swap never re-admits the task
        it just retired. *)
-    let swaps =
-      let whole = int_of_float p.turnover in
-      let frac = p.turnover -. float_of_int whole in
-      whole + (if frac > 0. && Lla_stdx.Rng.float t.rng < frac then 1 else 0)
-    in
+    let swaps = if Lla_stdx.Rng.float t.rng < turnover then 1 else 0 in
     for _ = 1 to swaps do
       let inactive = t.roster_n - t.active_n in
       if t.active_n > 0 && inactive > 0 then begin

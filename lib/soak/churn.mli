@@ -5,12 +5,13 @@
     stream tracks a target active count
 
     [target(T) = roster * clamp01 (base_load
-                   + diurnal_amplitude * sin (2 pi T / diurnal_period)
-                   + flash_boost{when in a flash crowd})]
+                   + 0.25 * sin (2 pi T / diurnal_period)
+                   + 0.3 {when in a flash crowd})]
 
     capped by the degradation ladder's {!set_max_active}. Every [every]
     ticks, {!step} emits the admits/retires that move the actual count
-    toward the target plus [turnover] steady-state swaps, so the
+    toward the target plus, with probability 0.5, one steady-state
+    swap, so the
     arrival pattern layers diurnal load, recurring flash crowds and
     background task replacement — the churn the kernel's dirty sets
     were built for. All draws come from a private {!Lla_stdx.Rng}, so
@@ -22,11 +23,8 @@ type params = {
   every : int;  (** ticks between churn steps; [<= 0] disables churn *)
   base_load : float;  (** mean fraction of the roster active *)
   diurnal_period : int;  (** ticks per simulated day; [<= 0] = flat *)
-  diurnal_amplitude : float;
-  turnover : float;  (** expected same-count swaps per churn step *)
   flash_every : int;  (** ticks between flash-crowd onsets; [<= 0] = none *)
   flash_duration : int;
-  flash_boost : float;  (** extra active fraction during a flash crowd *)
 }
 
 val default_params : params

@@ -1,27 +1,23 @@
 module Schedule = Lla_chaos.Schedule
 
-type params = {
-  every : int;
-  duration : int;
-  poisons_per_window : int;
-  spikes_per_window : int;
-  spike_magnitude : float;
-  stall_drop : float;
-  dip_probability : float;
-  dip_floor : float;
-}
+type params = { every : int; duration : int }
 
-let default_params =
-  {
-    every = 20_000;
-    duration = 400;
-    poisons_per_window = 2;
-    spikes_per_window = 3;
-    spike_magnitude = 25.;
-    stall_drop = 0.1;
-    dip_probability = 0.5;
-    dip_floor = 0.7;
-  }
+let default_params = { every = 20_000; duration = 400 }
+
+(* What each window holds: price poisons, latency error spikes of up to
+   this many ms, a per-tick chance a control tick is lost, and the chance
+   of a capacity dip by a factor drawn from [U(dip_floor, 1)]. *)
+let poisons_per_window = 2
+
+let spikes_per_window = 3
+
+let spike_magnitude = 25.
+
+let stall_drop = 0.1
+
+let dip_probability = 0.5
+
+let dip_floor = 0.7
 
 type op =
   | Poison of { resource : int; value : float }
@@ -89,34 +85,28 @@ let open_window t ~now =
   let p = t.params in
   let horizon = float_of_int p.duration in
   let events = ref [] in
-  for _ = 1 to p.poisons_per_window do
+  for _ = 1 to poisons_per_window do
     let at = float_of_int (Lla_stdx.Rng.int t.rng ~bound:p.duration) in
     let resource = Lla_stdx.Rng.int t.rng ~bound:t.n_resources in
     events := Schedule.Price_poison { at; resource; value = poison_value t.rng } :: !events
   done;
-  for _ = 1 to p.spikes_per_window do
+  for _ = 1 to spikes_per_window do
     let at = Lla_stdx.Rng.int t.rng ~bound:p.duration in
     let duration = float_of_int (p.duration - at) in
     let subtask = Lla_stdx.Rng.int t.rng ~bound:t.n_subtasks in
-    let magnitude = Lla_stdx.Rng.uniform t.rng ~lo:(0.2 *. p.spike_magnitude) ~hi:p.spike_magnitude in
+    let magnitude = Lla_stdx.Rng.uniform t.rng ~lo:(0.2 *. spike_magnitude) ~hi:spike_magnitude in
     events :=
       Schedule.Error_spike { at = float_of_int at; duration; subtask; magnitude } :: !events
   done;
-  if p.stall_drop > 0. then
-    events :=
-      Schedule.Faults
-        {
-          at = 0.;
-          duration = horizon;
-          faults =
-            {
-              Lla_transport.Transport.drop = p.stall_drop;
-              duplicate = 0.;
-              reorder = 0.;
-              reorder_spread = 0.;
-            };
-        }
-      :: !events;
+  events :=
+    Schedule.Faults
+      {
+        at = 0.;
+        duration = horizon;
+        faults =
+          { Lla_transport.Transport.drop = stall_drop; duplicate = 0.; reorder = 0.; reorder_spread = 0. };
+      }
+    :: !events;
   t.events <- List.rev !events;
   t.window_start <- now;
   t.window_end <- now + p.duration;
@@ -141,9 +131,9 @@ let open_window t ~now =
       | Schedule.Jitter _ | Schedule.Partition _ | Schedule.Outage _
       | Schedule.Node_crash _ | Schedule.Storage_faults _ -> ())
     t.events;
-  if t.n_resources > 0 && Lla_stdx.Rng.float t.rng < p.dip_probability then begin
+  if t.n_resources > 0 && Lla_stdx.Rng.float t.rng < dip_probability then begin
     let resource = Lla_stdx.Rng.int t.rng ~bound:t.n_resources in
-    let factor = Lla_stdx.Rng.uniform t.rng ~lo:p.dip_floor ~hi:1. in
+    let factor = Lla_stdx.Rng.uniform t.rng ~lo:dip_floor ~hi:1. in
     agenda := (t.window_end, Restore { resource }) :: (now, Dip { resource; factor }) :: !agenda
   end;
   t.agenda <- List.stable_sort (fun (a, _) (b, _) -> compare a b) !agenda

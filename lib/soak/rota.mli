@@ -1,10 +1,11 @@
 (** Recurring chaos windows on a rota.
 
     Every [every] ticks the rota opens a window of [duration] ticks and
-    generates a fresh batch of {!Lla_chaos.Schedule.event}s for it —
-    price poisons (finite garbage, [nan], [inf], zero), latency error
-    spikes, and a probabilistic control-tick-loss fault window —
-    optionally plus a capacity dip restored at window close. {!step}
+    generates a fresh batch of {!Lla_chaos.Schedule.event}s for it — two
+    price poisons (finite garbage, [nan], [inf], zero), three latency
+    error spikes of 5–25 ms, and a fault window that loses each control
+    tick with probability 0.1 — and, with probability 0.5, a capacity
+    dip by a factor drawn from [U(0.7, 1)], restored at window close. {!step}
     expands the batch into per-tick kernel ops; generation is
     deterministic in [(params, seed, call sequence)] (the caller must
     call {!step} every tick). *)
@@ -12,12 +13,6 @@
 type params = {
   every : int;  (** ticks between window onsets; [<= 0] disables chaos *)
   duration : int;  (** window length in ticks *)
-  poisons_per_window : int;
-  spikes_per_window : int;
-  spike_magnitude : float;  (** scale of the latency disturbances, ms *)
-  stall_drop : float;  (** per-tick chance a control tick is lost in-window *)
-  dip_probability : float;  (** chance the window dips one capacity *)
-  dip_floor : float;  (** dip factor drawn from [U(dip_floor, 1)] *)
 }
 
 val default_params : params

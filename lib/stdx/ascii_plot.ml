@@ -1,6 +1,10 @@
 let glyphs = [| '1'; '2'; '3'; '4'; '5'; '6'; '7'; '8'; '9' |]
 
-let render ?(width = 72) ?(height = 16) ?title series =
+let width = 72
+
+let height = 16
+
+let render ?title series =
   let points = List.concat_map snd series in
   let buf = Buffer.create 1024 in
   (match title with

@@ -3,13 +3,11 @@
     directly in the terminal. *)
 
 val render :
-  ?width:int ->
-  ?height:int ->
   ?title:string ->
   (string * (float * float) list) list ->
   string
 (** [render series] plots each named series on a shared canvas
-    ([width] x [height] characters, defaults 72 x 16). Each series is drawn
+    (72 x 16 characters). Each series is drawn
     with its own glyph ([1], [2], ...; overlapping points show [#]) and a
     legend line maps glyphs to names. Empty input or all-empty series
     renders an explanatory placeholder. *)

@@ -28,6 +28,3 @@ let write ~path ~header ~rows =
           output_string oc (row_to_string row);
           output_char oc '\n')
         rows)
-
-let series_rows points =
-  List.map (fun (x, y) -> [ Printf.sprintf "%.17g" x; Printf.sprintf "%.17g" y ]) points

@@ -10,7 +10,3 @@ let add t x =
   t.count <- t.count + 1
 
 let value t = t.value
-
-let reset t =
-  t.value <- 0.;
-  t.count <- 0

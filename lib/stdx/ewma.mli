@@ -14,5 +14,3 @@ val add : t -> float -> unit
 
 val value : t -> float
 (** Current smoothed value; 0 when no sample has been added. *)
-
-val reset : t -> unit

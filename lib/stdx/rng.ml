@@ -48,8 +48,6 @@ let split t =
   let state = ref (int64 t) in
   of_seed_state state
 
-let copy = Bytes.copy
-
 let float t =
   (* Top 53 bits give a uniform double in [0, 1). *)
   let bits = Int64.shift_right_logical (int64 t) 11 in
@@ -78,11 +76,6 @@ let exponential t ~rate =
   if rate <= 0. then invalid_arg "Rng.exponential: rate <= 0";
   let u = 1. -. float t in
   -.log u /. rate
-
-let normal t ~mean ~stddev =
-  let u1 = 1. -. float t and u2 = float t in
-  let z = sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2) in
-  mean +. (stddev *. z)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -13,8 +13,6 @@ val split : t -> t
 (** A new generator statistically independent of the parent. Advances the
     parent. *)
 
-val copy : t -> t
-
 val int64 : t -> int64
 (** Next raw 64-bit output (xoshiro256++). *)
 
@@ -32,9 +30,6 @@ val bool : t -> bool
 val exponential : t -> rate:float -> float
 (** Exponentially distributed with the given [rate] (mean [1/rate]).
     Requires [rate > 0]. *)
-
-val normal : t -> mean:float -> stddev:float -> float
-(** Gaussian via Box–Muller. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

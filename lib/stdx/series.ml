@@ -25,10 +25,6 @@ let add t ~x ~y =
 
 let length t = t.len
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Series.get: index out of bounds";
-  (t.xs.(i), t.ys.(i))
-
 let last t = if t.len = 0 then None else Some (t.xs.(t.len - 1), t.ys.(t.len - 1))
 
 let iter t f =

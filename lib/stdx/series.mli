@@ -9,9 +9,6 @@ val add : t -> x:float -> y:float -> unit
 
 val length : t -> int
 
-val get : t -> int -> float * float
-(** @raise Invalid_argument when out of bounds. *)
-
 val last : t -> (float * float) option
 
 val iter : t -> (float -> float -> unit) -> unit

@@ -26,25 +26,6 @@ let stddev t = sqrt (variance t)
 
 let max t = t.max
 
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let n = a.n + b.n in
-    let delta = b.mean -. a.mean in
-    let nf = float_of_int n in
-    let mean = a.mean +. (delta *. float_of_int b.n /. nf) in
-    let m2 = a.m2 +. b.m2 +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. nf) in
-    {
-      n;
-      mean;
-      m2;
-      min = Float.min a.min b.min;
-      max = Float.max a.max b.max;
-      sum = a.sum +. b.sum;
-    }
-  end
-
 type summary = {
   n : int;
   mean : float;

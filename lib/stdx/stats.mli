@@ -14,10 +14,6 @@ val stddev : t -> float
 val max : t -> float
 (** [neg_infinity] when empty. *)
 
-val merge : t -> t -> t
-(** Statistics of the union of the two sample streams (Chan's parallel
-    update). Inputs are not modified. *)
-
 type summary = {
   n : int;
   mean : float;

@@ -70,7 +70,7 @@ type endpoint = {
   mutable n_out : int;
 }
 
-(* Per-channel counter block + delay window. With [config.channel_metrics]
+(* Per-channel counter block. With [config.channel_metrics]
    (the default) every channel gets its own, labelled [src]/[dst] (the
    [_id] labels keep channels distinct even when endpoint names collide);
    with it off, all channels of the transport share one aggregate block —
@@ -85,7 +85,6 @@ and chan_metrics = {
   c_duplicated : Metrics.counter;
   c_retried : Metrics.counter;
   c_stale : Metrics.counter;
-  window : Window.t;
 }
 
 (* A directed (src, dst) link, created lazily on first send. Counters live
@@ -97,7 +96,6 @@ and chan_metrics = {
 and channel = {
   src : endpoint;
   dst : endpoint;
-  mutable link_delay : Delay_model.t option;  (* overrides the transport default *)
   mutable next_seq : int;
   mutable lww_base : int;
   mutable lww : int array;
@@ -240,7 +238,6 @@ let make_cm t ~labels =
     c_duplicated = c "lla_transport_duplicated_total" "Extra copies injected.";
     c_retried = c "lla_transport_retried_total" "Retransmission attempts scheduled.";
     c_stale = c "lla_transport_stale_total" "Deliveries discarded by last-write-wins.";
-    window = Window.create ~capacity:t.config.delay_window;
   }
 
 let channel_cm t src dst =
@@ -284,7 +281,6 @@ let channel t src dst =
       {
         src;
         dst;
-        link_delay = None;
         next_seq = 0;
         lww_base = 0;
         lww = [||];
@@ -308,8 +304,6 @@ let channel t src dst =
     t.channel_list <- ch :: t.channel_list;
     ch
   end
-
-let set_link_delay t ~src ~dst model = (channel t src dst).link_delay <- Some model
 
 (* --- lifecycle ------------------------------------------------------- *)
 
@@ -468,7 +462,6 @@ and deliver m ~n ~delay =
     end
     else begin
       Metrics.incr ch.cm.c_delivered;
-      Window.add ch.cm.window delay;
       Window.add t.all_window delay;
       Metrics.observe t.delay_h delay;
       trace_delivered t ch delay;
@@ -502,11 +495,10 @@ and attempt m ~n =
   else if partitioned t ~src:ch.src ~dst:ch.dst then lost m ~n `Cut
   else if hit t t.faults.drop then lost m ~n `Drop
   else begin
-    let model = match ch.link_delay with Some model -> model | None -> t.config.delay in
-    copy m ~n model;
+    copy m ~n t.config.delay;
     if hit t t.faults.duplicate then begin
       Metrics.incr ch.cm.c_duplicated;
-      copy m ~n model
+      copy m ~n t.config.delay
     end
   end
 
@@ -563,6 +555,3 @@ let channels t =
          match Int.compare a.eid c.eid with 0 -> Int.compare b.eid d.eid | cmp -> cmp)
 
 let delay_percentile t ~p = Window.percentile t.all_window ~p
-
-let channel_delay_percentile _t ~src ~dst ~p =
-  match find_channel src dst with Some ch -> Window.percentile ch.cm.window ~p | None -> None

@@ -4,9 +4,9 @@
     {!Lla_sim.Engine}) sends its control messages through a [Transport.t]
     instead of scheduling deliveries directly. The transport owns:
 
-    - {b delay models}: a default {!Delay_model.t} plus per-link
-      overrides, sampled from a seeded {!Lla_stdx.Rng} so runs are
-      deterministic and reproducible;
+    - {b delay models}: one {!Delay_model.t} for every link, sampled
+      from a seeded {!Lla_stdx.Rng} so runs are deterministic and
+      reproducible;
     - {b fault injection}: probabilistic message drop, duplication and
       reordering (extra random delay on a fraction of messages), plus
       scheduled link {!partition}s with heal times;
@@ -20,8 +20,8 @@
     - {b per-channel counters} (sent / delivered / dropped / cut /
       lost-to-down-endpoints / duplicated / retried / stale) backed by an
       {!Lla_obs.Metrics} registry (labelled [src]/[dst], disambiguated by
-      endpoint id), a [lla_transport_delay_ms] histogram, and delay
-      percentile windows via {!Lla_stdx.Percentile.Window}. When the
+      endpoint id), a [lla_transport_delay_ms] histogram, and a delay
+      percentile window ({!delay_percentile}). When the
       transport is created with [?obs] it shares that handle's registry
       and additionally emits {!Lla_obs.Trace.Transport_dropped} records
       (always) plus per-message [Transport_send] / [Transport_delivered]
@@ -75,10 +75,10 @@ type config = {
   faults : faults;
   policy : policy;
   seed : int;  (** seeds the transport's private RNG. *)
-  delay_window : int;  (** samples kept per delay histogram. *)
+  delay_window : int;  (** samples kept by the delay histogram. *)
   channel_metrics : bool;
-      (** [true] (default): every channel owns labelled counters and a
-          delay window. [false]: all channels share one aggregate
+      (** [true] (default): every channel owns labelled counters.
+          [false]: all channels share one aggregate
           counter block (labelled [src="*"], [dst="*"]) — a memory
           valve for scale scenarios with 10^5+ channels, where
           per-channel registry records would dominate the heap.
@@ -90,7 +90,7 @@ type config = {
 
 val default_config : config
 (** Constant 1 ms delay, no faults, no retries with last-write-wins on,
-    seed 0, 1024-sample histograms, per-channel metrics on. *)
+    seed 0, a 1024-sample delay window, per-channel metrics on. *)
 
 (** {1 Transport and endpoints} *)
 
@@ -115,10 +115,6 @@ val endpoint_name : endpoint -> string
 
 val endpoints : t -> endpoint list
 (** In registration order. *)
-
-val set_link_delay : t -> src:endpoint -> dst:endpoint -> Delay_model.t -> unit
-(** Override the delay model of the directed [src -> dst] link
-    (heterogeneous links). *)
 
 (** {1 Scheduled fault windows}
 
@@ -219,5 +215,3 @@ val channels : t -> (endpoint * endpoint * counters) list
 val delay_percentile : t -> p:float -> float option
 (** Percentile of recently delivered messages' delays (all channels);
     [None] before the first delivery. *)
-
-val channel_delay_percentile : t -> src:endpoint -> dst:endpoint -> p:float -> float option

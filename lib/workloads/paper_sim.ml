@@ -132,12 +132,12 @@ let build ?(variant = Utility.Path_weighted) ~copies ~critical_time_factor () =
 
 let base ?variant () = build ?variant ~copies:1 ~critical_time_factor:1.0 ()
 
-let scaled ?variant ?critical_time_factor ~copies () =
+let scaled ?critical_time_factor ~copies () =
   let critical_time_factor =
     match critical_time_factor with
     | Some f -> f
     | None -> if copies = 1 then 1.0 else 1.25 *. float_of_int copies
   in
-  build ?variant ~copies ~critical_time_factor ()
+  build ~copies ~critical_time_factor ()
 
-let unschedulable_six ?variant () = build ?variant ~copies:2 ~critical_time_factor:1.0 ()
+let unschedulable_six () = build ~copies:2 ~critical_time_factor:1.0 ()

@@ -27,14 +27,14 @@ open Lla_model
 val base : ?variant:Utility.variant -> unit -> Workload.t
 (** The 3-task workload. Default variant: [Path_weighted] (§5.2). *)
 
-val scaled : ?variant:Utility.variant -> ?critical_time_factor:float -> copies:int -> unit -> Workload.t
+val scaled : ?critical_time_factor:float -> copies:int -> unit -> Workload.t
 (** §5.3: [copies] identical copies of each base task (same subtask
-    graphs, parameters and resource mapping). Critical times are scaled by
+    graphs, parameters and resource mapping; [Path_weighted] utility). Critical times are scaled by
     [critical_time_factor] (default [1.25 * copies]) to keep the workload
     schedulable as contention grows. [scaled ~copies:1] with factor 1 is
     {!base}. *)
 
-val unschedulable_six : ?variant:Utility.variant -> unit -> Workload.t
+val unschedulable_six : unit -> Workload.t
 (** §5.4: the 6-task workload with the *original* critical times — more
     demand than the resources can serve within the deadlines. *)
 

@@ -25,9 +25,9 @@ let chain_task ~task_id ~name ~exec_time ~trigger ~critical_time =
     ~utility:(Utility.negative_latency ())
     ~trigger ()
 
-let build ?(lag = 5.) ?(availability = 0.9) ~fast_trigger () =
+let build ~fast_trigger () =
   let resources =
-    List.init 3 (fun i -> Resource.make ~kind:Resource.Cpu ~availability ~lag i)
+    List.init 3 (fun i -> Resource.make ~kind:Resource.Cpu ~availability:0.9 ~lag:5. i)
   in
   let slow_trigger = Trigger.periodic ~period:100. () in
   let tasks =
@@ -44,14 +44,14 @@ let build ?(lag = 5.) ?(availability = 0.9) ~fast_trigger () =
   in
   Workload.make_exn ~tasks ~resources
 
-let workload ?lag ?availability () =
-  build ?lag ?availability ~fast_trigger:(Trigger.periodic ~period:25. ()) ()
+let workload () =
+  build ~fast_trigger:(Trigger.periodic ~period:25. ()) ()
 
-let workload_with_rate_change ?lag ?availability ~switch_at ~fast_period_after () =
+let workload_with_rate_change ~switch_at ~fast_period_after () =
   let fast_trigger =
     Trigger.phased
       ~before:(Trigger.periodic ~period:25. ())
       ~switch_at
       ~after:(Trigger.periodic ~period:fast_period_after ())
   in
-  build ?lag ?availability ~fast_trigger ()
+  build ~fast_trigger ()

@@ -16,12 +16,9 @@
 
 open Lla_model
 
-val workload : ?lag:float -> ?availability:float -> unit -> Workload.t
-(** Defaults: [lag = 5.] ms, [availability = 0.9]. *)
+val workload : unit -> Workload.t
 
-val workload_with_rate_change :
-  ?lag:float -> ?availability:float -> switch_at:float -> fast_period_after:float -> unit ->
-  Workload.t
+val workload_with_rate_change : switch_at:float -> fast_period_after:float -> unit -> Workload.t
 (** Same system, but the fast tasks switch their release period at the
     absolute time [switch_at] (ms) — e.g. [fast_period_after = 16.7] turns
     40/s into 60/s, raising the fast rate-stability floor from 0.2 to 0.3.

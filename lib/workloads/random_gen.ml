@@ -5,41 +5,25 @@ type shape =
   | Fan_out
   | Diamond
 
-type params = {
-  n_tasks : int;
-  n_resources : int;
-  min_subtasks : int;
-  max_subtasks : int;
-  exec_range : float * float;
-  latency_slack : float;
-  critical_time_margin : float;
-  capacity_margin : float;
-  variant : Utility.variant;
-}
+(* Every generated workload: 4 tasks of 3-7 subtasks on 8 resources
+   (distinct resources within a task), WCETs from U(1, 8) ms, witness
+   latencies of exec * U(2, 6), critical times 1.15x the witness
+   critical path, availabilities 1.15x the witness share sums. *)
+let n_tasks = 4
 
-let default_params =
-  {
-    n_tasks = 4;
-    n_resources = 8;
-    min_subtasks = 3;
-    max_subtasks = 7;
-    exec_range = (1., 8.);
-    latency_slack = 4.;
-    critical_time_margin = 1.15;
-    capacity_margin = 1.15;
-    variant = Utility.Path_weighted;
-  }
+let n_resources = 8
 
-let validate p =
-  if p.n_tasks < 1 then invalid_arg "Random_gen: n_tasks < 1";
-  if p.min_subtasks < 2 then invalid_arg "Random_gen: min_subtasks < 2";
-  if p.max_subtasks < p.min_subtasks then invalid_arg "Random_gen: max < min subtasks";
-  if p.n_resources < p.max_subtasks then
-    invalid_arg "Random_gen: need n_resources >= max_subtasks (distinct resources per task)";
-  if p.critical_time_margin <= 1. || p.capacity_margin <= 1. then
-    invalid_arg "Random_gen: margins must exceed 1";
-  let lo, hi = p.exec_range in
-  if lo <= 0. || hi < lo then invalid_arg "Random_gen: bad exec_range"
+let min_subtasks = 3
+
+let max_subtasks = 7
+
+let exec_lo, exec_hi = (1., 8.)
+
+let latency_slack = 4.
+
+let critical_time_margin = 1.15
+
+let capacity_margin = 1.15
 
 let shape_of_int = function 0 -> Chain | 1 -> Fan_out | _ -> Diamond
 
@@ -75,27 +59,25 @@ type draft = {
   resources : int array;
 }
 
-let generate ?(params = default_params) ~seed () =
-  validate params;
+let generate ~seed () =
   let rng = Lla_stdx.Rng.create ~seed in
-  let exec_lo, exec_hi = params.exec_range in
   (* Pass 1: draw shapes, execution times, witness latencies, resources. *)
   let drafts =
-    List.init params.n_tasks (fun ti ->
+    List.init n_tasks (fun ti ->
         let task_id = ti + 1 in
         let n =
-          params.min_subtasks
-          + Lla_stdx.Rng.int rng ~bound:(params.max_subtasks - params.min_subtasks + 1)
+          min_subtasks
+          + Lla_stdx.Rng.int rng ~bound:(max_subtasks - min_subtasks + 1)
         in
         let shape = shape_of_int (Lla_stdx.Rng.int rng ~bound:3) in
-        let resource_pool = Array.init params.n_resources Fun.id in
+        let resource_pool = Array.init n_resources Fun.id in
         Lla_stdx.Rng.shuffle rng resource_pool;
         let execs =
           Array.init n (fun _ -> Lla_stdx.Rng.uniform rng ~lo:exec_lo ~hi:exec_hi)
         in
         let lats =
           Array.map
-            (fun e -> e *. Lla_stdx.Rng.uniform rng ~lo:2. ~hi:(2. +. params.latency_slack))
+            (fun e -> e *. Lla_stdx.Rng.uniform rng ~lo:2. ~hi:(2. +. latency_slack))
             execs
         in
         { task_id; shape; execs; lats; resources = Array.sub resource_pool 0 n })
@@ -105,7 +87,7 @@ let generate ?(params = default_params) ~seed () =
      stretch every witness latency by a common factor (shares scale down
      inversely, preserving the structure of the draw). *)
   let witness_share drafts =
-    let sums = Array.make params.n_resources 0. in
+    let sums = Array.make n_resources 0. in
     List.iter
       (fun d ->
         Array.iteri
@@ -115,7 +97,7 @@ let generate ?(params = default_params) ~seed () =
     sums
   in
   let max_sum = Array.fold_left Float.max 0. (witness_share drafts) in
-  let scale = Float.max 1. (max_sum *. params.capacity_margin) in
+  let scale = Float.max 1. (max_sum *. capacity_margin) in
   List.iter (fun d -> Array.iteri (fun j lat -> d.lats.(j) <- lat *. scale) d.lats) drafts;
   let sums = witness_share drafts in
   (* Pass 3: materialize tasks; critical times from the (scaled) witness. *)
@@ -140,17 +122,17 @@ let generate ?(params = default_params) ~seed () =
           Graph.critical_path graph ~latency:(fun id ->
               d.lats.(Ids.Subtask_id.to_int id - (d.task_id * 100)))
         in
-        let critical_time = params.critical_time_margin *. witness_critical_path in
-        Task.make_exn ~variant:params.variant ~id:d.task_id ~subtasks ~graph ~critical_time
+        let critical_time = critical_time_margin *. witness_critical_path in
+        Task.make_exn ~variant:Utility.Path_weighted ~id:d.task_id ~subtasks ~graph ~critical_time
           ~utility:(Utility.linear ~k:2. ~critical_time)
           ~trigger:(Trigger.periodic ~period ())
           ())
       drafts
   in
   let resources =
-    List.init params.n_resources (fun r ->
+    List.init n_resources (fun r ->
         let availability =
-          if sums.(r) = 0. then 1. else Float.min 1. (params.capacity_margin *. sums.(r))
+          if sums.(r) = 0. then 1. else Float.min 1. (capacity_margin *. sums.(r))
         in
         Resource.make ~availability r)
   in

@@ -8,28 +8,9 @@
 
 open Lla_model
 
-type shape =
-  | Chain  (** linear pipeline. *)
-  | Fan_out  (** root -> hub -> leaves (push/multicast). *)
-  | Diamond  (** root -> branches -> join -> tail (pull/aggregate). *)
-
-type params = {
-  n_tasks : int;
-  n_resources : int;
-  min_subtasks : int;  (** >= 2 per task. *)
-  max_subtasks : int;
-  exec_range : float * float;  (** WCET bounds, ms. *)
-  latency_slack : float;
-      (** witness latencies are [exec * uniform(2, 2 + latency_slack)]. *)
-  critical_time_margin : float;
-      (** critical time = margin * witness critical path ( > 1). *)
-  capacity_margin : float;
-      (** availability = min(1, margin * witness share sum) ( > 1). *)
-  variant : Utility.variant;
-}
-
-val generate : ?params:params -> seed:int -> unit -> Workload.t
-(** Deterministic in [seed]. *)
+val generate : seed:int -> unit -> Workload.t
+(** Four tasks of 3–7 subtasks — chains, fan-outs and diamonds — on
+    eight resources. Deterministic in [seed]. *)
 
 val make_unschedulable : ?severity:float -> seed:int -> Workload.t -> Workload.t
 (** Shrinks every critical time by [severity] (default 2.5) — the

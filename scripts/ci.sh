@@ -42,16 +42,54 @@ echo "ci: $total tests run (floor $floor)"
 # cost against the control plane's real-time budget.
 ./_build/default/bench/main.exe profile-smoke
 
-# Examples: the four programs under examples/ must run to completion
-# (exit 0). They are callers of the library's public surface, so a
-# change that breaks what they use fails here, not only at build time.
-for example in quickstart program_trading patient_monitoring sensor_aggregation; do
-  ./_build/default/examples/$example.exe >/dev/null || {
-    echo "ci: example $example exited non-zero" >&2
+# Output pins: `pin NAME MD5 CMD...` requires CMD to exit 0 and print
+# exactly the pinned bytes on stdout.
+pin() {
+  name=$1
+  want=$2
+  shift 2
+  "$@" >_build/ci-pin.out || {
+    echo "ci: $name exited non-zero" >&2
     exit 1
   }
+  got=$(md5sum <_build/ci-pin.out | cut -d' ' -f1)
+  if [ "$got" != "$want" ]; then
+    echo "ci: $name stdout digest is $got, pinned $want" >&2
+    exit 1
+  fi
+}
+
+# Examples: the four programs under examples/ must run to completion
+# (exit 0) and print the same bytes. They are callers of the library's
+# public surface, so a change that breaks what they use fails here, not
+# only at build time.
+pin quickstart 4efd6fe98cfdf3b42ad12cd43b4372bd ./_build/default/examples/quickstart.exe
+pin program_trading 5810b228dd8f05065e87de19916f570d ./_build/default/examples/program_trading.exe
+pin patient_monitoring 8ecee291eb26ce32a03980db13143f63 \
+  ./_build/default/examples/patient_monitoring.exe
+pin sensor_aggregation fe48852c01cfcc11f678e5857aeae8cb \
+  ./_build/default/examples/sensor_aggregation.exe
+echo "ci: examples ran, output pinned"
+
+# Paper pins: Table 1, Figs. 5-8 and the other experiments print the
+# same bytes on every run (each is seeded). A change that moves one on
+# purpose re-pins it here and says so.
+for experiment in \
+  table1:8264f9b01ccdbbec0915347e61a3ec93 \
+  fig5:bee953be8697a54c9b2c065255e736c4 \
+  fig6:14d2399166a6bab565a410d9adb5e40c \
+  fig7:d826224a33e996653beedc65791c0fc1 \
+  fig8:67b44e3a609c46bdad6d4bc54c1a888b \
+  ablation:7a228129dec71cddc65bf561e114516e \
+  adaptation:6e22f199446283f72470aded5fa34115 \
+  variation:bc69eff26f1f8cf26810ce4ce95bce18 \
+  delays:c70c1ccd85cba588bee5d741eec35e2a \
+  chaos:6ac5ed4644c126e2a05c294dd1a0a14c \
+  recovery:dd2dd695dbb9b858d3bb7afaeacfdcf1; do
+  name=${experiment%%:*}
+  pin "bench $name" "${experiment#*:}" ./_build/default/bench/main.exe "$name"
 done
-echo "ci: examples ran"
+echo "ci: paper outputs pinned"
 
 # Analysis-tier smoke: the full span + series + report pipeline must run
 # end-to-end on the paper's Fig. 5 scenario (settling-time assertions

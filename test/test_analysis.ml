@@ -41,25 +41,6 @@ let chain_stream =
     span ~at:9. ~id:7 ~parent:6 ~trace:5 ~kind:"alloc";
   ]
 
-let test_causal_trees () =
-  let forest = Causal.trees chain_stream in
-  Alcotest.(check int) "three roots (two real, one orphaned chain)" 3 (List.length forest);
-  let first = List.hd forest in
-  Alcotest.(check int) "first root is span 0" 0 first.Causal.span.Causal.id;
-  (match first.Causal.children with
-  | [ msg ] -> (
-    Alcotest.(check int) "price's child is the msg" 1 msg.Causal.span.Causal.id;
-    match msg.Causal.children with
-    | [ alloc ] ->
-      Alcotest.(check int) "msg's child is the alloc" 2 alloc.Causal.span.Causal.id;
-      Alcotest.(check int) "stale re-solve hangs under the alloc" 1
-        (List.length alloc.Causal.children)
-    | kids -> Alcotest.fail (Printf.sprintf "msg has %d children" (List.length kids)))
-  | kids -> Alcotest.fail (Printf.sprintf "root has %d children" (List.length kids)));
-  Alcotest.(check (float 0.)) "end_at sees the deepest leaf" 6. (Causal.end_at first);
-  Alcotest.(check (list int)) "critical path follows the latest-ending chain" [ 0; 1; 2; 3 ]
-    (List.map (fun (s : Causal.span) -> s.Causal.id) (Causal.critical_path first))
-
 let test_causal_control_latencies () =
   Alcotest.(check (list (float 0.)))
     "only the price->msg->alloc chain counts" [ 4. ]
@@ -218,6 +199,36 @@ let test_settling_time () =
   Alcotest.(check bool) "non-finite target" true
     (Analyze.settling_time ~target:Float.nan [ (0., 1.) ] = None)
 
+(* Streams that carry one series each, for the report's reductions. *)
+let utility_stream series =
+  List.mapi
+    (fun i (at, utility) ->
+      {
+        Trace.seq = i;
+        at;
+        event = Trace.Iteration { iteration = i; utility; movement = 0.; guards = 0 };
+      })
+    series
+
+let price_stream series =
+  List.mapi
+    (fun i (at, mu) ->
+      {
+        Trace.seq = i;
+        at;
+        event =
+          Trace.Price_updated
+            { resource = 0; mu; step = 1.; share_sum = 0.; capacity = 1.; congested = false };
+      })
+    series
+
+let oscillation series = (Analyze.analyze (utility_stream series)).Analyze.utility_oscillation
+
+let dispersion series =
+  match (Analyze.analyze (price_stream series)).Analyze.resources with
+  | [ r ] -> r.Analyze.price_dispersion
+  | rs -> Alcotest.failf "%d resources reported for one price series" (List.length rs)
+
 let test_oscillation () =
   (* Triangle wave of amplitude 2 (values 1..3..1), period 4. *)
   let series =
@@ -227,16 +238,15 @@ let test_oscillation () =
         let v = match phase with 0 -> 1. | 1 -> 2. | 2 -> 3. | _ -> 2. in
         (t, v))
   in
-  (match Analyze.oscillation series with
+  (match oscillation series with
   | None -> Alcotest.fail "oscillation is defined"
   | Some o ->
     Alcotest.(check (float 1e-9)) "amplitude is half peak-to-peak" 1. o.Analyze.amplitude;
     (match o.Analyze.period with
     | None -> Alcotest.fail "period is defined with many maxima"
     | Some p -> Alcotest.(check (float 1e-9)) "period from local maxima spacing" 4. p));
-  Alcotest.(check bool) "single sample has no oscillation" true
-    (Analyze.oscillation [ (0., 1.) ] = None);
-  match Analyze.oscillation (List.init 16 (fun i -> (float_of_int i, 5.))) with
+  Alcotest.(check bool) "single sample has no oscillation" true (oscillation [ (0., 1.) ] = None);
+  match oscillation (List.init 16 (fun i -> (float_of_int i, 5.))) with
   | None -> Alcotest.fail "flat series still has amplitude 0"
   | Some o ->
     Alcotest.(check (float 0.)) "flat series amplitude" 0. o.Analyze.amplitude;
@@ -245,10 +255,10 @@ let test_oscillation () =
 let test_dispersion_and_episodes () =
   (* Second half of the series is constant: dispersion 0. *)
   Alcotest.(check (float 0.)) "constant tail" 0.
-    (Analyze.dispersion [ (0., 9.); (1., 9.); (2., 5.); (3., 5.) ]);
+    (dispersion [ (0., 9.); (1., 9.); (2., 5.); (3., 5.) ]);
   (* Tail {4, 6}: population stddev 1. *)
   Alcotest.(check (float 1e-9)) "two-point tail" 1.
-    (Analyze.dispersion [ (0., 0.); (1., 0.); (2., 4.); (3., 6.) ]);
+    (dispersion [ (0., 0.); (1., 0.); (2., 4.); (3., 6.) ]);
   let series = [ (0., 0.5); (1., 1.5); (2., 1.2); (3., 0.9); (4., 2.0) ] in
   Alcotest.(check (list (pair (float 0.) (float 0.))))
     "maximal above-threshold intervals; open episode closes at stream end"
@@ -389,7 +399,6 @@ let () =
     [
       ( "causal",
         [
-          Alcotest.test_case "tree reconstruction" `Quick test_causal_trees;
           Alcotest.test_case "control latencies" `Quick test_causal_control_latencies;
           Alcotest.test_case "non-span records ignored" `Quick test_causal_ignores_non_span_records;
           Alcotest.test_case "online and offline views agree" `Slow test_online_offline_agree;

@@ -194,17 +194,21 @@ let test_generated_schedules_roundtrip () =
     | Error e -> Alcotest.fail (Printf.sprintf "seed %d: decode failed: %s" seed e)
   done
 
+(* A schedule names its workload; the runner resolves the name. *)
 let test_workload_names () =
-  (match Campaign.workload_of_name "base" with
+  let run workload =
+    Campaign.run_schedule (Schedule.make ~workload ~horizon:100. ~settle:100. [])
+  in
+  (match run "base" with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  (match Campaign.workload_of_name "random:17" with
+  (match run "random:17" with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  (match Campaign.workload_of_name "nope" with
+  (match run "nope" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown workload accepted");
-  match Campaign.workload_of_name "random:xyz" with
+  match run "random:xyz" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed random seed accepted"
 
@@ -343,6 +347,13 @@ let test_campaign_deterministic () =
    step) produces a violation; the shrinker returns a smaller schedule
    that still reproduces it; and the saved artifact replays to the same
    failing oracle via the public replay path. *)
+(* Does the schedule still fail one of the named oracles? *)
+let reproduces ?engine ~failing sched =
+  match Campaign.run_schedule ?engine sched with
+  | Error _ -> false
+  | Ok exec ->
+      List.exists (fun v -> List.mem v.Oracle.oracle failing) (Oracle.failures exec.Campaign.verdicts)
+
 let test_fragile_violation_shrinks_and_replays () =
   let out = Filename.concat (Filename.get_temp_dir_name ()) "lla_chaos_test_repro" in
   let s = Campaign.run ~fragile:true ~shrink_attempts:80 ~out ~runs:1 ~seed:42 () in
@@ -354,7 +365,7 @@ let test_fragile_violation_shrinks_and_replays () =
       (List.length f.Campaign.shrunk.Schedule.events
       <= List.length f.Campaign.schedule.Schedule.events);
     Alcotest.(check bool) "shrunk still reproduces" true
-      (Campaign.reproduces ~failing:f.Campaign.oracles f.Campaign.shrunk);
+      (reproduces ~failing:f.Campaign.oracles f.Campaign.shrunk);
     let path =
       match f.Campaign.shrunk_path with
       | Some p -> p

@@ -382,30 +382,27 @@ let test_campaign_domains_replay_identical () =
   | Error e, _ | _, Error e -> Alcotest.failf "run_schedule: %s" e
 
 let test_campaign_domains_shrinker_repro () =
-  (* An interleaving-exposed failure: a nan poison against the fragile
-     (resilience-off) deployment on the parallel engine. The engine-aware
-     shrinker must minimize it and the minimum must still reproduce on
-     the same engine. *)
+  (* The fragile (resilience-off, aggressive fixed step) deployment on
+     the parallel engine fails; the campaign's engine-aware shrinker must
+     minimize the failure, and the minimum must still reproduce on the
+     same engine. *)
   let engine = `Domains 2 in
-  let sched =
-    Schedule.make
-      ~setup:(Schedule.fragile_setup 48. 5)
-      ~workload:"base" ~horizon:3_000. ~settle:4_000.
-      [
-        Schedule.Price_poison { at = 1_000.; resource = 0; value = Float.nan };
-        Schedule.Jitter { at = 1_500.; duration = 800.; spread = 4. };
-      ]
-  in
-  match Campaign.run_schedule ~engine sched with
-  | Error e -> Alcotest.failf "run_schedule: %s" e
-  | Ok exec ->
-      let failing = List.map (fun v -> v.Oracle.oracle) (Oracle.failures exec.Campaign.verdicts) in
-      Alcotest.(check bool) "fragile poison fails some oracle" true (failing <> []);
-      let shrunk = Campaign.shrink ~engine ~max_attempts:8 ~failing sched in
+  let s = Campaign.run ~engine ~fragile:true ~shrink_attempts:8 ~runs:1 ~seed:42 () in
+  match s.Campaign.failures with
+  | [] -> Alcotest.fail "fragile deployment survived on the domains engine"
+  | f :: _ ->
+      let reproduces =
+        match Campaign.run_schedule ~engine f.Campaign.shrunk with
+        | Error e -> Alcotest.failf "run_schedule: %s" e
+        | Ok exec ->
+            List.exists
+              (fun v -> List.mem v.Oracle.oracle f.Campaign.oracles)
+              (Oracle.failures exec.Campaign.verdicts)
+      in
       Alcotest.(check bool) "shrunk is no larger" true
-        (List.length shrunk.Schedule.events <= List.length sched.Schedule.events);
-      Alcotest.(check bool) "shrunk still reproduces on the domains engine" true
-        (Campaign.reproduces ~engine ~failing shrunk)
+        (List.length f.Campaign.shrunk.Schedule.events
+        <= List.length f.Campaign.schedule.Schedule.events);
+      Alcotest.(check bool) "shrunk still reproduces on the domains engine" true reproduces
 
 let () =
   Alcotest.run "lla_engine"

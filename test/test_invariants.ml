@@ -79,7 +79,7 @@ let test_divergent_run_safe_mode_causality () =
   let resilience =
     {
       Distributed.default_resilience with
-      Distributed.health = None;
+      Distributed.health = false;
       checkpoint_period = None;
     }
   in

@@ -256,15 +256,14 @@ let diamond () =
 
 let test_graph_chain () =
   let g = Graph.chain [ sid 1; sid 2; sid 3 ] in
-  Alcotest.(check int) "one path" 1 (Graph.path_count g);
+  Alcotest.(check int) "one path" 1 (List.length (Graph.paths g));
   Alcotest.(check bool) "root" true (Ids.Subtask_id.equal (Graph.root g) (sid 1));
   Alcotest.(check int) "leaves" 1 (List.length (Graph.leaves g))
 
 let test_graph_diamond_paths () =
   let g = diamond () in
-  Alcotest.(check int) "two paths" 2 (Graph.path_count g);
   let paths = Graph.paths g in
-  Alcotest.(check int) "enumeration agrees" 2 (List.length paths);
+  Alcotest.(check int) "two paths" 2 (List.length paths);
   List.iter
     (fun p ->
       Alcotest.(check int) "path length" 3 (List.length p);
@@ -273,7 +272,7 @@ let test_graph_diamond_paths () =
 
 let test_graph_fan_out () =
   let g = Graph.fan_out ~root:(sid 1) ~hub:(sid 2) ~leaves:[ sid 3; sid 4; sid 5 ] in
-  Alcotest.(check int) "3 paths" 3 (Graph.path_count g)
+  Alcotest.(check int) "3 paths" 3 (List.length (Graph.paths g))
 
 let test_graph_weights () =
   let g = diamond () in
@@ -364,12 +363,6 @@ let build_random_dag (n, seed) =
            (sid parent, sid target) :: extra))
   in
   Graph.make_exn ~nodes ~edges
-
-let prop_graph_path_count_consistent =
-  QCheck.Test.make ~name:"graph: DP path counts match enumeration" random_dag_gen (fun input ->
-      let g = build_random_dag input in
-      let enumerated = List.length (Graph.paths g) in
-      Graph.path_count g = enumerated)
 
 let prop_graph_weights_sum =
   QCheck.Test.make ~name:"graph: path-weighted weights of each path's nodes average correctly"
@@ -805,11 +798,7 @@ let test_workload_utilization () =
 let test_workload_min_share_and_bounds () =
   let w = make_workload () in
   let s = Ids.Subtask_id.make 100 in
-  check_close "min share = rate * wcet" 0.02 (Workload.min_share w s);
-  let lo, hi = Workload.latency_bounds w s in
-  check_close "lat_lo = c + l" 2. lo;
-  (* stability bound: (c+l)/min_share = 2/0.02 = 100 > C = 50 *)
-  check_close "lat_hi = critical time" 50. hi
+  check_close "min share = rate * wcet" 0.02 (Workload.min_share w s)
 
 let test_workload_share_sum_and_violations () =
   let w = make_workload () in
@@ -835,26 +824,47 @@ let test_workload_total_utility () =
 (* Percentile_map                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The sampling percentile [for_task] gives each subtask of an
+   [n]-subtask chain whose task targets its [p]-th end-to-end
+   percentile. *)
+let chain_percentile ~p ~n =
+  let tid = Ids.Task_id.make 1 in
+  let subtasks =
+    List.init n (fun i -> Subtask.make ~id:(100 + i) ~task:tid ~resource:0 ~exec_time:1. ())
+  in
+  let task =
+    Task.make_exn ~latency_percentile:p ~id:1 ~subtasks
+      ~graph:(Graph.chain (List.map (fun (s : Subtask.t) -> s.Subtask.id) subtasks))
+      ~critical_time:50.
+      ~utility:(Utility.linear ~k:2. ~critical_time:50.)
+      ~trigger:(Trigger.periodic ~period:100. ())
+      ()
+  in
+  let per_subtask = Ids.Subtask_id.Map.bindings (Percentile_map.for_task task) in
+  Alcotest.(check int) "one percentile per subtask" n (List.length per_subtask);
+  let first = snd (List.hd per_subtask) in
+  List.iter (fun (_, q) -> check_close "one percentile along a chain" first q) per_subtask;
+  first
+
 let test_percentile_map_identity () =
-  check_close "n=1 keeps the percentile" 90.
-    (Percentile_map.subtask_percentile ~task_percentile:90. ~path_length:1);
-  check_close "worst case composes trivially" 100.
-    (Percentile_map.subtask_percentile ~task_percentile:100. ~path_length:5)
+  check_close "n=1 keeps the percentile" 90. (chain_percentile ~p:90. ~n:1);
+  check_close "worst case composes trivially" 100. (chain_percentile ~p:100. ~n:5)
 
 let test_percentile_map_known_value () =
   (* The paper's example: two subtasks at percentile p compose to p^2/100,
      so for a p=81 end-to-end target each subtask needs 90. *)
-  check_close ~eps:1e-9 "sqrt composition" 90.
-    (Percentile_map.subtask_percentile ~task_percentile:81. ~path_length:2)
+  check_close ~eps:1e-9 "sqrt composition" 90. (chain_percentile ~p:81. ~n:2)
 
 let test_percentile_map_compose_roundtrip () =
   List.iter
     (fun (p, n) ->
-      let sub = Percentile_map.subtask_percentile ~task_percentile:p ~path_length:n in
+      let sub = chain_percentile ~p ~n in
+      (* n subtasks each meeting their bound at [sub] meet the path's sum
+         with probability (sub/100)^n *)
       check_close ~eps:1e-6
         (Printf.sprintf "compose inverse (p=%g, n=%d)" p n)
         p
-        (Percentile_map.compose sub n))
+        (100. *. ((sub /. 100.) ** float_of_int n)))
     [ (50., 2); (90., 3); (99., 6); (75., 4) ]
 
 let test_percentile_map_for_task () =
@@ -867,8 +877,8 @@ let prop_percentile_map_monotone =
   QCheck.Test.make ~name:"percentile_map: per-subtask percentile grows with path length"
     QCheck.(pair (float_range 10. 99.) (int_range 1 9))
     (fun (p, n) ->
-      let a = Percentile_map.subtask_percentile ~task_percentile:p ~path_length:n in
-      let b = Percentile_map.subtask_percentile ~task_percentile:p ~path_length:(n + 1) in
+      let a = chain_percentile ~p ~n in
+      let b = chain_percentile ~p ~n:(n + 1) in
       b > a -. 1e-12 && a >= p -. 1e-9 && b <= 100. +. 1e-9)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
@@ -931,7 +941,6 @@ let () =
         ]
         @ qcheck
             [
-              prop_graph_path_count_consistent;
               prop_graph_weights_sum;
               prop_graph_critical_path_is_max;
               prop_graph_matches_reference;

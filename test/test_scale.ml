@@ -218,7 +218,7 @@ let test_kernel_rejects_nonlinear () =
 
 (* The safe-mode watchdog's default price cap, the one the soak passes
    to [Kernel.enter_fallback]. *)
-let mu_cap = Lla_runtime.Safe_mode.default_config.Lla_runtime.Safe_mode.mu_cap
+let mu_cap = Lla_runtime.Safe_mode.mu_cap
 
 let oracle_configs =
   [|
@@ -800,8 +800,8 @@ let test_clearing_total () =
   let config = Kernel.scale_config in
   let k = kernel_exn ~config w in
   let mu = Array.copy (Kernel.mu_array k) and lambda = Array.copy (Kernel.lambda_array k) in
-  Alcotest.(check (float 0.)) "overloaded resource keeps mu0" config.Kernel.mu0 mu.(0);
-  Alcotest.(check (float 0.)) "unreachable path keeps lambda0" config.Kernel.lambda0 lambda.(0);
+  Alcotest.(check (float 0.)) "overloaded resource keeps mu0" 1. mu.(0);
+  Alcotest.(check (float 0.)) "unreachable path keeps lambda0" 0. lambda.(0);
   if not (mu.(1) > 0. && Float.is_finite mu.(1)) then
     Alcotest.failf "resource 1 should clear at a finite positive price, got %g" mu.(1);
   if not (Array.for_all Float.is_finite lambda && Array.for_all (fun l -> l >= 0.) lambda) then

@@ -43,7 +43,8 @@ let test_engine_schedule_in_past_rejected () =
      with Invalid_argument _ -> true)
 
 let test_engine_schedule_after () =
-  let engine = Engine.create ~start_time:100. () in
+  let engine = Engine.create () in
+  Engine.run_until engine 100.;
   let fired_at = ref nan in
   ignore (Engine.schedule_after engine ~delay:5. (fun e -> fired_at := Engine.now e));
   Engine.run engine ();
@@ -99,13 +100,6 @@ let test_engine_run_until_handles_newly_scheduled () =
   ignore (Engine.schedule engine ~at:2. (fun _ -> log := 2. :: !log));
   Engine.run_until engine 3.;
   Alcotest.(check (list (float 0.))) "interleaved correctly" [ 1.; 1.5; 2. ] (List.rev !log)
-
-let test_engine_max_events () =
-  let engine = Engine.create () in
-  let rec forever e = ignore (Engine.schedule_after e ~delay:1. forever) in
-  ignore (Engine.schedule engine ~at:0. forever);
-  Engine.run engine ~max_events:50 ();
-  Alcotest.(check int) "bounded" 50 (Engine.events_fired engine)
 
 (* The regression: a cancelled event at the head of the queue must not
    let [run_until] fire the next event past its horizon. *)
@@ -590,7 +584,6 @@ let () =
           Alcotest.test_case "run_until horizon" `Quick test_engine_run_until;
           Alcotest.test_case "run_until with fresh events" `Quick
             test_engine_run_until_handles_newly_scheduled;
-          Alcotest.test_case "max_events bound" `Quick test_engine_max_events;
           Alcotest.test_case "run_until past a cancelled head" `Quick
             test_engine_run_until_cancelled_head;
           Alcotest.test_case "firing allocates nothing" `Quick

@@ -262,21 +262,6 @@ let test_outage_and_restart_hook () =
   let c = Transport.totals transport in
   Alcotest.(check int) "lost to down endpoint" 1 c.Transport.lost_down
 
-let test_per_link_delay_override () =
-  let engine, transport, a, b = two_endpoints () in
-  let c = Transport.endpoint transport ~name:"c" in
-  Transport.set_link_delay transport ~src:a ~dst:c (Delay_model.constant 9.);
-  let times = ref [] in
-  Transport.send transport ~src:a ~dst:b (fun () -> times := ("b", Engine.now engine) :: !times);
-  Transport.send transport ~src:a ~dst:c (fun () -> times := ("c", Engine.now engine) :: !times);
-  Engine.run engine ();
-  check_close "default link" 1. (List.assoc "b" !times);
-  check_close "overridden link" 9. (List.assoc "c" !times);
-  Alcotest.(check int) "two channels inspected" 2 (List.length (Transport.channels transport));
-  match Transport.channel_delay_percentile transport ~src:a ~dst:c ~p:50. with
-  | Some d -> check_close "per-channel histogram" 9. d
-  | None -> Alcotest.fail "expected a delay histogram"
-
 let chaotic_config seed =
   {
     Transport.default_config with
@@ -615,7 +600,6 @@ let () =
           Alcotest.test_case "retry jitter band and zero-jitter schedule" `Quick test_retry_jitter;
           Alcotest.test_case "retry jitter validation" `Quick test_retry_jitter_validation;
           Alcotest.test_case "outage and restart hook" `Quick test_outage_and_restart_hook;
-          Alcotest.test_case "per-link delay override" `Quick test_per_link_delay_override;
           Alcotest.test_case "seeded determinism" `Quick test_seeded_determinism;
           QCheck_alcotest.to_alcotest prop_tables_match_model;
         ] );
