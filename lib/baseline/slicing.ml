@@ -8,7 +8,11 @@ let assignment_of_table table sid =
   | None -> invalid_arg "Slicing: unknown subtask"
 
 let longest_path_length (task : Task.t) =
-  Array.fold_left (fun acc p -> Stdlib.max acc (List.length p)) 0 task.Task.paths
+  let longest = ref 0 in
+  for q = 0 to Task.n_paths task - 1 do
+    longest := Stdlib.max !longest (task.Task.path_off.(q + 1) - task.Task.path_off.(q))
+  done;
+  !longest
 
 let equal_slice (workload : Workload.t) =
   let table =

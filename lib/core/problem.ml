@@ -49,13 +49,11 @@ type t = {
    spanning the relevant latency range; the paper's linear utilities are
    exact matches and get the closed-form allocation. *)
 let detect_linear_slope (u : Utility.t) ~critical_time =
-  let probes = [ 1e-3; 0.25 *. critical_time; 0.5 *. critical_time; critical_time ] in
-  match List.map u.Utility.df probes with
-  | [] -> None
-  | d0 :: rest ->
-    if List.for_all (fun d -> Float.abs (d -. d0) <= 1e-12 *. Float.max 1. (Float.abs d0)) rest
-    then Some d0
-    else None
+  let d0 = u.Utility.df 1e-3 in
+  let same x = Float.abs (u.Utility.df x -. d0) <= 1e-12 *. Float.max 1. (Float.abs d0) in
+  if same (0.25 *. critical_time) && same (0.5 *. critical_time) && same critical_time then
+    Some d0
+  else None
 
 (* [invert n iter] lists, for each bucket 0..n-1, the items that [iter add]
    passes to [add item bucket], in the order passed: one pass counts, a
@@ -70,12 +68,13 @@ let invert n iter =
       count.(b) <- count.(b) + 1);
   buckets
 
-(* Compilation is linear in the workload size up to a sort of each path's
-   few resources: ids resolve through hash tables sized to their final
-   count, never through the workload's association lists (whose lookups
-   are O(n) and would make compile quadratic — prohibitive for the
-   Lla_scale generator's 10^4..10^6-subtask scenarios). Subtasks are
-   numbered in task order, then in each task's list order. *)
+(* Compilation is linear in the workload size: ids resolve through hash
+   tables sized to their final count, never through the workload's
+   association lists (whose lookups are O(n) and would make compile
+   quadratic — prohibitive for the Lla_scale generator's
+   10^4..10^6-subtask scenarios), and a path member through its task's
+   graph node number. Subtasks are numbered in task order, then in each
+   task's list order. *)
 let compile (workload : Workload.t) =
   let resources = Array.of_list workload.Workload.resources in
   let n_res = Array.length resources in
@@ -88,29 +87,38 @@ let compile (workload : Workload.t) =
   (* [sub_start.(ti)] / [path_start.(ti)]: the number of task ti's first
      subtask / first path; entry n_tasks holds the totals. *)
   let sub_start = Array.make (n_tasks + 1) 0 and path_start = Array.make (n_tasks + 1) 0 in
+  let widest = ref 0 in
   Array.iteri
     (fun ti (t : Task.t) ->
-      sub_start.(ti + 1) <- sub_start.(ti) + List.length t.Task.subtasks;
-      path_start.(ti + 1) <- path_start.(ti) + Array.length t.Task.paths)
+      let n = List.length t.Task.subtasks in
+      widest := Stdlib.max !widest n;
+      sub_start.(ti + 1) <- sub_start.(ti) + n;
+      path_start.(ti + 1) <- path_start.(ti) + Task.n_paths t)
     task_arr;
   let n_sub = sub_start.(n_tasks) and n_paths = path_start.(n_tasks) in
-  let records =
-    Array.of_list (List.concat_map (fun (t : Task.t) -> t.Task.subtasks) workload.tasks)
-  in
-  let owner = Array.make n_sub 0 in
-  Array.iteri
-    (fun ti _ -> Array.fill owner sub_start.(ti) (sub_start.(ti + 1) - sub_start.(ti)) ti)
-    task_arr;
+  (* One pass numbers the subtasks; [node_sub.(sub_start.(ti) + k)] is
+     the number of the subtask at task ti's graph node k. *)
+  let records = Array.make n_sub (List.hd task_arr.(0).Task.subtasks) in
   let subtask_of = Ids.Subtask_id.Tbl.create n_sub in
-  Array.iteri (fun i (s : Subtask.t) -> Ids.Subtask_id.Tbl.replace subtask_of s.id i) records;
-  let resource =
-    Array.map (fun (s : Subtask.t) -> Ids.Resource_id.Tbl.find resource_of s.resource) records
-  in
+  let resource = Array.make n_sub 0 and node_sub = Array.make n_sub 0 in
+  Array.iteri
+    (fun ti (t : Task.t) ->
+      let base = sub_start.(ti) in
+      List.iteri
+        (fun j (s : Subtask.t) ->
+          let i = base + j in
+          records.(i) <- s;
+          Ids.Subtask_id.Tbl.replace subtask_of s.id i;
+          resource.(i) <- Ids.Resource_id.Tbl.find resource_of s.resource;
+          node_sub.(base + Graph.index t.Task.graph s.id) <- i)
+        t.Task.subtasks)
+    task_arr;
   (* Global path numbering: task order, then Graph.paths order. A path's
-     resources are its members' distinct resources in ascending id order. *)
-  let by_resource_id a b =
-    Ids.Resource_id.compare resources.(a).Resource.id resources.(b).Resource.id
-  in
+     resources are its members' distinct resources in ascending id order,
+     kept sorted in [distinct] by insertion as the members come. *)
+  let resource_ids = Array.map (fun (r : Resource.t) -> r.id) resources in
+  let key r = Ids.Resource_id.to_int resource_ids.(r) in
+  let distinct = Array.make !widest 0 in
   let paths =
     Array.make n_paths
       {
@@ -123,30 +131,34 @@ let compile (workload : Workload.t) =
   in
   Array.iteri
     (fun ti (t : Task.t) ->
-      Array.iteri
-        (fun index_in_task path_subtasks ->
-          let subtask_indices =
-            Array.of_list (List.map (Ids.Subtask_id.Tbl.find subtask_of) path_subtasks)
-          in
-          let members = Array.map (Array.get resource) subtask_indices in
-          Array.stable_sort by_resource_id members;
-          let distinct = ref 0 in
-          Array.iter
-            (fun r ->
-              if !distinct = 0 || members.(!distinct - 1) <> r then begin
-                members.(!distinct) <- r;
-                incr distinct
-              end)
-            members;
-          paths.(path_start.(ti) + index_in_task) <-
-            {
-              task = ti;
-              index_in_task;
-              subtask_indices;
-              critical_time = t.Task.critical_time;
-              path_resources = Array.sub members 0 !distinct;
-            })
-        t.Task.paths)
+      let base = sub_start.(ti) in
+      for q = 0 to Task.n_paths t - 1 do
+        let first = t.Task.path_off.(q) in
+        let subtask_indices = Array.make (t.Task.path_off.(q + 1) - first) 0 in
+        let count = ref 0 in
+        for e = 0 to Array.length subtask_indices - 1 do
+          let i = node_sub.(base + t.Task.path_members.(first + e)) in
+          subtask_indices.(e) <- i;
+          let r = resource.(i) in
+          let k = ref !count in
+          while !k > 0 && key distinct.(!k - 1) > key r do
+            decr k
+          done;
+          if !k = 0 || distinct.(!k - 1) <> r then begin
+            Array.blit distinct !k distinct (!k + 1) (!count - !k);
+            distinct.(!k) <- r;
+            incr count
+          end
+        done;
+        paths.(path_start.(ti) + q) <-
+          {
+            task = ti;
+            index_in_task = q;
+            subtask_indices;
+            critical_time = t.Task.critical_time;
+            path_resources = Array.sub distinct 0 !count;
+          }
+      done)
     task_arr;
   (* Each path enters itself in its members' lists, so every list comes
      out in ascending path order. *)
@@ -154,10 +166,15 @@ let compile (workload : Workload.t) =
     invert n_sub (fun add ->
         Array.iteri (fun p (q : path) -> Array.iter (add p) q.subtask_indices) paths)
   in
+  (* [Array.init] runs in index order, so [ti] advances to the task of
+     subtask i as i grows. *)
+  let ti = ref 0 in
   let subtasks =
-    Array.mapi
-      (fun i (s : Subtask.t) ->
-        let t = task_arr.(owner.(i)) in
+    Array.init n_sub (fun i ->
+        while sub_start.(!ti + 1) <= i do
+          incr ti
+        done;
+        let s = records.(i) and t = task_arr.(!ti) in
         let r = resources.(resource.(i)) in
         let share = Subtask.share_function s ~lag:r.Resource.lag in
         (* Inlined Workload.latency_bounds / min_share: those helpers
@@ -174,7 +191,7 @@ let compile (workload : Workload.t) =
         {
           sid = s.id;
           name = s.name;
-          task = owner.(i);
+          task = !ti;
           resource = resource.(i);
           exec = s.exec_time;
           weight = Task.weight t s.id;
@@ -184,7 +201,6 @@ let compile (workload : Workload.t) =
           stability;
           paths = own_paths.(i);
         })
-      records
   in
   let tasks =
     Array.mapi
@@ -197,7 +213,7 @@ let compile (workload : Workload.t) =
           critical_time = t.Task.critical_time;
           subtask_indices =
             Array.init (sub_start.(ti + 1) - sub_start.(ti)) (fun j -> sub_start.(ti) + j);
-          path_indices = Array.init (Array.length t.Task.paths) (fun k -> path_start.(ti) + k);
+          path_indices = Array.init (Task.n_paths t) (fun k -> path_start.(ti) + k);
         })
       task_arr
   in
@@ -210,7 +226,7 @@ let compile (workload : Workload.t) =
     tasks;
     paths;
     capacities = Array.map (fun (r : Resource.t) -> r.availability) resources;
-    resource_ids = Array.map (fun (r : Resource.t) -> r.id) resources;
+    resource_ids;
     by_resource;
     subtask_of;
     resource_of;

@@ -23,9 +23,18 @@ val fan_out : root:Subtask_id.t -> hub:Subtask_id.t -> leaves:Subtask_id.t list 
 (** Push/multicast shape: [root -> hub -> each leaf]. *)
 
 val nodes : t -> Subtask_id.t list
-(** In the order supplied to {!make}. *)
+(** In the order supplied to {!make} (a fresh list). *)
+
+val index : t -> Subtask_id.t -> int
+(** The subtask's node number: its rank among the graph's ids in
+    ascending order ([0 .. node_count - 1]), or -1 when it is not a
+    node. {!paths} and {!weights} are indexed by these numbers. *)
+
+val node : t -> int -> Subtask_id.t
+(** The subtask with the given node number. *)
 
 val edges : t -> (Subtask_id.t * Subtask_id.t) list
+(** In the order supplied to {!make} (a fresh list). *)
 
 val node_count : t -> int
 
@@ -36,19 +45,23 @@ val leaves : t -> Subtask_id.t list
 val successors : t -> Subtask_id.t -> Subtask_id.t list
 
 val predecessors : t -> Subtask_id.t -> Subtask_id.t list
+(** In edge declaration order. Scans every edge: the graph keeps no
+    predecessor lists. *)
 
 val in_degree : t -> Subtask_id.t -> int
 
 val mem : t -> Subtask_id.t -> bool
 
-val paths : t -> Subtask_id.t list list
+val paths : t -> int array * int array
 (** All root-to-leaf paths, in a deterministic order (depth-first,
-    successors in declaration order). Exponential in pathological DAGs;
-    real task graphs are small. *)
+    successors in declaration order), as [(off, members)]: path [q]
+    visits the node numbers [members.(off.(q)) .. members.(off.(q + 1) - 1)],
+    root first, and [off] has one entry more than there are paths.
+    Exponential in pathological DAGs; real task graphs are small. *)
 
-val weights : t -> variant:Utility.variant -> float Subtask_id.Map.t
-(** Aggregation weights per subtask: 1 for [Sum]; for [Path_weighted]
-    the number of root-to-leaf paths through the subtask over the number
+val weights : t -> variant:Utility.variant -> float array
+(** Aggregation weights by node number: 1 for [Sum]; for [Path_weighted]
+    the number of root-to-leaf paths through the node over the number
     of paths (so the weighted sum of latencies equals the mean path
     latency). *)
 

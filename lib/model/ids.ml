@@ -39,7 +39,21 @@ end) : ID = struct
 
   let hash = Lla_stdx.Int_tbl.hash
 
-  let to_string i = Prefix.prefix ^ string_of_int i
+  (* [Prefix.prefix ^ string_of_int i] in one allocation and without
+     interpreting a format: a generator names every subtask. Ids are
+     non-negative ([make] checks). *)
+  let rec digits n d = if n < 10 then d else digits (n / 10) (d + 1)
+
+  let rec fill b n k =
+    Bytes.set b k (Char.unsafe_chr (48 + (n mod 10)));
+    if n >= 10 then fill b (n / 10) (k - 1)
+
+  let to_string i =
+    let p = String.length Prefix.prefix in
+    let b = Bytes.create (p + digits i 1) in
+    Bytes.blit_string Prefix.prefix 0 b 0 p;
+    fill b i (Bytes.length b - 1);
+    Bytes.unsafe_to_string b
 
   let pp ppf i = Format.pp_print_string ppf (to_string i)
 

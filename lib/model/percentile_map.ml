@@ -10,20 +10,17 @@ let subtask_percentile ~task_percentile ~path_length =
 
 let for_task (task : Task.t) =
   let p = task.Task.latency_percentile in
-  (* Longest path through each subtask. *)
-  let longest = Subtask_id.Tbl.create 16 in
-  Array.iter
-    (fun path ->
-      let len = List.length path in
-      List.iter
-        (fun sid ->
-          match Subtask_id.Tbl.find_opt longest sid with
-          | Some best when best >= len -> ()
-          | _ -> Subtask_id.Tbl.replace longest sid len)
-        path)
-    task.Task.paths;
+  (* Longest path through each graph node. *)
+  let longest = Array.make (Graph.node_count task.Task.graph) 0 in
+  for q = 0 to Task.n_paths task - 1 do
+    let first = task.Task.path_off.(q) and last = task.Task.path_off.(q + 1) in
+    for e = first to last - 1 do
+      let i = task.Task.path_members.(e) in
+      longest.(i) <- Stdlib.max longest.(i) (last - first)
+    done
+  done;
   List.fold_left
     (fun acc sid ->
-      let len = Subtask_id.Tbl.find longest sid in
+      let len = longest.(Graph.index task.Task.graph sid) in
       Subtask_id.Map.add sid (subtask_percentile ~task_percentile:p ~path_length:len) acc)
     Subtask_id.Map.empty (Task.subtask_ids task)

@@ -18,21 +18,17 @@ let instantiate spec ~exec ~lag =
   if exec <= 0. then invalid_arg "Share.instantiate: exec <= 0";
   if lag < 0. then invalid_arg "Share.instantiate: negative lag";
   let work = exec +. lag in
+  (* Each family's three functions are defined together, so they share
+     one closure block and one copy of their free variables. *)
   match spec with
   | Reciprocal ->
-    {
-      name = "reciprocal";
-      eval = (fun lat -> work /. lat);
-      deval = (fun lat -> -.work /. (lat *. lat));
-      inverse = (fun share -> work /. share);
-      lat_min = work;
-    }
+    let[@warning "-39"] rec eval lat = work /. lat
+    and deval lat = -.work /. (lat *. lat)
+    and inverse share = work /. share in
+    { name = "reciprocal"; eval; deval; inverse; lat_min = work }
   | Power { exponent } ->
     if exponent < 1. then invalid_arg "Share.instantiate: power exponent < 1";
-    {
-      name = spec_to_string spec;
-      eval = (fun lat -> (work /. lat) ** exponent);
-      deval = (fun lat -> -.exponent /. lat *. ((work /. lat) ** exponent));
-      inverse = (fun share -> work /. (share ** (1. /. exponent)));
-      lat_min = work;
-    }
+    let[@warning "-39"] rec eval lat = (work /. lat) ** exponent
+    and deval lat = -.exponent /. lat *. ((work /. lat) ** exponent)
+    and inverse share = work /. (share ** (1. /. exponent)) in
+    { name = spec_to_string spec; eval; deval; inverse; lat_min = work }

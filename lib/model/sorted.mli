@@ -3,7 +3,8 @@
 
 val of_list : ('a -> int) -> 'a list -> int array
 (** The keys of the list's elements, ascending. Sorts with
-    [Array.stable_sort], which beats [Array.sort] on int arrays. *)
+    [Array.stable_sort], which beats [Array.sort] on int arrays; keys
+    that arrive in order are not sorted again. *)
 
 val sort : int array -> unit
 (** In place, as {!of_list}. *)

@@ -10,57 +10,55 @@ type t = {
   variant : Utility.variant;
   trigger : Trigger.t;
   latency_percentile : float;
-  paths : Subtask_id.t list array;
-  weights : float Subtask_id.Map.t;
+  weights : float array;
+  path_off : int array;
+  path_members : int array;
 }
 
-let ( let* ) = Result.bind
-
+(* The checks run in order and the first failure wins. They are plain
+   conditionals rather than a [Result] chain, whose continuations would
+   allocate a closure per check for every task a generator builds. *)
 let make ?name ?(variant = Utility.Path_weighted) ?(latency_percentile = 100.) ~id ~subtasks
     ~graph ~critical_time ~utility ~trigger () =
   let task_id = Task_id.make id in
   let name = match name with Some n -> n | None -> Task_id.to_string task_id in
-  let* () = if subtasks = [] then Error (name ^ ": no subtasks") else Ok () in
-  let* () =
-    if critical_time <= 0. then Error (name ^ ": non-positive critical time") else Ok ()
-  in
-  let* () =
-    if latency_percentile <= 0. || latency_percentile > 100. then
-      Error (name ^ ": latency percentile outside (0, 100]")
-    else Ok ()
-  in
-  let ids = Sorted.of_list (fun (s : Subtask.t) -> Subtask_id.to_int s.id) subtasks in
-  let* () =
-    if Sorted.has_duplicate ids then Error (name ^ ": duplicate subtask ids") else Ok ()
-  in
-  let* () =
-    match List.find_opt (fun (s : Subtask.t) -> not (Task_id.equal s.task task_id)) subtasks with
-    | Some s -> Error (Printf.sprintf "%s: subtask %s declares another owner task" name s.name)
-    | None -> Ok ()
-  in
-  (* The ids are distinct and so are the graph's nodes: the two sets are
-     equal iff they have one size and the graph holds every id. *)
-  let* () =
-    if
-      Graph.node_count graph <> Array.length ids
-      || List.exists (fun (s : Subtask.t) -> not (Graph.mem graph s.id)) subtasks
-    then Error (name ^ ": graph nodes differ from the task's subtask ids")
-    else Ok ()
-  in
-  Ok
-    {
-      id = task_id;
-      name;
-      subtasks;
-      graph;
-      critical_time;
-      utility;
-      variant;
-      trigger;
-      latency_percentile;
-      paths = Array.of_list (Graph.paths graph);
-      weights = Graph.weights graph ~variant;
-    }
+  if subtasks = [] then Error (name ^ ": no subtasks")
+  else if critical_time <= 0. then Error (name ^ ": non-positive critical time")
+  else if latency_percentile <= 0. || latency_percentile > 100. then
+    Error (name ^ ": latency percentile outside (0, 100]")
+  else
+    let ids = Sorted.of_list (fun (s : Subtask.t) -> Subtask_id.to_int s.id) subtasks in
+    if Sorted.has_duplicate ids then Error (name ^ ": duplicate subtask ids")
+    else
+      match
+        List.find_opt (fun (s : Subtask.t) -> not (Task_id.equal s.task task_id)) subtasks
+      with
+      | Some s -> Error (Printf.sprintf "%s: subtask %s declares another owner task" name s.name)
+      | None ->
+        (* The ids are distinct and so are the graph's nodes: the two
+           sets are equal iff they have one size and the graph holds
+           every id. *)
+        if
+          Graph.node_count graph <> Array.length ids
+          || List.exists (fun (s : Subtask.t) -> not (Graph.mem graph s.id)) subtasks
+        then Error (name ^ ": graph nodes differ from the task's subtask ids")
+        else
+          let path_off, path_members = Graph.paths graph in
+          Ok
+            {
+              id = task_id;
+              name;
+              subtasks;
+              graph;
+              critical_time;
+              utility;
+              variant;
+              trigger;
+              latency_percentile;
+              weights = Graph.weights graph ~variant;
+              path_off;
+              path_members;
+            }
 
 let make_exn ?name ?variant ?latency_percentile ~id ~subtasks ~graph ~critical_time ~utility
     ~trigger () =
@@ -76,12 +74,22 @@ let subtask_ids t = List.map (fun (s : Subtask.t) -> s.id) t.subtasks
 let find_subtask t id = List.find_opt (fun (s : Subtask.t) -> Subtask_id.equal s.id id) t.subtasks
 
 let weight t s =
-  match Subtask_id.Map.find_opt s t.weights with
-  | Some w -> w
-  | None -> invalid_arg "Task.weight: unknown subtask"
+  let i = Graph.index t.graph s in
+  if i < 0 then invalid_arg "Task.weight: unknown subtask";
+  t.weights.(i)
 
+let n_paths t = Array.length t.path_off - 1
+
+let path t q =
+  List.init
+    (t.path_off.(q + 1) - t.path_off.(q))
+    (fun e -> Graph.node t.graph t.path_members.(t.path_off.(q) + e))
+
+(* In node order, which is ascending id order. *)
 let aggregate_latency t ~latency =
-  Subtask_id.Map.fold (fun s w acc -> acc +. (w *. latency s)) t.weights 0.
+  let acc = ref 0. in
+  Array.iteri (fun i w -> acc := !acc +. (w *. latency (Graph.node t.graph i))) t.weights;
+  !acc
 
 let utility_value t ~latency = t.utility.Utility.f (aggregate_latency t ~latency)
 

@@ -15,8 +15,14 @@ type t = private {
   latency_percentile : float;
       (** Which percentile of observed job latencies the model targets when
           correcting predictions at runtime (§2.1/§6.3); 100 = worst case. *)
-  paths : Subtask_id.t list array;  (** cached {!Graph.paths}. *)
-  weights : float Subtask_id.Map.t;  (** cached {!Graph.weights} for [variant]. *)
+  weights : float array;
+      (** {!Graph.weights} for [variant]: subtask [s]'s weight is
+          [weights.(Graph.index graph s)]. *)
+  path_off : int array;
+  path_members : int array;
+      (** {!Graph.paths}: path [q] visits the graph nodes
+          [path_members.(path_off.(q)) .. path_members.(path_off.(q + 1) - 1)],
+          root first. *)
 }
 
 val make :
@@ -54,6 +60,11 @@ val find_subtask : t -> Subtask_id.t -> Subtask.t option
 
 val weight : t -> Subtask_id.t -> float
 (** Aggregation weight of a subtask (§3.2). *)
+
+val n_paths : t -> int
+
+val path : t -> int -> Subtask_id.t list
+(** Root-to-leaf path [q] (0-based, in {!Graph.paths} order). *)
 
 val utility_value : t -> latency:(Subtask_id.t -> float) -> float
 (** [U_i] (Eq. 1 with the §3.2 aggregation). *)

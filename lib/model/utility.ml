@@ -19,11 +19,17 @@ type variant =
 
 let variant_to_string = function Sum -> "sum" | Path_weighted -> "path-weighted"
 
+(* The C conversion behind Printf's %f: the same bytes without
+   interpreting a format, which the generator pays once per task. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let linear ~k ~critical_time =
   if k < 1. then invalid_arg "Utility.linear: k < 1";
   if critical_time <= 0. then invalid_arg "Utility.linear: critical_time <= 0";
   {
-    name = Printf.sprintf "linear(k=%.1f, C=%.0f)" k critical_time;
+    name =
+      String.concat ""
+        [ "linear(k="; format_float "%.1f" k; ", C="; format_float "%.0f" critical_time; ")" ];
     f = (fun x -> (k *. critical_time) -. x);
     df = (fun _ -> -1.);
     spec = Some (Linear_spec { k });

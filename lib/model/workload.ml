@@ -19,18 +19,26 @@ let make ~tasks ~resources =
   let* () =
     if Sorted.has_duplicate resource_ids then Error "workload: duplicate resource ids" else Ok ()
   in
-  let all_subtasks = List.concat_map (fun (t : Task.t) -> t.subtasks) tasks in
-  let subtask_ids = Sorted.of_list (fun (s : Subtask.t) -> Subtask_id.to_int s.id) all_subtasks in
+  let subtask_ids =
+    Array.make (List.fold_left (fun n (t : Task.t) -> n + List.length t.subtasks) 0 tasks) 0
+  in
+  let fill = ref 0 in
+  List.iter
+    (fun (t : Task.t) ->
+      List.iter
+        (fun (s : Subtask.t) ->
+          subtask_ids.(!fill) <- Subtask_id.to_int s.id;
+          incr fill)
+        t.subtasks)
+    tasks;
+  Sorted.sort subtask_ids;
   let* () =
     if Sorted.has_duplicate subtask_ids then Error "workload: subtask ids are not globally unique"
     else Ok ()
   in
+  let undeclared (s : Subtask.t) = not (Sorted.mem resource_ids (Resource_id.to_int s.resource)) in
   let* () =
-    match
-      List.find_opt
-        (fun (s : Subtask.t) -> not (Sorted.mem resource_ids (Resource_id.to_int s.resource)))
-        all_subtasks
-    with
+    match List.find_map (fun (t : Task.t) -> List.find_opt undeclared t.subtasks) tasks with
     | Some s ->
       Error
         (Printf.sprintf "workload: subtask %s uses undeclared resource %s" s.name
@@ -102,7 +110,7 @@ let constraint_violations t ~latency ~tolerance =
   let path_violations =
     List.concat_map
       (fun (task : Task.t) ->
-        Array.to_list task.paths
+        List.init (Task.n_paths task) (Task.path task)
         |> List.filter_map (fun path ->
                let lat = Graph.path_latency path ~latency in
                if lat > task.critical_time *. (1. +. tolerance) then

@@ -58,41 +58,50 @@ type shape =
   | Fan_out_tree
   | Aggregation_dag
 
-(* Edge lists over local subtask indices 0..n-1; [n] is determined by the
-   shape draw so the caller learns it from the builder. *)
-let shape_edges shape ~depth ~width =
+(* The number of subtasks of a shape draw. *)
+let shape_size shape ~depth ~width =
+  match shape with
+  | Chain -> depth
+  | Fan_out_tree -> depth + width
+  | Aggregation_dag -> 2 + (width * Stdlib.max 1 (depth - 2))
+
+(* The shape's edges over the global subtask ids [first ..], in
+   declaration order. *)
+let shape_edges shape ~depth ~width ~first =
+  let edge a b = (Ids.Subtask_id.make (first + a), Ids.Subtask_id.make (first + b)) in
+  (* a -> a+1 -> ... -> b, consed onto [rest] *)
+  let rec run a b rest = if a >= b then rest else edge a (a + 1) :: run (a + 1) b rest in
   match shape with
   | Chain ->
     (* 0 -> 1 -> ... -> depth-1 *)
-    (depth, List.init (depth - 1) (fun i -> (i, i + 1)))
+    run 0 (depth - 1) []
   | Fan_out_tree ->
     (* trunk 0..depth-1, then the last trunk node fans out to [width]
        leaves (a request that forks to parallel downstream services). *)
-    let n = depth + width in
-    let trunk = List.init (depth - 1) (fun i -> (i, i + 1)) in
-    let leaves = List.init width (fun j -> (depth - 1, depth + j)) in
-    (n, trunk @ leaves)
+    run 0 (depth - 1) (List.init width (fun j -> edge (depth - 1) (depth + j)))
   | Aggregation_dag ->
     (* source 0 forks into [width] branches of length [b], all joining at
        a final aggregation node (scatter/gather). *)
     let b = Stdlib.max 1 (depth - 2) in
-    let n = 2 + (width * b) in
-    let join = n - 1 in
-    let branch j =
-      let first = 1 + (j * b) in
-      ((0, first) :: List.init (b - 1) (fun k -> (first + k, first + k + 1)))
-      @ [ (first + b - 1, join) ]
+    let join = shape_size shape ~depth ~width - 1 in
+    let rec branches j =
+      if j = width then []
+      else
+        let head = 1 + (j * b) in
+        let last = head + b - 1 in
+        edge 0 head :: run head last (edge last join :: branches (j + 1))
     in
-    (n, List.concat (List.init width branch))
+    branches 0
 
 (* Drawn description of one task before materialization. *)
 type draft = {
   task_id : int;
   first_sid : int;  (* global id of local subtask 0 *)
-  edges : (int * int) list;
-  execs : float array;
+  shape : shape;
+  depth : int;
+  width : int;
+  subtasks : Subtask.t list;
   lats : float array;  (* witness latencies, mutated by the rescale pass *)
-  resources : int array;
   k : float;  (* linear utility slope *)
   margin : float;  (* critical time over witness critical path *)
 }
@@ -128,7 +137,7 @@ let generate ?(params = default_params) ~seed () =
     let shape = draw_shape rng p in
     let depth = draw_in_range rng depth_range in
     let width = draw_in_range rng width_range in
-    let n, edges = shape_edges shape ~depth ~width in
+    let n = shape_size shape ~depth ~width in
     let execs = Array.init n (fun _ -> Lla_stdx.Rng.uniform rng ~lo:exec_lo ~hi:exec_hi) in
     let lats =
       Array.map
@@ -136,13 +145,19 @@ let generate ?(params = default_params) ~seed () =
         execs
     in
     let resources = Array.init n (fun _ -> draw_resource rng p) in
+    let tid = Ids.Task_id.make !next_task in
+    let subtasks =
+      List.init n (fun j ->
+          Subtask.make ~id:(!total_subtasks + 1 + j) ~task:tid ~resource:resources.(j)
+            ~exec_time:execs.(j) ())
+    in
     let ulo, uhi = utility_k_range in
     let k = Lla_stdx.Rng.uniform rng ~lo:ulo ~hi:uhi in
     let mlo, mhi = critical_margin_range in
     let margin = Lla_stdx.Rng.uniform rng ~lo:mlo ~hi:mhi in
     drafts :=
-      { task_id = !next_task; first_sid = !total_subtasks + 1; edges; execs; lats;
-        resources; k; margin }
+      { task_id = !next_task; first_sid = !total_subtasks + 1; shape; depth; width; subtasks;
+        lats; k; margin }
       :: !drafts;
     incr next_task;
     total_subtasks := !total_subtasks + n
@@ -156,7 +171,11 @@ let generate ?(params = default_params) ~seed () =
     let sums = Array.make p.n_resources 0. in
     List.iter
       (fun d ->
-        Array.iteri (fun j r -> sums.(r) <- sums.(r) +. (d.execs.(j) /. d.lats.(j))) d.resources)
+        List.iteri
+          (fun j (s : Subtask.t) ->
+            let r = Ids.Resource_id.to_int s.resource in
+            sums.(r) <- sums.(r) +. (s.exec_time /. d.lats.(j)))
+          d.subtasks)
       drafts;
     sums
   in
@@ -170,23 +189,16 @@ let generate ?(params = default_params) ~seed () =
   let max_lat =
     List.fold_left (fun acc d -> Array.fold_left Float.max acc d.lats) 0. drafts
   in
-  let period = Float.max 400. (4. *. max_lat) in
+  let trigger = Trigger.periodic ~period:(Float.max 400. (4. *. max_lat)) () in
   (* Pass 3: materialize tasks; critical times from the (scaled) witness. *)
   let tasks =
     List.map
       (fun d ->
-        let tid = Ids.Task_id.make d.task_id in
-        let n = Array.length d.execs in
-        let subtasks =
-          List.init n (fun j ->
-              Subtask.make ~id:(d.first_sid + j) ~task:tid ~resource:d.resources.(j)
-                ~exec_time:d.execs.(j) ())
-        in
-        let sid j = Ids.Subtask_id.make (d.first_sid + j) in
+        let subtasks = d.subtasks in
         let graph =
           Graph.make_exn
             ~nodes:(List.map (fun (s : Subtask.t) -> s.id) subtasks)
-            ~edges:(List.map (fun (a, b) -> (sid a, sid b)) d.edges)
+            ~edges:(shape_edges d.shape ~depth:d.depth ~width:d.width ~first:d.first_sid)
         in
         let _, witness_critical_path =
           Graph.critical_path graph ~latency:(fun id ->
@@ -196,7 +208,7 @@ let generate ?(params = default_params) ~seed () =
         Task.make_exn ~variant:Utility.Path_weighted ~id:d.task_id ~subtasks ~graph
           ~critical_time
           ~utility:(Utility.linear ~k:d.k ~critical_time)
-          ~trigger:(Trigger.periodic ~period ())
+          ~trigger
           ())
       drafts
   in
@@ -215,7 +227,7 @@ let describe (w : Workload.t) =
     List.fold_left (fun acc (t : Task.t) -> acc + List.length t.Task.subtasks) 0 w.Workload.tasks
   in
   let paths =
-    List.fold_left (fun acc (t : Task.t) -> acc + Array.length t.Task.paths) 0 w.Workload.tasks
+    List.fold_left (fun acc (t : Task.t) -> acc + Task.n_paths t) 0 w.Workload.tasks
   in
   Printf.sprintf "%d tasks / %d subtasks / %d paths / %d resources" tasks subtasks paths
     (List.length w.Workload.resources)

@@ -122,19 +122,16 @@ type t = {
   ps_off : int array;  (* path -> member slots (CSR) *)
   ps_idx : int array;
   path_hot : int array;  (* # traversed resources currently congested *)
-  (* churn support: per-task activation plus construction-time copies of
-     every coefficient retirement clobbers, so a re-admitted task block is
-     restored bit-for-bit (see retire_task / admit_task below) *)
+  (* churn support: per-task activation; a re-admitted task block gets
+     back the coefficients retirement clobbers bit-for-bit (see
+     retire_task / admit_task below), recomputed from the problem's
+     immutable fields except the upper bounds, whose stability part
+     reads a mutable field and is therefore kept as constructed *)
   n_task : int;
   active : bool array;
   mutable n_inactive : int;
   mutable frozen : bool;  (* safe-mode dwell: hold the allocation *)
-  work0 : float array;
-  press00 : float array;
-  lo0 : float array;
   hi0 : float array;
-  lat0 : float array;
-  crit0 : float array;
   (* step policy, unpacked per price family (identical unless Split) *)
   adaptive_r : bool;
   g_init_r : float;
@@ -802,11 +799,19 @@ let clear_prices t =
     done;
     incr round
   done;
-  Array.blit t.lat0 0 t.lat 0 t.n_sub
+  Array.iteri (fun i (s : P.subtask) -> t.lat.(t.idx.(i)) <- s.P.lat_hi) t.problem.P.subtasks
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* A subtask's lower latency bound and its utility pressure
+   |slope| * weight, as construction writes them and admission restores
+   them. *)
+let lo_bound (s : P.subtask) = Float.max 1e-9 s.P.lat_lo
+
+let pressure0 (task : P.task) (s : P.subtask) =
+  Float.abs (Option.value task.P.linear_slope ~default:0.) *. s.P.weight
 
 let of_problem ?obs ?(config = default_config) (problem : P.t) =
   let n_sub = P.n_subtasks problem in
@@ -863,12 +868,12 @@ let of_problem ?obs ?(config = default_config) (problem : P.t) =
         cursor.(r) <- j + 1;
         idx.(i) <- j;
         let task = problem.P.tasks.(s.P.task) in
-        let lo = Float.max 1e-9 s.P.lat_lo in
+        let lo = lo_bound s in
         sub_res.(j) <- r;
         work.(j) <- s.P.share.Lla_model.Share.lat_min;
         lo_b.(j) <- lo;
         hi_b.(j) <- Float.max lo (Float.min s.P.stability task.P.critical_time);
-        press0.(j) <- Float.abs (Option.value task.P.linear_slope ~default:0.) *. s.P.weight;
+        press0.(j) <- pressure0 task s;
         lat.(j) <- s.P.lat_hi;
         (* slot j's path count, until the prefix sum below *)
         sp_off.(j + 1) <- Array.length s.P.paths)
@@ -952,12 +957,7 @@ let of_problem ?obs ?(config = default_config) (problem : P.t) =
         active = Array.make (P.n_tasks problem) true;
         n_inactive = 0;
         frozen = false;
-        work0 = Array.copy work;
-        press00 = Array.copy press0;
-        lo0 = Array.copy lo_b;
         hi0 = Array.copy hi_b;
-        lat0 = Array.copy lat;
-        crit0 = Array.copy crit;
         adaptive_r;
         g_init_r;
         g_mult_r;
@@ -1113,12 +1113,12 @@ let admit_task t k =
   let task = t.problem.P.tasks.(k) in
   Array.iter
     (fun i ->
-      let j = t.idx.(i) in
-      t.work.(j) <- t.work0.(j);
-      t.press0.(j) <- t.press00.(j);
-      t.lo_b.(j) <- t.lo0.(j);
+      let s = t.problem.P.subtasks.(i) and j = t.idx.(i) in
+      t.work.(j) <- s.P.share.Lla_model.Share.lat_min;
+      t.press0.(j) <- pressure0 task s;
+      t.lo_b.(j) <- lo_bound s;
       t.hi_b.(j) <- t.hi0.(j);
-      t.lat.(j) <- t.lat0.(j);
+      t.lat.(j) <- s.P.lat_hi;
       queue_sub t j;
       dirty_res t t.sub_res.(j))
     task.P.subtask_indices;
@@ -1126,7 +1126,7 @@ let admit_task t k =
     (fun p ->
       t.lambda.(p) <- Lla.Solver.lambda0;
       t.gamma_p.(p) <- t.g_init_p;
-      t.crit.(p) <- t.crit0.(p);
+      t.crit.(p) <- t.problem.P.paths.(p).P.critical_time;
       dirty_path t p)
     task.P.path_indices
 
@@ -1217,9 +1217,7 @@ let crash_reset t =
     (fun k (task : P.task) ->
       if t.active.(k) then begin
         Array.iter
-          (fun i ->
-            let j = t.idx.(i) in
-            t.lat.(j) <- t.lat0.(j))
+          (fun i -> t.lat.(t.idx.(i)) <- t.problem.P.subtasks.(i).P.lat_hi)
           task.P.subtask_indices;
         Array.iter (fun p -> t.lambda.(p) <- Lla.Solver.lambda0) task.P.path_indices
       end)

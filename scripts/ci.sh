@@ -134,6 +134,13 @@ echo "ci: trace chaos digest pinned"
 # same utility as the scenario generated in memory. Only the tick number
 # and the utility line are compared; the timings in parentheses vary.
 ./_build/default/bin/lla_cli.exe generate --subtasks 100000 --seed 42 -o _build/scale1e5.lla
+# The headline scenario's bytes are pinned too: a change to the generator
+# or the model's build that moves any draw, id, edge or float shows here.
+scale_md5=$(md5sum _build/scale1e5.lla | cut -d' ' -f1)
+if [ "$scale_md5" != a5eb6e303c3275a8c2ae8cf495d2a966 ]; then
+  echo "ci: 10^5 scenario digest is $scale_md5, pinned a5eb6e303c3275a8c2ae8cf495d2a966" >&2
+  exit 1
+fi
 scale_summary() {
   ./_build/default/bin/lla_cli.exe solve-scale "$@" |
     sed -n -e 's/^converged at tick \([0-9]*\) .*/tick \1/p' -e '/^total utility:/p'

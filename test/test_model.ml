@@ -248,6 +248,13 @@ let test_trigger_float_progress () =
 (* Graph                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* [Graph.paths] as id lists. *)
+let path_lists g =
+  let off, members = Graph.paths g in
+  List.init
+    (Array.length off - 1)
+    (fun q -> List.init (off.(q + 1) - off.(q)) (fun e -> Graph.node g members.(off.(q) + e)))
+
 let diamond () =
   (* 1 -> {2, 3} -> 4 *)
   Graph.make_exn
@@ -256,13 +263,13 @@ let diamond () =
 
 let test_graph_chain () =
   let g = Graph.chain [ sid 1; sid 2; sid 3 ] in
-  Alcotest.(check int) "one path" 1 (List.length (Graph.paths g));
+  Alcotest.(check int) "one path" 1 (List.length (path_lists g));
   Alcotest.(check bool) "root" true (Ids.Subtask_id.equal (Graph.root g) (sid 1));
   Alcotest.(check int) "leaves" 1 (List.length (Graph.leaves g))
 
 let test_graph_diamond_paths () =
   let g = diamond () in
-  let paths = Graph.paths g in
+  let paths = path_lists g in
   Alcotest.(check int) "two paths" 2 (List.length paths);
   List.iter
     (fun p ->
@@ -272,26 +279,27 @@ let test_graph_diamond_paths () =
 
 let test_graph_fan_out () =
   let g = Graph.fan_out ~root:(sid 1) ~hub:(sid 2) ~leaves:[ sid 3; sid 4; sid 5 ] in
-  Alcotest.(check int) "3 paths" 3 (List.length (Graph.paths g))
+  Alcotest.(check int) "3 paths" 3 (List.length (path_lists g))
 
 let test_graph_weights () =
   let g = diamond () in
   let w = Graph.weights g ~variant:Utility.Path_weighted in
-  check_close "root weight 1" 1. (Ids.Subtask_id.Map.find (sid 1) w);
-  check_close "branch weight 1/2" 0.5 (Ids.Subtask_id.Map.find (sid 2) w);
-  check_close "join weight 1" 1. (Ids.Subtask_id.Map.find (sid 4) w);
+  check_close "root weight 1" 1. w.(Graph.index g (sid 1));
+  check_close "branch weight 1/2" 0.5 w.(Graph.index g (sid 2));
+  check_close "join weight 1" 1. w.(Graph.index g (sid 4));
   let w_sum = Graph.weights g ~variant:Utility.Sum in
-  Ids.Subtask_id.Map.iter (fun _ v -> check_close "sum weights are 1" 1. v) w_sum
+  Alcotest.(check int) "a weight per node" 4 (Array.length w_sum);
+  Array.iter (fun v -> check_close "sum weights are 1" 1. v) w_sum
 
 let test_graph_weighted_sum_is_mean_path_latency () =
   let g = diamond () in
   let lat id = float_of_int (Ids.Subtask_id.to_int id) in
   let w = Graph.weights g ~variant:Utility.Path_weighted in
-  let weighted =
-    Ids.Subtask_id.Map.fold (fun id weight acc -> acc +. (weight *. lat id)) w 0.
-  in
+  let weighted = ref 0. in
+  Array.iteri (fun i weight -> weighted := !weighted +. (weight *. lat (Graph.node g i))) w;
+  let weighted = !weighted in
   let mean_path =
-    let paths = Graph.paths g in
+    let paths = path_lists g in
     List.fold_left (fun acc p -> acc +. Graph.path_latency p ~latency:lat) 0. paths
     /. float_of_int (List.length paths)
   in
@@ -370,9 +378,9 @@ let prop_graph_weights_sum =
       let g = build_random_dag input in
       (* The weighted sum with unit latencies equals the mean path length. *)
       let w = Graph.weights g ~variant:Utility.Path_weighted in
-      let weighted = Ids.Subtask_id.Map.fold (fun _ v acc -> acc +. v) w 0. in
+      let weighted = Array.fold_left ( +. ) 0. w in
       let mean_len =
-        let paths = Graph.paths g in
+        let paths = path_lists g in
         float_of_int (List.fold_left (fun acc p -> acc + List.length p) 0 paths)
         /. float_of_int (List.length paths)
       in
@@ -387,7 +395,7 @@ let prop_graph_critical_path_is_max =
       let best =
         List.fold_left
           (fun acc p -> Float.max acc (Graph.path_latency p ~latency:lat))
-          neg_infinity (Graph.paths g)
+          neg_infinity (path_lists g)
       in
       Float.abs (dp -. best) < 1e-9)
 
@@ -639,16 +647,21 @@ let prop_graph_matches_reference =
             (fun (s, w) -> (Ids.Subtask_id.to_int s, Int64.bits_of_float w))
             (Ids.Subtask_id.Map.bindings m)
         in
+        (* by node number, which is ascending id order like the bindings *)
+        let node_bits w =
+          List.init (Array.length w) (fun i ->
+              (Ids.Subtask_id.to_int (Graph.node g i), Int64.bits_of_float w.(i)))
+        in
         List.iter
           (fun s ->
             same "successors" (ids (Graph.successors g s)) (ids (Ref_graph.successors r s));
             same "predecessors" (ids (Graph.predecessors g s)) (ids (Ref_graph.predecessors r s)))
           nodes;
         same "leaves" (ids (Graph.leaves g)) (ids (Ref_graph.leaves r));
-        same "paths" (List.map ids (Graph.paths g)) (List.map ids (Ref_graph.paths r));
+        same "paths" (List.map ids (path_lists g)) (List.map ids (Ref_graph.paths r));
         List.iter
           (fun variant ->
-            same "weights" (bits (Graph.weights g ~variant)) (bits (Ref_graph.weights r ~variant)))
+            same "weights" (node_bits (Graph.weights g ~variant)) (bits (Ref_graph.weights r ~variant)))
           [ Utility.Sum; Utility.Path_weighted ];
         (* few distinct latencies, so equal-cost branches exercise the tie-break *)
         let latency s =
@@ -766,6 +779,56 @@ let test_task_weights_accessor () =
   let task = make_simple_task () in
   List.iter (fun s -> check_close "chain weights 1" 1. (Task.weight task s))
     (Task.subtask_ids task)
+
+(* The derived task data against plain definitions: [Task.path] in order
+   is a depth-first walk over [Graph.successors] (successors in edge
+   declaration order), and a path-weighted subtask weighs exactly the
+   number of paths through it over the number of paths (1 under [Sum]). *)
+let task_paths (t : Task.t) = List.init (Task.n_paths t) (Task.path t)
+
+let reference_paths g =
+  let rec walk prefix s =
+    let prefix = s :: prefix in
+    match Graph.successors g s with
+    | [] -> [ List.rev prefix ]
+    | next -> List.concat_map (walk prefix) next
+  in
+  walk [] (Graph.root g)
+
+let prop_task_derived_data =
+  QCheck.Test.make ~name:"task: paths and weights match a reference walk" ~count:60
+    QCheck.(pair bool (int_range 1 1_000_000))
+    (fun (generated, seed) ->
+      let w =
+        if generated then
+          Lla_scale.Generator.generate
+            ~params:
+              (Lla_scale.Generator.sized ~resources:(12 + (seed mod 9)) ~subtasks:(40 + (seed mod 37))
+                 ())
+            ~seed ()
+        else Lla_workloads.Random_gen.generate ~seed ()
+      in
+      let ids l = List.map Ids.Subtask_id.to_int l in
+      List.iter
+        (fun (t : Task.t) ->
+          let paths = task_paths t in
+          if List.map ids paths <> List.map ids (reference_paths t.graph) then
+            QCheck.Test.fail_reportf "task %s: paths differ from the reference walk" t.name;
+          let n = float_of_int (List.length paths) in
+          List.iter
+            (fun s ->
+              let through = List.length (List.filter (List.exists (Ids.Subtask_id.equal s)) paths) in
+              let expected =
+                match t.variant with
+                | Utility.Path_weighted -> float_of_int through /. n
+                | Utility.Sum -> 1.
+              in
+              if not (Task.weight t s = expected) then
+                QCheck.Test.fail_reportf "task %s: weight of %s is %h, expected %h" t.name
+                  (Ids.Subtask_id.to_string s) (Task.weight t s) expected)
+            (Task.subtask_ids t))
+        w.Workload.tasks;
+      true)
 
 let make_workload () =
   let t1 = make_simple_task ~id:1 () in
@@ -959,7 +1022,8 @@ let () =
           Alcotest.test_case "error precedence" `Quick test_task_error_precedence;
           Alcotest.test_case "aggregate and utility" `Quick test_task_aggregate_and_utility;
           Alcotest.test_case "weights accessor" `Quick test_task_weights_accessor;
-        ] );
+        ]
+        @ qcheck [ prop_task_derived_data ] );
       ( "workload",
         [
           Alcotest.test_case "lookups" `Quick test_workload_lookups;

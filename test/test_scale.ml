@@ -692,22 +692,32 @@ let test_golden_compiled_problem () =
     "10k seed-42 compiled problem digest" "54a7c2a528b0a565144c9cec37501b11"
     (problem_digest (Lla.Problem.compile (golden_workload ())))
 
-(* Minor words per subtask to generate, compile and compact the 10^4
-   scenario: 332.2 on the array-backed build (the Map/Set build took
-   887), under a budget 5 % above it. Allocation is deterministic, so
-   this is exact, not a timing. *)
-let build_words_budget = 350.
+(* Words per subtask to generate, compile and compact the 10^4 scenario:
+   minor words plus the words allocated straight into the major heap
+   (arrays of 256 words or more), so that moving data into big arrays is
+   counted, not hidden. 196.8 (167.8 minor, 29.0 direct) on the flat
+   build; the map/list build took 360.2 (326.3 minor, 33.9 direct), and
+   the Map/Set build before it 887 minor. The budget is 5 % above it.
+   [Gc.minor_words] and the promoted and major totals of [Gc.counters]
+   are exact at any point ([Gc.quick_stat]'s totals move only at
+   collections, and [Gc.counters]' minor total is not exact), and
+   allocation is deterministic, so this is exact, not a timing. *)
+let build_words_budget = 207.
 
 let test_build_allocation () =
-  let before = Gc.minor_words () in
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let minor0 = Gc.minor_words () and direct0 = direct () in
   let problem = Lla.Problem.compile (golden_workload ()) in
   (match Kernel.of_problem ~config:Kernel.scale_config problem with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "Kernel.of_problem: %s" e);
-  let words = Gc.minor_words () -. before in
+  let words = Gc.minor_words () -. minor0 +. (direct () -. direct0) in
   let per_subtask = words /. float_of_int (Lla.Problem.n_subtasks problem) in
   if per_subtask > build_words_budget then
-    Alcotest.failf "build allocates %.1f minor words per subtask (budget %.0f)" per_subtask
+    Alcotest.failf "build allocates %.1f words per subtask (budget %.0f)" per_subtask
       build_words_budget
 
 (* ------------------------------------------------------------------ *)
@@ -824,14 +834,16 @@ let test_clearing_seed_matrix () =
     | None -> Alcotest.failf "seed %d: no convergence within 60 ticks" seed
   done
 
-(* Of generator seeds 1-3000 under [small_params], [Schedulability.probe]
-   rejects 30, 480 and 1329, which makes the admission property above
-   fail about one run in 170. The scenarios are schedulable: from the
-   clearing start the kernel meets Eq. 3/4 at tick 51 on each. From the
-   cold start seed 480 takes 837 ticks and seeds 30 and 1329 do not
-   converge within 8000, and the probe's step ladder has no clearing
-   rung. Seed 30 (76 subtasks, 15 resources) is a unit-sized cold-start
-   repro. *)
+(* [Schedulability.probe] rejects some generator seeds under
+   [small_params]: 30, 480 and 1329 of seeds 1-3000, and 459088 and
+   696667, the seeds that QCHECK_SEED 155 and 573 draw. Over QCHECK_SEED
+   1-1500 the admission property above fails on six (155, 573, 749,
+   1202, 1372 and 1403), about one run in 250. The scenarios are
+   schedulable: from the clearing start the kernel meets Eq. 3/4 at tick
+   51 on each. From the cold start seed 480 takes 837 ticks and seeds 30
+   and 1329 do not converge within 8000, and the probe's step ladder has
+   no clearing rung. Seed 30 (76 subtasks, 15 resources) is a unit-sized
+   cold-start repro. *)
 let test_clearing_probe_rejects () =
   List.iter
     (fun seed ->
@@ -841,7 +853,7 @@ let test_clearing_probe_rejects () =
       | Some _ when Kernel.feasible k -> ()
       | Some n -> Alcotest.failf "seed %d: stopped at tick %d but infeasible" seed n
       | None -> Alcotest.failf "seed %d: no convergence within 60 ticks" seed)
-    [ 30; 480; 1329 ]
+    [ 30; 480; 1329; 459088; 696667 ]
 
 let () =
   Alcotest.run "scale"

@@ -28,7 +28,7 @@ let test_base_structure () =
 let test_base_graph_shapes () =
   let w = Lla_workloads.Paper_sim.base () in
   let by_name name = List.find (fun (t : Task.t) -> t.Task.name = name) w.Workload.tasks in
-  let paths name = List.length (Graph.paths (by_name name).Task.graph) in
+  let paths name = Task.n_paths (by_name name) in
   Alcotest.(check int) "task1 fan-out: 5 paths" 5 (paths "task1");
   Alcotest.(check int) "task2 aggregation: 2 paths" 2 (paths "task2");
   Alcotest.(check int) "task3 chain: 1 path" 1 (paths "task3")
